@@ -8,10 +8,8 @@ the plain-matrix line as the eigenvalue bulk shrinks).
 import argparse
 import os
 
-from netecon.config import config_hash, default_config, parse_overrides
-from netecon.equilibrium import ModelParams
-from netecon.network import build_plain_network, build_random_exponential_network
-from netecon.stability import critical_line_to_csv, trace_critical_line
+from netecon.cli import cmd_phase_diagram
+from netecon.config import default_config, parse_overrides
 
 
 def main() -> None:
@@ -21,23 +19,19 @@ def main() -> None:
     ap.add_argument("--sizes", type=int, nargs="*", default=[20, 40, 80])
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
 
     q_grid = [round(-1.0 + k * args.q_step, 10)
               for k in range(int(2.0 / args.q_step) + 1)]
-    params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
-
-    nets = [("plain_n40", build_plain_network(40), 40)]
-    nets += [(f"randexp_n{n}", build_random_exponential_network(n, seed=n), n)
-             for n in args.sizes]
-    for label, net, n in nets:
-        conf = parse_overrides(default_config(), [
-            f"network.n={n}", "params.q=-1",
-            "phase.q_grid=" + ",".join(str(q) for q in q_grid),
+    nets = [("plain_n40", ["network.kind=plain", "network.n=40"])]
+    nets += [(f"randexp_n{n}", ["network.kind=random_exp", f"network.n={n}",
+                                f"network.seed={n}"]) for n in args.sizes]
+    for label, network in nets:
+        conf = parse_overrides(default_config(), network + [
+            "params.q=-1", "phase.q_grid=" + ",".join(str(q) for q in q_grid),
+            f"jobs={args.jobs}", f"output.dir={args.out}",
         ])
-        line = trace_critical_line(net, params, q_grid, jobs=args.jobs)
         path = os.path.join(args.out, f"critical_line_{label}.csv")
-        critical_line_to_csv(line, path, config_hash=config_hash(conf))
+        os.replace(cmd_phase_diagram(conf)[0], path)
         print(path)
 
 

@@ -9,10 +9,8 @@ any tool.
 import argparse
 import os
 
-from netecon.config import config_hash, default_config, parse_overrides
-from netecon.equilibrium import ModelParams
-from netecon.network import build_plain_network
-from netecon.simulator import NoiseProcess, Simulator, trajectory_to_csv
+from netecon.cli import cmd_simulate
+from netecon.config import default_config, parse_overrides
 
 GAMMAS = (0.105, 0.115, 0.13, 0.15, 0.185)
 
@@ -24,21 +22,16 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
 
-    net = build_plain_network(args.n)
     for gamma in GAMMAS:
-        params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=gamma, sigma=1e-3)
         conf = parse_overrides(default_config(), [
-            f"network.n={args.n}", f"params.gamma={gamma}", "params.sigma=1e-3",
-            f"run.steps={args.steps}", f"run.seed={args.seed}",
+            f"network.n={args.n}", "params.q=-1", f"params.gamma={gamma}",
+            "params.sigma=1e-3", f"run.steps={args.steps}",
+            f"run.burn_in={min(1000, args.steps // 5)}", f"run.seed={args.seed}",
+            f"output.dir={args.out}",
         ])
-        sim = Simulator(net, params)
-        traj = sim.simulate(NoiseProcess(1e-3, args.seed), steps=args.steps,
-                            burn_in=min(1000, args.steps // 5),
-                            config_hash=config_hash(conf))
         path = os.path.join(args.out, f"trajectory_gamma{gamma}.csv")
-        trajectory_to_csv(traj, path)
+        os.replace(cmd_simulate(conf)[0], path)
         print(path)
 
 

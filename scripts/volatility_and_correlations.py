@@ -10,8 +10,10 @@ absolute pairwise correlation against gamma.
 import argparse
 import os
 
-from netecon.analytics import run_sweep
-from netecon.config import config_hash, default_config, parse_overrides
+from netecon.cli import cmd_sweep
+from netecon.config import default_config, parse_overrides
+
+GAMMAS = "0.05,0.08,0.1,0.11,0.115,0.12,0.13,0.15,0.17"
 
 
 def main() -> None:
@@ -22,39 +24,25 @@ def main() -> None:
     ap.add_argument("--replicas", type=int, default=2)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
 
-    gammas = [0.05, 0.08, 0.1, 0.11, 0.115, 0.12, 0.13, 0.15, 0.17]
-    seeds = [1000 + r for r in range(args.replicas)]
-
-    def base(overrides):
-        return parse_overrides(default_config(), [
+    def sweep(name, overrides, statistic="volatility"):
+        # replica r runs from base seed 1000 + r
+        conf = parse_overrides(default_config(), [
             "params.q=-1", "params.sigma=1e-3",
             f"run.steps={args.steps}", f"run.burn_in={args.burn_in}",
+            f"run.replicas={args.replicas}", "run.seed=1000",
+            f"sweep.values={GAMMAS}", f"sweep.statistic={statistic}",
+            f"jobs={args.jobs}", f"output.dir={args.out}",
         ] + overrides)
+        path = os.path.join(args.out, name)
+        os.replace(cmd_sweep(conf, "gamma")[0], path)
+        print(path)
 
     for n in (10, 64):
-        conf = base([f"network.n={n}"])
-        result = run_sweep(conf, "gamma", gammas, args.replicas, seeds,
-                           statistic="volatility", jobs=args.jobs)
-        path = os.path.join(args.out, f"volatility_vs_gamma_n{n}.csv")
-        result.to_csv(path, config_hash=config_hash(conf))
-        print(path)
-
+        sweep(f"volatility_vs_gamma_n{n}.csv", [f"network.n={n}"])
     for sigma in (1e-3, 1e-4, 1e-5):
-        conf = base(["network.n=10", f"params.sigma={sigma}"])
-        result = run_sweep(conf, "gamma", gammas, args.replicas, seeds,
-                           statistic="volatility", jobs=args.jobs)
-        path = os.path.join(args.out, f"volatility_vs_gamma_sigma{sigma:g}.csv")
-        result.to_csv(path, config_hash=config_hash(conf))
-        print(path)
-
-    conf = base(["network.n=64"])
-    result = run_sweep(conf, "gamma", gammas, args.replicas, seeds,
-                       statistic="correlation", jobs=args.jobs)
-    path = os.path.join(args.out, "correlation_vs_gamma_n64.csv")
-    result.to_csv(path, config_hash=config_hash(conf))
-    print(path)
+        sweep(f"volatility_vs_gamma_sigma{sigma:g}.csv", ["network.n=10", f"params.sigma={sigma}"])
+    sweep("correlation_vs_gamma_n64.csv", ["network.n=64"], statistic="correlation")
 
 
 if __name__ == "__main__":

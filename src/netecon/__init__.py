@@ -31,15 +31,7 @@ from .simulator import (
     Simulator,
     Trajectory,
     clearing_residual,
-    discount_factor,
-    expected_price,
-    factor_demands,
-    household_wealth,
-    lagrange_multiplier,
-    optimal_production,
-    production_target,
     simulate,
-    step,
     trajectory_to_csv,
 )
 from .stability import (

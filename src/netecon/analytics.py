@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import periodogram
 
-from .simulator import Trajectory
+from . import config as cfg
+from .csvio import write_csv
+from .simulator import NoiseProcess, Simulator, Trajectory
 
 __all__ = [
     "PeriodEstimate",
@@ -170,12 +172,7 @@ def periodogram_to_csv(series: np.ndarray, burn_in: int, path,
     series = np.asarray(series, dtype=float)
     x = series[burn_in:]
     freqs, power = periodogram(x - x.mean(), window="hann", detrend=False)
-    with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("frequency,power\n")
-        for f, p in zip(freqs, power):
-            fh.write(f"{f:.17g},{p:.17g}\n")
+    write_csv(path, ["frequency", "power"], zip(freqs, power), config_hash)
 
 
 def linearized_volatility(net, params, sigma: float) -> float:
@@ -223,20 +220,11 @@ class SweepResult:
 
     def to_csv(self, path, config_hash: str = "") -> None:
         extras = sorted({k for p in self.points for k in p.extras})
-        with open(path, "w") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write(f"# axis={self.axis}\n")
-            fh.write("axis_value,statistic,std_err,replicas,failed_count")
-            for name in extras:
-                fh.write(f",{name}")
-            fh.write("\n")
-            for p in self.points:
-                row = [format(p.value, ".17g"), format(p.statistic, ".17g"),
-                       format(p.std_err, ".17g"), str(p.replicas), str(p.failed)]
-                row += [format(p.extras.get(name, float("nan")), ".17g")
-                        for name in extras]
-                fh.write(",".join(row) + "\n")
+        rows = [[p.value, p.statistic, p.std_err, p.replicas, p.failed]
+                + [p.extras.get(name, float("nan")) for name in extras]
+                for p in self.points]
+        write_csv(path, ["axis_value", "statistic", "std_err", "replicas", "failed_count"]
+                  + extras, rows, config_hash, [f"axis={self.axis}"])
 
 
 def _cell_seed(base_seed: int, value_index: int) -> int:
@@ -246,18 +234,11 @@ def _cell_seed(base_seed: int, value_index: int) -> int:
 
 def _run_cell(args) -> dict:
     """One (axis value, replica) simulation; returns the statistic bundle."""
-    from . import config as cfg
-
     base, axis, value, seed = args
-    conf = cfg.apply_axis(base, axis, value)
-    conf = cfg.replace_run(conf, seed=seed)
-    net = cfg.build_network(conf)
-    params = cfg.build_params(conf)
-    from .simulator import NoiseProcess, Simulator
-
-    sim = Simulator(net, params)
+    conf = cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
+    sim = Simulator(cfg.build_network(conf), conf.params)
     traj = sim.simulate(
-        NoiseProcess(sigma=params.sigma, seed=seed),
+        NoiseProcess(sigma=conf.params.sigma, seed=seed),
         steps=conf.run.steps,
         burn_in=conf.run.burn_in,
         initial_kick=conf.run.initial_kick,

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import analytics, config as cfg, reduced as red
+from .csvio import format_value, write_csv
 from .equilibrium import equilibrium_residual, solve_equilibrium
 from .simulator import ClearingError, NoiseProcess, Simulator, trajectory_to_csv
 from .stability import analyze_stability, report_to_csv, trace_critical_line, critical_line_to_csv
@@ -29,8 +30,6 @@ __all__ = [
     "main",
 ]
 
-_FMT = ".17g"
-
 
 def _out_path(conf: cfg.ExperimentConfig, name: str) -> str:
     os.makedirs(conf.output.directory, exist_ok=True)
@@ -40,25 +39,19 @@ def _out_path(conf: cfg.ExperimentConfig, name: str) -> str:
 def cmd_equilibrium(conf: cfg.ExperimentConfig) -> list[str]:
     """Solve the static equilibrium and write equilibrium.csv."""
     net = cfg.build_network(conf)
-    params = cfg.build_params(conf)
-    if params.b >= 1.0:
-        raise cfg.ConfigError("equilibrium requires b < 1")
-    eq = solve_equilibrium(net, params)
+    eq = solve_equilibrium(net, conf.params)
+    residual = equilibrium_residual(eq, net, conf.params)
     path = _out_path(conf, "equilibrium.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash(conf)}\n")
-        fh.write(f"# h_eq={eq.h_eq:{_FMT}} residual={equilibrium_residual(eq, net, params):{_FMT}}\n")
-        fh.write("i,p_eq,x_eq,V_eq,S_eq\n")
-        for i in range(net.n):
-            row = (eq.p_eq[i], eq.x_eq[i], eq.V_eq[i], eq.S_eq[i])
-            fh.write(str(i) + "," + ",".join(format(v, _FMT) for v in row) + "\n")
+    write_csv(path, ["i", "p_eq", "x_eq", "V_eq", "S_eq"],
+              zip(range(net.n), eq.p_eq, eq.x_eq, eq.V_eq, eq.S_eq), cfg.config_hash(conf),
+              [f"h_eq={format_value(eq.h_eq)} residual={format_value(residual)}"])
     return [path]
 
 
 def cmd_simulate(conf: cfg.ExperimentConfig) -> list[str]:
     """Run one simulation and write trajectory.csv."""
     net = cfg.build_network(conf)
-    params = cfg.build_params(conf)
+    params = conf.params
     sim = Simulator(net, params)
     traj = sim.simulate(
         NoiseProcess(sigma=params.sigma, seed=conf.run.seed),
@@ -74,9 +67,7 @@ def cmd_simulate(conf: cfg.ExperimentConfig) -> list[str]:
 
 def cmd_stability(conf: cfg.ExperimentConfig) -> list[str]:
     """Stability report CSV plus a one-line verdict on stdout."""
-    net = cfg.build_network(conf)
-    params = cfg.build_params(conf)
-    report = analyze_stability(net, params)
+    report = analyze_stability(cfg.build_network(conf), conf.params)
     path = _out_path(conf, "stability.csv")
     report_to_csv(report, path, config_hash=cfg.config_hash(conf))
     verdict = "stable" if report.stable else "unstable"
@@ -87,10 +78,8 @@ def cmd_stability(conf: cfg.ExperimentConfig) -> list[str]:
 
 def cmd_phase_diagram(conf: cfg.ExperimentConfig, q_grid=None) -> list[str]:
     """Critical line gamma_c(q) over the configured q grid."""
-    net = cfg.build_network(conf)
-    params = cfg.build_params(conf)
     grid = conf.phase_q_grid if q_grid is None else q_grid
-    line = trace_critical_line(net, params, grid, jobs=conf.jobs)
+    line = trace_critical_line(cfg.build_network(conf), conf.params, grid, jobs=conf.jobs)
     path = _out_path(conf, "phase_diagram.csv")
     critical_line_to_csv(line, path, config_hash=cfg.config_hash(conf))
     return [path]
@@ -111,34 +100,31 @@ def cmd_sweep(conf: cfg.ExperimentConfig, axis: str | None = None) -> list[str]:
 
 def cmd_reduced(conf: cfg.ExperimentConfig, model: str) -> list[str]:
     """Reference-model datasets: prediction next to simulation."""
-    params = cfg.build_params(conf)
+    params = conf.params
     a, b = params.a, params.b
-    hash_line = f"# config_hash={cfg.config_hash(conf)}\n"
+    stamp = cfg.config_hash(conf)
     if model == "long_plosser":
+        rows = []
+        for n in conf.reduced_n_values:
+            net = cfg.build_network(cfg.apply_axis(conf, "n", n))
+            sigmas = np.full(n, params.sigma if params.sigma > 0 else 1e-3)
+            xi = red.long_plosser_simulate(net, a, b, float(sigmas[0]),
+                                           conf.run.steps, conf.run.seed)
+            measured = float(xi.mean(axis=1)[conf.run.burn_in:].std())
+            rows.append((n, measured, red.sigma_fast(net, a, b, sigmas),
+                         red.sigma_slow(net, a, b, sigmas)))
         path = _out_path(conf, "reduced_long_plosser.csv")
-        with open(path, "w") as fh:
-            fh.write(hash_line)
-            fh.write("n,measured_agg_std,sigma_fast_pred,sigma_slow_pred\n")
-            for n in conf.reduced_n_values:
-                net = cfg.build_network(cfg.apply_axis(conf, "n", n))
-                sigmas = np.full(n, params.sigma if params.sigma > 0 else 1e-3)
-                xi = red.long_plosser_simulate(net, a, b, float(sigmas[0]),
-                                               conf.run.steps, conf.run.seed)
-                measured = float(xi.mean(axis=1)[conf.run.burn_in:].std())
-                fast = red.sigma_fast(net, a, b, sigmas)
-                slow = red.sigma_slow(net, a, b, sigmas)
-                fh.write(f"{n},{measured:{_FMT}},{fast:{_FMT}},{slow:{_FMT}}\n")
+        write_csv(path, ["n", "measured_agg_std", "sigma_fast_pred", "sigma_slow_pred"],
+                  rows, stamp)
         return [path]
     if model == "adiabatic":
         net = cfg.build_network(conf)
         sigmas = np.full(net.n, params.sigma if params.sigma > 0 else 1e-3)
+        slow = red.sigma_slow(net, a, b, sigmas)
+        fast = red.sigma_fast(net, a, b, sigmas)
         path = _out_path(conf, "reduced_adiabatic.csv")
-        with open(path, "w") as fh:
-            fh.write(hash_line)
-            fh.write("n,sigma_slow,sigma_fast,ratio\n")
-            slow = red.sigma_slow(net, a, b, sigmas)
-            fast = red.sigma_fast(net, a, b, sigmas)
-            fh.write(f"{net.n},{slow:{_FMT}},{fast:{_FMT}},{slow / fast:{_FMT}}\n")
+        write_csv(path, ["n", "sigma_slow", "sigma_fast", "ratio"],
+                  [(net.n, slow, fast, slow / fast)], stamp)
         return [path]
     if model == "transversality":
         net = cfg.build_network(conf)
@@ -147,30 +133,21 @@ def cmd_reduced(conf: cfg.ExperimentConfig, model: str) -> list[str]:
         s0 -= s0.mean()
         report = red.transversality_blowup(net, a, b, params.beta0, s0, steps=40)
         path = _out_path(conf, "reduced_transversality.csv")
-        with open(path, "w") as fh:
-            fh.write(hash_line)
-            fh.write(f"# growth_factor={report.growth_factor:{_FMT}} "
-                     f"singular_subspace={report.singular_subspace}\n")
-            fh.write("step,norm\n")
-            for t, nrm in enumerate(report.norms):
-                fh.write(f"{t},{nrm:{_FMT}}\n")
+        write_csv(path, ["step", "norm"], enumerate(report.norms), stamp,
+                  [f"growth_factor={format_value(report.growth_factor)} "
+                   f"singular_subspace={report.singular_subspace}"])
         return [path]
     if model == "near_instability":
         n = min(conf.network.n, 8)
         u = np.ones(n) / np.sqrt(n)
         model_obj = red.build_near_instability_model(u, eta=0.01, sigmas=np.ones(n))
         stats = red.near_instability_stats(model_obj, steps=400_000, seed=conf.run.seed)
+        rows = [("var", j, j, stats.cov_predicted[j, j], stats.cov_empirical[j, j])
+                for j in range(n)]
+        rows += [("corr", j, k, stats.corr_predicted_sign[j, k], stats.corr_empirical[j, k])
+                 for j in range(n) for k in range(j + 1, n)]
         path = _out_path(conf, "reduced_near_instability.csv")
-        with open(path, "w") as fh:
-            fh.write(hash_line)
-            fh.write("stat,j,k,predicted,empirical\n")
-            for j in range(n):
-                fh.write(f"var,{j},{j},{stats.cov_predicted[j, j]:{_FMT}},"
-                         f"{stats.cov_empirical[j, j]:{_FMT}}\n")
-            for j in range(n):
-                for k in range(j + 1, n):
-                    fh.write(f"corr,{j},{k},{stats.corr_predicted_sign[j, k]:{_FMT}},"
-                             f"{stats.corr_empirical[j, k]:{_FMT}}\n")
+        write_csv(path, ["stat", "j", "k", "predicted", "empirical"], rows, stamp)
         return [path]
     raise cfg.ConfigError(f"unknown reduced model {model!r}")
 
@@ -212,21 +189,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    from dataclasses import replace
+# common flags that set a configuration key; applied after --set, so they win
+_FLAG_KEYS = {"out": "output.dir", "jobs": "jobs", "seed": "run.seed",
+              "per_sector": "output.per_sector"}
 
+
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         conf = cfg.load_config(getattr(args, "config", None), getattr(args, "set", []))
-        if getattr(args, "out", None) is not None:
-            conf = replace(conf, output=replace(conf.output, directory=args.out))
-        if getattr(args, "jobs", None) is not None:
-            conf = replace(conf, jobs=args.jobs)
-        if getattr(args, "seed", None) is not None:
-            conf = cfg.replace_run(conf, seed=args.seed)
-        if getattr(args, "per_sector", False):
-            conf = replace(conf, output=replace(conf.output, per_sector=True))
+        for attr, key in _FLAG_KEYS.items():
+            if hasattr(args, attr):
+                conf = cfg.set_key(conf, key, getattr(args, attr))
     except cfg.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -246,9 +221,6 @@ def main(argv: list[str] | None = None) -> int:
             paths = cmd_reduced(conf, args.model)
         else:  # unreachable, argparse enforces choices
             return 1
-    except cfg.ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -11,27 +11,30 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
+from .csvio import format_value
 from .equilibrium import ModelParams
 from .network import IONetwork, build_plain_network, build_random_exponential_network, load_network
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "KEYS",
     "NetworkConfig",
     "OutputConfig",
     "RunConfig",
     "apply_axis",
     "build_network",
-    "build_params",
     "config_hash",
     "config_to_text",
     "default_config",
     "load_config",
     "parse_overrides",
     "replace_run",
+    "set_key",
 ]
 
 
@@ -80,85 +83,86 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+_BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+
+# value types: (what the parser accepts, for error messages; parser of the text)
+_TEXT = ("text", str)
+_INT = ("integer", int)
+_REAL = ("real number", float)
+_BOOL = ("boolean", lambda raw: _BOOLS[raw.lower()])
+_REALS = ("comma-separated reals", lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()))
+_INTS = ("comma-separated integers", lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()))
+
+# Every configuration key, declared once: key -> (attribute path in
+# ExperimentConfig, value type, whether the key enters the hashed canonical
+# text).  Output destination, presentation flags and worker-pool size do not
+# alter the produced data, so they stay out of the hash.
+KEYS = {
+    "network.kind": ("network.kind", _TEXT, True),  # plain | random_exp | file
+    "network.n": ("network.n", _INT, True),
+    "network.seed": ("network.seed", _INT, True),
+    "network.path": ("network.path", _TEXT, True),
+    "params.a": ("params.a", _REAL, True),
+    "params.b": ("params.b", _REAL, True),
+    "params.q": ("params.q", _REAL, True),
+    "params.q0": ("params.q0", _REAL, True),
+    "params.gamma": ("params.gamma", _REAL, True),
+    "params.beta0": ("params.beta0", _REAL, True),
+    "params.sigma": ("params.sigma", _REAL, True),
+    "run.steps": ("run.steps", _INT, True),
+    "run.burn_in": ("run.burn_in", _INT, True),
+    "run.replicas": ("run.replicas", _INT, True),
+    "run.seed": ("run.seed", _INT, True),
+    "run.initial_kick": ("run.initial_kick", _REAL, True),
+    "output.dir": ("output.directory", _TEXT, False),
+    "output.directory": ("output.directory", _TEXT, False),
+    "output.per_sector": ("output.per_sector", _BOOL, False),
+    "sweep.axis": ("sweep_axis", _TEXT, True),
+    "sweep.values": ("sweep_values", _REALS, True),
+    "sweep.statistic": ("sweep_statistic", _TEXT, True),
+    "phase.q_grid": ("phase_q_grid", _REALS, True),
+    "reduced.n_values": ("reduced_n_values", _INTS, True),
+    "jobs": ("jobs", _INT, False),
+}
+
+# the hashed keys in canonical (sorted) order, with their attribute getters
+_HASHED = sorted((key, attrgetter(attr)) for key, (attr, _, hashed) in KEYS.items() if hashed)
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("network.kind", "network.path", "output.directory",
-               "sweep.axis", "sweep.statistic"):
-        return raw
-    if key == "output.per_sector":
-        if raw.lower() not in _BOOL:
-            raise ConfigError(f"boolean expected for {key}, got {raw!r}")
-        return _BOOL[raw.lower()]
-    if key in ("network.n", "network.seed", "run.steps", "run.burn_in",
-               "run.replicas", "run.seed", "jobs"):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"integer expected for {key}, got {raw!r}") from exc
-    if key in ("sweep.values", "phase.q_grid"):
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"comma-separated reals expected for {key}") from exc
-    if key == "reduced.n_values":
-        try:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"comma-separated integers expected for {key}") from exc
+def _lookup(key: str):
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"real number expected for {key}, got {raw!r}") from exc
+        return KEYS[key]
+    except KeyError:
+        raise ConfigError(f"unknown key {key!r}") from None
 
 
-def _apply(conf: ExperimentConfig, key: str, value) -> ExperimentConfig:
-    section, _, name = key.partition(".")
-    if section == "network":
-        if name not in ("kind", "n", "seed", "path"):
-            raise ConfigError(f"unknown key {key!r}")
-        return replace(conf, network=replace(conf.network, **{name: value}))
-    if section == "params":
-        if name not in ("a", "b", "q", "q0", "gamma", "beta0", "sigma"):
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            return replace(conf, params=_replace_params(conf.params, **{name: value}))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if section == "run":
-        if name not in ("steps", "burn_in", "replicas", "seed", "initial_kick"):
-            raise ConfigError(f"unknown key {key!r}")
-        return replace(conf, run=replace(conf.run, **{name: value}))
-    if section == "output":
-        if name == "dir":
-            name = "directory"
-        if name not in ("directory", "per_sector"):
-            raise ConfigError(f"unknown key {key!r}")
-        return replace(conf, output=replace(conf.output, **{name: value}))
-    if section == "sweep":
-        if name == "axis":
-            return replace(conf, sweep_axis=value)
-        if name == "values":
-            return replace(conf, sweep_values=value)
-        if name == "statistic":
-            return replace(conf, sweep_statistic=value)
-        raise ConfigError(f"unknown key {key!r}")
-    if section == "phase" and name == "q_grid":
-        return replace(conf, phase_q_grid=value)
-    if section == "reduced" and name == "n_values":
-        return replace(conf, reduced_n_values=value)
-    if key == "jobs":
-        return replace(conf, jobs=value)
-    raise ConfigError(f"unknown key {key!r}")
+def _replaced(obj, name: str, value):
+    # dataclasses.replace without its per-field introspection: every field of
+    # the config dataclasses is an init field, so the constructor (and with
+    # it ModelParams' range checks) sees the full set
+    return type(obj)(**{**vars(obj), name: value})
 
 
-def _replace_params(params: ModelParams, **kwargs) -> ModelParams:
-    fields = {"a": params.a, "b": params.b, "q": params.q, "q0": params.q0,
-              "gamma": params.gamma, "beta0": params.beta0, "sigma": params.sigma}
-    fields.update(kwargs)
-    return ModelParams(**fields)
+def set_key(conf: ExperimentConfig, key: str, value) -> ExperimentConfig:
+    """New config with one key set to an already-typed value."""
+    section, _, name = _lookup(key)[0].partition(".")
+    try:
+        if name:
+            value = _replaced(getattr(conf, section), name, value)
+        return _replaced(conf, section, value)
+    except ValueError as exc:  # ModelParams range checks
+        raise ConfigError(str(exc)) from exc
+
+
+def _assign(conf: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
+    """Parse ``raw`` by the key's value type and set the key."""
+    key, raw = key.strip(), raw.strip()
+    kind, parse = _lookup(key)[1]
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{kind} expected for {key}, got {raw!r}") from exc
+    return set_key(conf, key, value)
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -176,65 +180,27 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Experim
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            conf = _apply(conf, key, _parse_value(key, raw))
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        conf = _apply(conf, key, _parse_value(key, raw))
-    return conf
+            conf = _assign(conf, *stripped.split("=", 1))
+    return parse_overrides(conf, overrides or [])
 
 
 def parse_overrides(conf: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
+    """Apply ``key=value`` overrides in order; later ones win."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        conf = _apply(conf, key, _parse_value(key, raw))
+        conf = _assign(conf, *item.split("=", 1))
     return conf
 
 
 def config_to_text(conf: ExperimentConfig) -> str:
-    """Canonical serialization of the experiment-defining keys.
-
-    Output destination, presentation flags and worker-pool size do not alter
-    the produced data, so they stay out of the hash: re-running the same
-    experiment into another directory reproduces the same stamped hash and
-    byte-identical data rows.
-    """
-    items = {
-        "network.kind": conf.network.kind,
-        "network.n": conf.network.n,
-        "network.seed": conf.network.seed,
-        "network.path": conf.network.path,
-        "params.a": conf.params.a,
-        "params.b": conf.params.b,
-        "params.q": conf.params.q,
-        "params.q0": conf.params.q0,
-        "params.gamma": conf.params.gamma,
-        "params.beta0": conf.params.beta0,
-        "params.sigma": conf.params.sigma,
-        "run.steps": conf.run.steps,
-        "run.burn_in": conf.run.burn_in,
-        "run.replicas": conf.run.replicas,
-        "run.seed": conf.run.seed,
-        "run.initial_kick": conf.run.initial_kick,
-        "sweep.axis": conf.sweep_axis,
-        "sweep.values": ",".join(format(v, ".17g") for v in conf.sweep_values),
-        "sweep.statistic": conf.sweep_statistic,
-        "phase.q_grid": ",".join(format(v, ".17g") for v in conf.phase_q_grid),
-        "reduced.n_values": ",".join(str(v) for v in conf.reduced_n_values),
-    }
+    """Canonical serialization of the hashed keys, sorted, defaults materialized."""
     lines = []
-    for key in sorted(items):
-        value = items[key]
-        if isinstance(value, float):
-            value = format(value, ".17g")
-        lines.append(f"{key} = {value}")
+    for key, get in _HASHED:
+        value = get(conf)
+        if isinstance(value, tuple):
+            value = ",".join(map(format_value, value))
+        lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -255,18 +221,12 @@ def build_network(conf: ExperimentConfig) -> IONetwork:
     raise ConfigError(f"unknown network.kind {net.kind!r}")
 
 
-def build_params(conf: ExperimentConfig) -> ModelParams:
-    return conf.params
-
-
 def apply_axis(conf: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """New config with one swept parameter changed."""
-    if axis == "gamma":
-        return replace(conf, params=_replace_params(conf.params, gamma=value))
-    if axis == "sigma":
-        return replace(conf, params=_replace_params(conf.params, sigma=value))
+    if axis in ("gamma", "sigma"):
+        return set_key(conf, f"params.{axis}", value)
     if axis == "n":
-        return replace(conf, network=replace(conf.network, n=int(round(value))))
+        return set_key(conf, "network.n", int(round(value)))
     raise ConfigError(f"unknown sweep axis {axis!r} (gamma, sigma or n)")
 
 

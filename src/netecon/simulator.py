@@ -3,9 +3,15 @@
 Each time step solves the simultaneous wage / goods market clearing system for
 (log p_t, log h_t) given the predetermined production x_t, the lagged prices
 p_{t-1} (which feed the extrapolative price forecast) and the current
-productivities z_t.  The solved step then populates all derived quantities:
-discount factor, expected prices, optimal production, the adjusted production
-target, Lagrange multipliers, factor demands, and household wealth.
+productivities z_t.
+
+The firms' per-step rules (price forecast, discount factor, optimal
+production, slow adjustment by gamma, Lagrange multipliers, nominal spending
+and the clearing residuals) are stated once, in ``_clearing_parts``, which
+the Newton solve evaluates at every trial point.  ``Simulator.step`` builds
+the cleared state from that kernel's parts at the solution, household wealth
+included; the factor demands ``ell`` and ``psi`` are derived from the state
+on access and never stored.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .equilibrium import EquilibriumState, ModelParams, solve_equilibrium
 from .network import IONetwork
 
@@ -32,17 +39,7 @@ __all__ = [
     "Simulator",
     "Trajectory",
     "clearing_residual",
-    "clearing_residual_full",
-    "discount_factor",
-    "equilibrium_state",
-    "expected_price",
-    "factor_demands",
-    "household_wealth",
-    "lagrange_multiplier",
-    "optimal_production",
-    "production_target",
     "simulate",
-    "step",
     "trajectory_to_csv",
 ]
 
@@ -65,119 +62,6 @@ class ClearingError(RuntimeError):
 
 class NegativeWealthWarning(UserWarning):
     """Household wealth came out non-positive (economy far out of equilibrium)."""
-
-
-# ---------------------------------------------------------------------------
-# elementary per-step rules
-# ---------------------------------------------------------------------------
-
-def expected_price(p_t: np.ndarray, p_prev: np.ndarray, q: float) -> np.ndarray:
-    """Extrapolative forecast p_t (p_t / p_{t-1})^q, exact multiplicative form."""
-    p_t = np.asarray(p_t, dtype=float)
-    p_prev = np.asarray(p_prev, dtype=float)
-    if np.any(p_t <= 0) or np.any(p_prev <= 0):
-        raise ValueError("prices must be positive")
-    return p_t * (p_t / p_prev) ** q
-
-
-def discount_factor(p_t: np.ndarray, p_prev: np.ndarray, q0: float, beta0: float) -> float:
-    """Discount beta0 times the geometric-mean gross inflation to the power -q0."""
-    p_t = np.asarray(p_t, dtype=float)
-    p_prev = np.asarray(p_prev, dtype=float)
-    if np.any(p_t <= 0) or np.any(p_prev <= 0):
-        raise ValueError("prices must be positive")
-    mean_log_infl = np.mean(np.log(p_t) - np.log(p_prev))
-    return float(beta0 * np.exp(-q0 * mean_log_infl))
-
-
-def optimal_production(
-    z: np.ndarray,
-    p_t: np.ndarray,
-    h_t: float,
-    e_price: np.ndarray,
-    beta: float,
-    net: IONetwork,
-    params: ModelParams,
-) -> np.ndarray:
-    """Profit-maximizing production for the next step, computed in log space.
-
-    x*[i] = [ z_i (beta e_price_i)^b h^{-ab} prod_j p_j^{-b(1-a) w_ij} ]^{1/(1-b)},
-    with the constant b^b absorbed into z.  Requires b < 1 and positive inputs.
-    """
-    if params.b >= 1.0:
-        raise ValueError("optimal production requires b < 1")
-    z = np.asarray(z, dtype=float)
-    p_t = np.asarray(p_t, dtype=float)
-    e_price = np.asarray(e_price, dtype=float)
-    if h_t <= 0 or beta <= 0 or np.any(z <= 0) or np.any(p_t <= 0) or np.any(e_price <= 0):
-        raise ValueError("optimal production needs positive inputs")
-    a, b = params.a, params.b
-    log_xstar = (
-        np.log(z)
-        + b * (np.log(beta) + np.log(e_price))
-        - a * b * np.log(h_t)
-        - params.c * (net.w @ np.log(p_t))
-    ) / (1.0 - b)
-    return np.exp(log_xstar)
-
-
-def production_target(x_t: np.ndarray, x_star: np.ndarray, gamma: float) -> np.ndarray:
-    """Slow adjustment: close a fraction gamma of the gap to the optimum."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    return (1.0 - gamma) * np.asarray(x_t, dtype=float) + gamma * np.asarray(x_star, dtype=float)
-
-
-def lagrange_multiplier(
-    x_next: np.ndarray, x_star: np.ndarray, e_price: np.ndarray, beta: float, b: float
-) -> np.ndarray:
-    """Cost-minimization multiplier beta e_price (x_next / x*)^{(1-b)/b}."""
-    x_next = np.asarray(x_next, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    e_price = np.asarray(e_price, dtype=float)
-    if beta <= 0 or np.any(x_next <= 0) or np.any(x_star <= 0) or np.any(e_price <= 0):
-        raise ValueError("lagrange multiplier needs positive inputs")
-    return beta * e_price * (x_next / x_star) ** ((1.0 - b) / b)
-
-
-def factor_demands(
-    lam: np.ndarray,
-    x_next: np.ndarray,
-    p_t: np.ndarray,
-    h_t: float,
-    net: IONetwork,
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labor and intermediate-input demands for the production target.
-
-    ell[i] = a b lam_i x_next_i / h,  psi[i, j] = (1-a) b w_ij lam_i x_next_i / p_j.
-    """
-    lam = np.asarray(lam, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    p_t = np.asarray(p_t, dtype=float)
-    if h_t <= 0 or np.any(lam <= 0) or np.any(x_next <= 0) or np.any(p_t <= 0):
-        raise ValueError("factor demands need positive inputs")
-    spend = lam * x_next
-    ell = params.a * params.b * spend / h_t
-    psi = params.c * net.w * spend[:, None] / p_t[None, :]
-    return ell, psi
-
-
-def household_wealth(
-    x: np.ndarray, p: np.ndarray, lam: np.ndarray, x_next: np.ndarray, params: ModelParams
-) -> float:
-    """Instantaneous wealth: nominal sales minus intermediate-input spending.
-
-    A non-positive result is reported with a warning (pathologically
-    out-of-equilibrium economy), never silently accepted.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    sales = float(np.sum(x * p))
-    wealth = sales - params.c * float(np.sum(np.asarray(lam) * np.asarray(x_next)))
-    if wealth <= 0:
-        warnings.warn("household wealth is non-positive", NegativeWealthWarning, stacklevel=2)
-    return wealth
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +90,23 @@ class ClearingContext:
 
 
 def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: np.ndarray) -> dict:
-    """Evaluate every derived per-step quantity for (batched) trial points.
+    """Evaluate the per-step rules of the firms at (batched) trial points.
+
+    With dlp = log p - log p_lag and c = b(1-a):
+
+        forecast      log E[p] = log p + q dlp
+        discount      log beta = log beta0 - q0 mean(dlp)
+        optimum       log x* = [log z + b (log beta + log E[p]) - a b log h
+                                - c W log p] / (1-b)   (b^b absorbed into z)
+        adjustment    x_next = (1-gamma) x_sold + gamma x*
+        multiplier    lam = beta E[p] (x_next / x*)^((1-b)/b)
+        spending      spend = lam x_next,  v_nominal = x_sold p
+        wealth        M = sum(v_nominal) - c sum(spend)
+
+    The clearing residuals are goods (v_nominal minus the household demand
+    M / n and the intermediate demand c W' spend), wage (h - a b sum(spend))
+    and gauge (sum(log p) minus its target).  Wealth itself is formed only
+    at the solution, by ``Simulator.step``.
 
     ``log_p`` may be (n,) or (m, n); ``log_h`` scalar or (m,).  Returns raw
     arrays; overflow produces non-finite entries that the Newton damping
@@ -240,6 +140,8 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: np.ndarray) 
         "xstar": xstar,
         "x_next": x_next,
         "lam": lam,
+        "spend": spend,
+        "v_nominal": v_nominal,
         "goods": goods,
         "wage": wage,
         "gauge": gauge,
@@ -265,15 +167,6 @@ def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.n
     if h <= 0:
         raise ValueError("wage must be positive")
     return _residual_vector(_clearing_parts(ctx, log_p, np.log(h)))
-
-
-def clearing_residual_full(log_p: np.ndarray, h: float, ctx: ClearingContext):
-    """All n goods residuals plus the wage and gauge residuals (diagnostics)."""
-    log_p = np.asarray(log_p, dtype=float)
-    if h <= 0:
-        raise ValueError("wage must be positive")
-    parts = _clearing_parts(ctx, log_p, np.log(h))
-    return parts["goods"], float(parts["wage"]), float(parts["gauge"])
 
 
 def _solve_clearing(
@@ -355,8 +248,10 @@ class EconomyState:
     x is the quantity sold at t (decided at t-1), p the prices cleared at t,
     p_prev the prices at t-1 (feeding the forecast), z the productivities,
     lam the Lagrange multipliers, x_next the production decided at t for t+1,
-    h the wage, M household wealth, beta the discount factor, ell labor
-    inputs and psi the matrix of intermediate inputs.
+    h the wage, M household wealth and beta the discount factor.  The factor
+    demands ``ell`` (labor) and ``psi`` (the dense n x n intermediate inputs)
+    are derived from these fields and the network on each access; no step
+    computes them.
     """
 
     t: int
@@ -369,10 +264,21 @@ class EconomyState:
     h: float
     M: float
     beta: float
-    ell: np.ndarray
-    psi: np.ndarray
+    net: IONetwork
+    params: ModelParams
     newton_iters: int = 0
     max_residual: float = 0.0
+
+    @property
+    def ell(self) -> np.ndarray:
+        """Labor inputs ell[i] = a b lam_i x_next_i / h."""
+        return self.params.a * self.params.b * (self.lam * self.x_next) / self.h
+
+    @property
+    def psi(self) -> np.ndarray:
+        """Intermediate inputs psi[i, j] = (1-a) b w_ij lam_i x_next_i / p_j."""
+        spend = self.lam * self.x_next
+        return self.params.c * self.net.w * spend[:, None] / self.p[None, :]
 
 
 @dataclass(frozen=True)
@@ -444,7 +350,6 @@ class Simulator:
         """The stationary state corresponding to the solved equilibrium."""
         eq, pr = self.equilibrium, self.params
         lam = pr.beta0 * eq.p_eq
-        ell, psi = factor_demands(lam, eq.x_eq, eq.p_eq, eq.h_eq, self.net, pr)
         m = float(np.sum(eq.V_eq)) - pr.c * float(np.sum(lam * eq.x_eq))
         return EconomyState(
             t=0,
@@ -457,8 +362,8 @@ class Simulator:
             h=eq.h_eq,
             M=m,
             beta=pr.beta0,
-            ell=ell,
-            psi=psi,
+            net=self.net,
+            params=pr,
         )
 
     def context_for(self, state: EconomyState, shock: np.ndarray) -> ClearingContext:
@@ -476,7 +381,6 @@ class Simulator:
     def step(self, state: EconomyState, shock: np.ndarray) -> EconomyState:
         """Advance one period: draw-in the shock, clear all markets, rebuild state."""
         ctx = self.context_for(state, shock)
-        pr = self.params
         try:
             log_p, log_h, parts, iters, err = _solve_clearing(
                 ctx, np.log(state.p), np.log(state.h), self.tol, self.max_iter
@@ -495,25 +399,24 @@ class Simulator:
             except ClearingError as exc:
                 exc.t = state.t + 1
                 raise
-        p = np.exp(log_p)
-        h = float(np.exp(log_h))
-        lam = parts["lam"]
-        x_next = parts["x_next"]
-        ell, psi = factor_demands(lam, x_next, p, h, self.net, pr)
-        m = household_wealth(ctx.x_sold, p, lam, x_next, pr)
+        # wealth: nominal sales minus intermediate-input spending
+        m = float(np.sum(parts["v_nominal"])) - self.params.c * float(np.sum(parts["spend"]))
+        if m <= 0:
+            warnings.warn("household wealth is non-positive", NegativeWealthWarning,
+                          stacklevel=2)
         return EconomyState(
             t=state.t + 1,
             x=ctx.x_sold,
-            p=p,
+            p=np.exp(log_p),
             p_prev=state.p.copy(),
             z=ctx.z,
-            lam=lam,
-            x_next=x_next,
-            h=h,
+            lam=parts["lam"],
+            x_next=parts["x_next"],
+            h=float(np.exp(log_h)),
             M=m,
             beta=float(np.exp(parts["log_beta"])),
-            ell=ell,
-            psi=psi,
+            net=self.net,
+            params=self.params,
             newton_iters=iters,
             max_residual=err,
         )
@@ -612,18 +515,6 @@ class Simulator:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def equilibrium_state(net: IONetwork, params: ModelParams,
-                      z_bar: np.ndarray | None = None) -> EconomyState:
-    """Stationary state of the solved equilibrium (convenience wrapper)."""
-    return Simulator(net, params, z_bar).equilibrium_state()
-
-
-def step(state: EconomyState, net: IONetwork, params: ModelParams,
-         shock: np.ndarray, z_bar: np.ndarray | None = None) -> EconomyState:
-    """One period of the dynamics.  Builds a throwaway engine; prefer
-    :class:`Simulator` in loops so the equilibrium is solved once."""
-    return Simulator(net, params, z_bar).step(state, shock)
-
 
 def simulate(
     net: IONetwork,
@@ -650,15 +541,4 @@ def trajectory_to_csv(traj: Trajectory, path, per_sector: bool = False) -> None:
     if per_sector:
         names += [f"xi_{i + 1}" for i in range(traj.xi.shape[1])]
         columns += [traj.xi[:, i] for i in range(traj.xi.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={traj.config_hash}\n")
-        fh.write(f"# burn_in={traj.burn_in}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    write_csv(path, names, zip(*columns), traj.config_hash, [f"burn_in={traj.burn_in}"])

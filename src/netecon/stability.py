@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .equilibrium import EquilibriumState, ModelParams, solve_equilibrium
 from .network import IONetwork, is_normal
 
@@ -629,34 +630,16 @@ def hopf_angle(s: float, a: float) -> float:
 
 def report_to_csv(report: StabilityReport, path, config_hash: str = "") -> None:
     verdict = "stable" if report.stable else "unstable"
-    with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(
-            f"# verdict={verdict} max_alpha="
-            f"{max(report.max_growth, report.uniform_multiplier):.12g} "
-            f"method={report.method}\n"
-        )
-        fh.write("s_re,s_im,alpha1_re,alpha1_im,alpha2_re,alpha2_im,max_mod\n")
-        for mode in report.per_mode:
-            a1, a2 = mode.alphas
-            row = (mode.s.real, mode.s.imag, a1.real, a1.imag, a2.real, a2.imag,
-                   mode.max_mod)
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+    max_alpha = max(report.max_growth, report.uniform_multiplier)
+    rows = [(mode.s.real, mode.s.imag, mode.alphas[0].real, mode.alphas[0].imag,
+             mode.alphas[1].real, mode.alphas[1].imag, mode.max_mod)
+            for mode in report.per_mode]
+    write_csv(path, ["s_re", "s_im", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
+                     "max_mod"], rows, config_hash,
+              [f"verdict={verdict} max_alpha={max_alpha:.12g} method={report.method}"])
 
 
 def critical_line_to_csv(line: CriticalLine, path, config_hash: str = "") -> None:
-    with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("q,gamma_c,kind,max_root_re,max_root_im\n")
-        for q, g, kind, root in zip(line.q_grid, line.gamma_c, line.kind, line.root):
-            fh.write(
-                ",".join([
-                    format(float(q), ".17g"),
-                    format(float(g), ".17g"),
-                    kind,
-                    format(float(root.real), ".17g"),
-                    format(float(root.imag), ".17g"),
-                ]) + "\n"
-            )
+    rows = [(q, g, kind, root.real, root.imag)
+            for q, g, kind, root in zip(line.q_grid, line.gamma_c, line.kind, line.root)]
+    write_csv(path, ["q", "gamma_c", "kind", "max_root_re", "max_root_im"], rows, config_hash)

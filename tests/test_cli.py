@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from netecon.cli import main
 from netecon.config import (
+    KEYS,
     ConfigError,
     apply_axis,
     config_hash,
@@ -65,6 +69,39 @@ run.steps = 100
         conf = default_config()
         other = parse_overrides(conf, ["params.gamma=0.017"])
         assert config_hash(conf) != config_hash(other)
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Configuration reference", 1)[1].split("\n## ", 1)[0]
+        assert sorted(re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)) == sorted(KEYS)
+
+
+# (--set overrides, command, overrides the flags in the command stand for):
+# every subcommand, both stability paths and all four reduced models
+STAMP_CASES = {
+    "equilibrium": (["network.n=4"], ["equilibrium"], []),
+    "simulate": (["network.n=4", "run.steps=30", "run.burn_in=5"],
+                 ["--seed", "3", "--per-sector", "simulate"], ["run.seed=3"]),
+    "stability-modal": (["network.n=6"], ["stability"], []),
+    "stability-state-space": (["network.kind=random_exp", "network.n=6"], ["stability"], []),
+    "phase-diagram": (["network.n=4", "phase.q_grid=0"], ["phase-diagram"], []),
+    "sweep": (["network.n=4", "run.steps=150", "run.burn_in=20", "sweep.values=0.05"],
+              ["--jobs", "1", "sweep"], []),
+    "long_plosser": (["reduced.n_values=5", "run.steps=300", "run.burn_in=50"],
+                     ["reduced", "long_plosser"], []),
+    "adiabatic": (["network.n=6"], ["reduced", "adiabatic"], []),
+    "transversality": (["network.n=6"], ["reduced", "transversality"], []),
+    "near_instability": (["network.n=4"], ["reduced", "near_instability"], []),
+}
+
+
+@pytest.mark.parametrize("sets, command, flag_sets", STAMP_CASES.values(), ids=STAMP_CASES)
+def test_first_line_is_the_hash_of_the_loaded_config(tmp_path, sets, command, flag_sets):
+    argv = [arg for item in sets for arg in ("--set", item)] + ["--out", str(tmp_path)]
+    assert main(argv + command) == 0
+    (path,) = tmp_path.glob("*.csv")
+    expected = config_hash(load_config(None, sets + flag_sets))
+    assert _read(path).splitlines()[0] == f"# config_hash={expected}"
 
 
 class TestCommands:

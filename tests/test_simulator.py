@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,166 +11,191 @@ from netecon.simulator import (
     NegativeWealthWarning,
     NoiseProcess,
     Simulator,
+    _clearing_parts,
     clearing_residual,
-    clearing_residual_full,
-    discount_factor,
-    expected_price,
-    factor_demands,
-    household_wealth,
-    lagrange_multiplier,
-    optimal_production,
-    production_target,
     simulate,
 )
 
 PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
 
 
+def _parts(p, p_lag, params=PARAMS, h=1.0, z=None, x_sold=None, net=None):
+    """The clearing kernel's parts at prices p and wage h, after prices p_lag."""
+    n = len(p)
+    ctx = ClearingContext(
+        net=net or build_plain_network(n), params=params,
+        x_sold=np.ones(n) if x_sold is None else np.asarray(x_sold, dtype=float),
+        p_lag=np.asarray(p_lag, dtype=float),
+        z=np.ones(n) if z is None else np.asarray(z, dtype=float), gauge_target=0.0,
+    )
+    return _clearing_parts(ctx, np.log(np.asarray(p, dtype=float)), np.log(h))
+
+
+def _forecast(p_t, p_prev, q):
+    return np.exp(_parts(p_t, p_prev, ModelParams(q=q))["log_ep"])
+
+
+def _discount(p_t, p_prev, q0, beta0):
+    return float(np.exp(_parts(p_t, p_prev, ModelParams(q0=q0, beta0=beta0))["log_beta"]))
+
+
 class TestExpectedPrice:
     def test_flat_prices(self):
         p = np.array([1.3, 0.4, 2.0])
         for q in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            assert np.allclose(expected_price(p, p, q), p, atol=1e-15)
+            assert np.allclose(_forecast(p, p, q), p, atol=1e-15)
 
     def test_full_mean_reversion_returns_last_price(self):
         p_t = np.array([2.0, 0.5])
         p_prev = np.array([1.0, 1.0])
-        assert np.allclose(expected_price(p_t, p_prev, -1.0), p_prev, atol=1e-15)
+        assert np.allclose(_forecast(p_t, p_prev, -1.0), p_prev, atol=1e-15)
 
     def test_trend_following(self):
-        assert expected_price(np.array([2.0]), np.array([1.0]), 1.0)[0] == pytest.approx(4.0)
-
-    def test_positive_prices_required(self):
-        with pytest.raises(ValueError):
-            expected_price(np.array([1.0, -1.0]), np.array([1.0, 1.0]), 0.5)
+        assert _forecast(np.array([2.0]), np.array([1.0]), 1.0)[0] == pytest.approx(4.0)
 
 
 class TestDiscountFactor:
     def test_zero_inflation(self):
         p = np.array([1.0, 3.0])
-        assert discount_factor(p, p, q0=0.7, beta0=1.25) == pytest.approx(1.25)
+        assert _discount(p, p, q0=0.7, beta0=1.25) == pytest.approx(1.25)
 
     def test_uniform_doubling(self):
         p = np.array([1.0, 2.0, 4.0])
-        assert discount_factor(2 * p, p, q0=1.0, beta0=1.0) == pytest.approx(0.5)
+        assert _discount(2 * p, p, q0=1.0, beta0=1.0) == pytest.approx(0.5)
 
     def test_q0_zero_ignores_prices(self):
         p_t = np.array([3.0, 0.2])
         p_prev = np.array([1.0, 1.0])
-        assert discount_factor(p_t, p_prev, q0=0.0, beta0=0.8) == pytest.approx(0.8)
+        assert _discount(p_t, p_prev, q0=0.0, beta0=0.8) == pytest.approx(0.8)
 
 
 class TestOptimalProduction:
     def test_reproduces_equilibrium(self):
         net = build_random_exponential_network(15, 2)
         eq = solve_equilibrium(net, PARAMS)
-        x_star = optimal_production(eq.z_bar, eq.p_eq, eq.h_eq, eq.p_eq, 1.0, net, PARAMS)
+        x_star = _parts(eq.p_eq, eq.p_eq, h=eq.h_eq, z=eq.z_bar, net=net)["xstar"]
         assert np.max(np.abs(x_star - eq.x_eq)) < 1e-10
 
     def test_monetary_unit_symmetry(self):
         # uniform scaling of all prices and the wage leaves production unchanged
-        net = build_plain_network(4)
         rng = np.random.default_rng(0)
-        z, p, ep = rng.uniform(0.5, 2.0, (3, 4))
-        base = optimal_production(z, p, 1.3, ep, 0.9, net, PARAMS)
-        scaled = optimal_production(z, 2 * p, 2 * 1.3, 2 * ep, 0.9, net, PARAMS)
+        z, p, p_lag = rng.uniform(0.5, 2.0, (3, 4))
+        base = _parts(p, p_lag, h=1.3, z=z)["xstar"]
+        scaled = _parts(2 * p, 2 * p_lag, h=2 * 1.3, z=z)["xstar"]
         assert np.allclose(scaled, base, rtol=1e-12)
 
     def test_productivity_exponent(self):
-        net = build_plain_network(3)
-        z = np.ones(3)
-        p = np.ones(3)
-        base = optimal_production(z, p, 1.0, p, 1.0, net, PARAMS)
-        boosted = optimal_production(2 * z, p, 1.0, p, 1.0, net, PARAMS)
+        ones = np.ones(3)
+        base = _parts(ones, ones, z=ones)["xstar"]
+        boosted = _parts(ones, ones, z=2 * ones)["xstar"]
         assert np.allclose(boosted / base, 2.0 ** 10, rtol=1e-12)  # 1/(1-b) = 10
 
     def test_crs_rejected(self):
-        net = build_plain_network(2)
         with pytest.raises(ValueError):
-            optimal_production(np.ones(2), np.ones(2), 1.0, np.ones(2), 1.0, net,
-                               ModelParams(b=1.0))
+            Simulator(build_plain_network(2), ModelParams(b=1.0))
 
 
 class TestProductionTarget:
     def test_frictionless(self):
-        x, xs = np.array([2.0]), np.array([5.0])
-        assert production_target(x, xs, 1.0)[0] == 5.0
+        parts = _parts(np.ones(2), np.ones(2), ModelParams(gamma=1.0), x_sold=[2.0, 2.0])
+        assert np.array_equal(parts["x_next"], parts["xstar"])
 
     def test_halfway(self):
-        assert production_target(np.array([2.0]), np.array([4.0]), 0.5)[0] == 3.0
+        # z = 4^(1-b) puts the optimum at 4 for unit prices and wage
+        z = np.full(2, 4.0 ** (1.0 - PARAMS.b))
+        parts = _parts(np.ones(2), np.ones(2), ModelParams(gamma=0.5), z=z, x_sold=[2.0, 2.0])
+        assert np.allclose(parts["xstar"], 4.0, rtol=1e-12)
+        assert np.allclose(parts["x_next"], 3.0, rtol=1e-12)
 
     @given(gamma=st.floats(0.01, 1.0))
     @settings(max_examples=20, deadline=None)
     def test_fixed_point(self, gamma):
-        x = np.array([0.7, 1.9])
-        assert np.allclose(production_target(x, x, gamma), x, atol=1e-15)
+        p, p_lag = np.array([1.3, 0.8]), np.array([1.1, 0.9])
+        params = ModelParams(gamma=gamma)
+        x = _parts(p, p_lag, params)["xstar"]
+        x_next = _parts(p, p_lag, params, x_sold=x)["x_next"]
+        assert np.allclose(x_next, x, rtol=1e-14, atol=0.0)
 
 
 class TestLagrangeMultiplier:
     def test_frictionless_equals_discounted_price(self):
-        ep = np.array([1.1, 0.7])
-        x = np.array([2.0, 3.0])
-        lam = lagrange_multiplier(x, x, ep, beta=0.9, b=0.9)
-        assert np.allclose(lam, 0.9 * ep, atol=1e-15)
+        parts = _parts(np.array([1.1, 0.7]), np.array([1.0, 0.9]), ModelParams(gamma=1.0))
+        discounted = np.exp(parts["log_beta"]) * np.exp(parts["log_ep"])
+        assert np.allclose(parts["lam"], discounted, rtol=1e-14, atol=0.0)
 
+    # unit prices, wage and productivity put the optimum at 1; selling 3 with
+    # gamma = 1/2 sets x_next = 2, so lam = 2^((1-b)/b)
     def test_exponent_vanishes_near_crs(self):
-        lam = lagrange_multiplier(np.array([2.0]), np.array([1.0]), np.array([1.0]),
-                                  beta=1.0, b=1.0 - 1e-12)
+        params = ModelParams(b=1.0 - 1e-12, gamma=0.5)
+        lam = _parts(np.ones(1), np.ones(1), params, x_sold=[3.0])["lam"]
         assert lam[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_exponent(self):
-        lam = lagrange_multiplier(np.array([2.0]), np.array([1.0]), np.array([1.0]),
-                                  beta=1.0, b=0.5)
+        params = ModelParams(b=0.5, gamma=0.5)
+        lam = _parts(np.ones(1), np.ones(1), params, x_sold=[3.0])["lam"]
         assert lam[0] == pytest.approx(2.0, abs=1e-14)
 
 
 class TestFactorDemands:
     def test_labor_clears_at_equilibrium(self):
-        net = build_random_exponential_network(12, 5)
-        eq = solve_equilibrium(net, PARAMS)
-        lam = eq.p_eq  # beta0 = 1
-        ell, _ = factor_demands(lam, eq.x_eq, eq.p_eq, eq.h_eq, net, PARAMS)
-        assert ell.sum() == pytest.approx(1.0, abs=1e-10)
+        sim = Simulator(build_random_exponential_network(12, 5), PARAMS)
+        assert sim.equilibrium_state().ell.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_share_means_zero_input(self):
-        w = np.array([[1.0, 0.0], [0.5, 0.5]])
         from netecon.network import IONetwork
 
-        net = IONetwork(2, w)
-        _, psi = factor_demands(np.ones(2), np.ones(2), np.ones(2), 1.0, net, PARAMS)
-        assert psi[0, 1] == 0.0
+        net = IONetwork(2, np.array([[1.0, 0.0], [0.5, 0.5]]))
+        assert Simulator(net, PARAMS).equilibrium_state().psi[0, 1] == 0.0
 
     def test_wage_halves_labor(self):
-        net = build_plain_network(3)
-        ell1, _ = factor_demands(np.ones(3), np.ones(3), np.ones(3), 1.0, net, PARAMS)
-        ell2, _ = factor_demands(np.ones(3), np.ones(3), np.ones(3), 2.0, net, PARAMS)
-        assert np.allclose(ell2, ell1 / 2, atol=1e-15)
+        state = Simulator(build_plain_network(3), PARAMS).equilibrium_state()
+        ell1 = state.ell
+        state.h *= 2.0
+        assert np.allclose(state.ell, ell1 / 2, atol=1e-15)
+
+
+def _shocked_states(params, n=6, steps=20, seed=1):
+    """States of a run on random_exp(n) under 1e-2 shocks, away from equilibrium."""
+    sim = Simulator(build_random_exponential_network(n, 3), params)
+    state = sim.equilibrium_state()
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        state = sim.step(state, 1e-2 * rng.standard_normal(n))
+        yield state
 
 
 class TestHouseholdWealth:
     def test_plain_equilibrium_value(self):
         # V = 1 per firm, lam x_next = V: M = 4 - 0.45 * 4 = 2.2
-        net = build_plain_network(4)
-        eq = solve_equilibrium(net, PARAMS)
-        m = household_wealth(eq.x_eq, eq.p_eq, eq.p_eq, eq.x_eq, PARAMS)
-        assert m == pytest.approx(2.2, abs=1e-12)
+        sim = Simulator(build_plain_network(4), PARAMS)
+        state = sim.step(sim.equilibrium_state(), np.zeros(4))
+        assert state.M == pytest.approx(2.2, abs=1e-12)
 
     def test_pure_labor_economy(self):
         params = ModelParams(a=1.0, b=0.9)
-        x, p = np.array([2.0, 1.0]), np.array([1.5, 3.0])
-        assert household_wealth(x, p, p, x, params) == pytest.approx(float(np.sum(x * p)))
+        for state in _shocked_states(params):
+            assert state.M == pytest.approx(float(np.sum(state.x * state.p)), rel=1e-14)
 
     def test_accounting_identity(self):
         # wealth + intermediate spending = nominal sales, any state
-        rng = np.random.default_rng(1)
-        x, p, lam, xn = rng.uniform(0.5, 2.0, (4, 6))
-        m = household_wealth(x, p, lam, xn, PARAMS)
-        assert m + PARAMS.c * np.sum(lam * xn) == pytest.approx(float(np.sum(x * p)))
+        for state in _shocked_states(PARAMS):
+            spending = PARAMS.c * np.sum(state.lam * state.x_next)
+            assert state.M + spending == pytest.approx(float(np.sum(state.x * state.p)))
 
     def test_warns_on_nonpositive(self):
+        # gamma = 0.3 is far past gamma_c = 1/9 on the plain network: from a
+        # 1e-6 kick the oscillation grows until wealth turns non-positive at
+        # step 36
+        sim = Simulator(build_plain_network(8), ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.3))
+        state = sim.equilibrium_state()
+        state.x_next = state.x_next * np.exp(1e-6 * np.random.default_rng(0).uniform(-1, 1, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NegativeWealthWarning)
+            for _ in range(35):
+                state = sim.step(state, np.zeros(8))
         with pytest.warns(NegativeWealthWarning):
-            household_wealth(np.array([0.1]), np.array([0.1]), np.array([10.0]),
-                             np.array([10.0]), PARAMS)
+            state = sim.step(state, np.zeros(8))
+        assert state.t == 36 and state.M <= 0
 
 
 def _equilibrium_context(net, params, eq):
@@ -195,7 +222,7 @@ class TestClearingResidual:
         for _ in range(5):
             log_p = np.log(eq.p_eq) + rng.uniform(-0.5, 0.5, 7)
             h = eq.h_eq * np.exp(rng.uniform(-0.5, 0.5))
-            goods, _, _ = clearing_residual_full(log_p, h, ctx)
+            goods = _clearing_parts(ctx, log_p, np.log(h))["goods"]
             assert abs(goods.sum()) < 1e-12 * max(1.0, np.max(np.abs(goods)))
 
     def test_small_shock_matches_linearized_response(self):
