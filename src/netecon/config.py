@@ -144,11 +144,18 @@ def _replaced(obj, name: str, value):
 
 
 def set_key(conf: ExperimentConfig, key: str, value) -> ExperimentConfig:
-    """New config with one key set to an already-typed value."""
+    """New config with one key set to an already-typed value.
+
+    Setting ``params.q`` moves ``params.q0`` along while q0 still equals the
+    old q, as q0 defaults to q.
+    """
     section, _, name = _lookup(key)[0].partition(".")
     try:
         if name:
-            value = _replaced(getattr(conf, section), name, value)
+            obj = getattr(conf, section)
+            value = _replaced(obj, name, value)
+            if key == "params.q" and obj.q0 == obj.q:
+                value = _replaced(value, "q0", value.q)
         return _replaced(conf, section, value)
     except ValueError as exc:  # ModelParams range checks
         raise ConfigError(str(exc)) from exc

@@ -8,10 +8,11 @@ productivities z_t.
 The firms' per-step rules (price forecast, discount factor, optimal
 production, slow adjustment by gamma, Lagrange multipliers, nominal spending
 and the clearing residuals) are stated once, in ``_clearing_parts``, which
-the Newton solve evaluates at every trial point.  ``Simulator.step`` builds
-the cleared state from that kernel's parts at the solution, household wealth
-included; the factor demands ``ell`` and ``psi`` are derived from the state
-on access and never stored.
+the Newton solve evaluates at every trial point; their exact derivative is
+stated once, in ``_clearing_jacobian``, from the same parts.  ``Simulator.step``
+builds the cleared state from that kernel's parts at the solution, household
+wealth included; the factor demands ``ell`` and ``psi`` are derived from the
+state on access and never stored.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -22,6 +23,7 @@ is irrelevant for all real quantities.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,7 +48,6 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 25
-_FD_STEP = 1e-7
 
 
 class ClearingError(RuntimeError):
@@ -89,8 +90,8 @@ class ClearingContext:
         return np.log(self.p_lag)
 
 
-def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: np.ndarray) -> dict:
-    """Evaluate the per-step rules of the firms at (batched) trial points.
+def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> dict:
+    """Evaluate the per-step rules of the firms at a trial point (log p, log h).
 
     With dlp = log p - log p_lag and c = b(1-a):
 
@@ -108,32 +109,38 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: np.ndarray) 
     and gauge (sum(log p) minus its target).  Wealth itself is formed only
     at the solution, by ``Simulator.step``.
 
-    ``log_p`` may be (n,) or (m, n); ``log_h`` scalar or (m,).  Returns raw
-    arrays; overflow produces non-finite entries that the Newton damping
-    treats as a rejected trial.
+    Derivatives (used by ``_clearing_jacobian``).  With L = log beta +
+    log E[p], dL/dlog p = A = (1+q) I - (q0/n) 11', and
+    k = (gamma x*/x_next - 1 + b) / b, so that dlog spend = dL + k dlog x*:
+
+        d spend / dlog p  = diag(alpha) A - diag(mu) W,
+                            alpha = spend (1 + k b/(1-b)),  mu = spend k c/(1-b)
+        d spend / dlog h  = -spend k a b / (1-b)
+        d goods           = diag(v_nominal) - 1 v_nominal'/n
+                            - c (W' - 11'/n) d spend
+        d wage            = h dlog h - a b 1' d spend
+        d gauge / dlog p  = 1'
+
+    Returns raw arrays; overflow produces non-finite entries that the Newton
+    damping treats as a rejected trial.
     """
     pr = ctx.params
     a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, pr.gamma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dlp = log_p - ctx.log_p_lag
-        log_beta = np.log(pr.beta0) - q0 * dlp.mean(axis=-1)
+        log_beta = np.log(pr.beta0) - q0 * dlp.mean()
         log_ep = log_p + q * dlp
         log_xstar = (
-            np.log(ctx.z)
-            + b * (log_beta[..., None] + log_ep)
-            - a * b * np.asarray(log_h)[..., None]
-            - pr.c * (log_p @ ctx.net.w.T)
+            np.log(ctx.z) + b * (log_beta + log_ep) - a * b * log_h - pr.c * (ctx.net.w @ log_p)
         ) / (1.0 - b)
         xstar = np.exp(log_xstar)
         x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
-        lam = np.exp(log_beta[..., None] + log_ep) * (x_next / xstar) ** ((1.0 - b) / b)
+        lam = np.exp(log_beta + log_ep) * (x_next / xstar) ** ((1.0 - b) / b)
         spend = lam * x_next
         v_nominal = ctx.x_sold * np.exp(log_p)
-        goods = (v_nominal - v_nominal.mean(axis=-1, keepdims=True)) - pr.c * (
-            spend @ ctx.net.w - spend.mean(axis=-1, keepdims=True)
-        )
-        wage = np.exp(log_h) - a * b * spend.sum(axis=-1)
-        gauge = log_p.sum(axis=-1) - ctx.gauge_target
+        goods = (v_nominal - v_nominal.mean()) - pr.c * (spend @ ctx.net.w - spend.mean())
+        wage = np.exp(log_h) - a * b * spend.sum()
+        gauge = log_p.sum() - ctx.gauge_target
     return {
         "log_beta": log_beta,
         "log_ep": log_ep,
@@ -150,10 +157,36 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: np.ndarray) 
 
 def _residual_vector(parts: dict) -> np.ndarray:
     """Square residual: n-1 goods equations, the wage equation, the gauge."""
-    goods = parts["goods"]
-    return np.concatenate(
-        [goods[..., :-1], parts["wage"][..., None], parts["gauge"][..., None]], axis=-1
-    )
+    return np.concatenate([parts["goods"][:-1], [parts["wage"], parts["gauge"]]])
+
+
+def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict) -> np.ndarray:
+    """Exact (n+1) x (n+1) Jacobian of ``_residual_vector`` in u = (log p, log h).
+
+    ``parts`` are those ``_clearing_parts`` returned at u; the formulas are
+    in its docstring.  The one O(n^3) term is W' (d spend / dlog p).
+    """
+    pr, w, n = ctx.params, ctx.net.w, ctx.net.n
+    a, b, c = pr.a, pr.b, pr.c
+    spend, v = parts["spend"], parts["v_nominal"]
+    jac = np.empty((n + 1, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = (pr.gamma * parts["xstar"] / parts["x_next"] - 1.0 + b) / b
+        alpha = spend * (1.0 + k * (b / (1.0 - b)))
+        mu = spend * k * (c / (1.0 - b))
+        d_spend = -mu[:, None] * w
+        d_spend -= (pr.q0 / n) * alpha[:, None]
+        d_spend.flat[:: n + 1] += (1.0 + pr.q) * alpha
+        d_spend_h = (-a * b / (1.0 - b)) * k * spend
+        diag = np.arange(n - 1)
+        jac[:-2, :-1] = -c * (w[:, :-1].T @ d_spend - d_spend.mean(axis=0)) - v / n
+        jac[diag, diag] += v[:-1]
+        jac[:-2, -1] = -c * (d_spend_h @ w[:, :-1] - d_spend_h.mean())
+        jac[-2, :-1] = -a * b * d_spend.sum(axis=0)
+        jac[-2, -1] = np.exp(u[n]) - a * b * d_spend_h.sum()
+    jac[-1, :-1] = 1.0
+    jac[-1, -1] = 0.0
+    return jac
 
 
 def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.ndarray:
@@ -176,7 +209,7 @@ def _solve_clearing(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, float, dict, int, float]:
-    """Damped Newton on u = (log p, log h) with a fresh FD Jacobian per iteration.
+    """Damped Newton on u = (log p, log h) with the exact Jacobian per iteration.
 
     Returns (log_p, log_h, parts-at-solution, iterations, max residual).
     Raises ClearingError on non-convergence; never returns a non-clearing
@@ -186,7 +219,7 @@ def _solve_clearing(
     u = np.concatenate([log_p0, [log_h0]])
 
     def residual_at(u_vec: np.ndarray) -> tuple[np.ndarray, dict]:
-        parts = _clearing_parts(ctx, u_vec[..., :n], u_vec[..., n])
+        parts = _clearing_parts(ctx, u_vec[:n], u_vec[n])
         return _residual_vector(parts), parts
 
     res, parts = residual_at(u)
@@ -197,10 +230,7 @@ def _solve_clearing(
         if not np.isfinite(err):
             raise ClearingError("non-finite clearing residual at the starting point",
                                 residual=err, iterations=iteration)
-        # batched forward differences: all n+1 perturbed points in one evaluation
-        batch = u[None, :] + _FD_STEP * np.eye(n + 1)
-        res_batch, _ = residual_at(batch)
-        jac = (res_batch - res[None, :]).T / _FD_STEP
+        jac = _clearing_jacobian(ctx, u, parts)
         if not np.all(np.isfinite(jac)):
             raise ClearingError("non-finite clearing Jacobian", residual=err,
                                 iterations=iteration)
@@ -471,6 +501,14 @@ class Simulator:
                     f"simulation failed at step {exc.t}: {exc}",
                     t=exc.t, residual=exc.residual, iterations=exc.iterations,
                 ) from exc
+            # the economy has broken down once wealth is gone (its log enters
+            # the utility) or an observable overflows: stop at that step
+            if not state.M > 0:
+                raise ClearingError(
+                    f"simulation failed at step {state.t}: household wealth "
+                    f"{state.M:.3e} is not positive", t=state.t,
+                    residual=state.max_residual,
+                )
             xi = np.log(state.x) - log_x_eq
             xi_all[k] = xi
             cols["output_real"][k] = float(np.sum(eq.V_eq * np.exp(xi)))
@@ -484,8 +522,13 @@ class Simulator:
             cols["price_level"][k] = float(np.exp(np.mean(np.log(state.p))))
             iters[k] = state.newton_iters
             cols["max_residual"][k] = state.max_residual
-        if not all(np.all(np.isfinite(v)) for v in cols.values()):
-            raise ClearingError("non-finite observable recorded")
+            # mean_xi is non-finite whenever some sector's xi is
+            bad = [name for name, col in cols.items() if not math.isfinite(col[k])]
+            if bad:
+                raise ClearingError(
+                    f"simulation failed at step {state.t}: non-finite {', '.join(bad)}",
+                    t=state.t, residual=state.max_residual,
+                )
         return Trajectory(
             t=np.arange(1, steps + 1),
             xi=xi_all,

@@ -70,6 +70,14 @@ run.steps = 100
         other = parse_overrides(conf, ["params.gamma=0.017"])
         assert config_hash(conf) != config_hash(other)
 
+    def test_q0_follows_q_until_set(self):
+        assert load_config(None, ["params.q=0"]).params.q0 == 0.0
+        assert load_config(None, ["params.q=0", "params.q0=-0.5"]).params.q0 == -0.5
+        assert load_config(None, ["params.q0=-0.5", "params.q=0"]).params.q0 == -0.5
+        # the default stamp, with q0 = q = -1 materialized, is unchanged
+        assert config_hash(default_config()) == "e9070605e7816b76"
+        assert config_hash(load_config(None, ["params.q=-1"])) == "e9070605e7816b76"
+
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("### Configuration reference", 1)[1].split("\n## ", 1)[0]

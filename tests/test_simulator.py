@@ -8,10 +8,13 @@ from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import build_plain_network, build_random_exponential_network
 from netecon.simulator import (
     ClearingContext,
+    ClearingError,
     NegativeWealthWarning,
     NoiseProcess,
     Simulator,
+    _clearing_jacobian,
     _clearing_parts,
+    _residual_vector,
     clearing_residual,
     simulate,
 )
@@ -259,6 +262,67 @@ class TestClearingResidual:
         assert abs(np.log(new.h) - np.log(sim.equilibrium.h_eq)) > 1e-9
 
 
+def _central_difference_jacobian(ctx, u, h=1e-6):
+    n = ctx.net.n
+    jac = np.empty((n + 1, n + 1))
+    for j in range(n + 1):
+        e = np.zeros(n + 1)
+        e[j] = h
+        up, down = u + e, u - e
+        jac[:, j] = (_residual_vector(_clearing_parts(ctx, up[:n], up[n]))
+                     - _residual_vector(_clearing_parts(ctx, down[:n], down[n]))) / (2 * h)
+    return jac
+
+
+class TestClearingJacobian:
+    """The exact Jacobian agrees with central differences of the kernel."""
+
+    @staticmethod
+    def _check(net, params, seed, spread=0.2):
+        eq = solve_equilibrium(net, params)
+        rng = np.random.default_rng(seed)
+        n = net.n
+
+        def kick():
+            return np.exp(rng.uniform(-spread, spread, n))
+
+        ctx = ClearingContext(
+            net=net, params=params, x_sold=eq.x_eq * kick(), p_lag=eq.p_eq * kick(),
+            z=eq.z_bar * kick(), gauge_target=float(np.sum(np.log(eq.p_eq))),
+        )
+        u = np.concatenate([np.log(eq.p_eq * kick()),
+                            [np.log(eq.h_eq) + rng.uniform(-spread, spread)]])
+        parts = _clearing_parts(ctx, u[:n], u[n])
+        exact = _clearing_jacobian(ctx, u, parts)
+        reference = _central_difference_jacobian(ctx, u)
+        assert np.all(np.isfinite(exact))
+        assert np.max(np.abs(exact - reference)) < 1e-6 * np.max(np.abs(exact))
+        return parts
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        net_seed=st.integers(0, 1000),
+        a=st.floats(0.1, 1.0),
+        b=st.floats(0.3, 0.95),
+        q=st.floats(-1.0, 1.0),
+        q0_shift=st.floats(0.05, 1.0),
+        gamma=st.floats(0.05, 1.0),
+        beta0=st.sampled_from([0.8, 0.95, 1.1]),
+        seed=st.integers(0, 1000),
+    )
+    def test_matches_central_differences(self, n, net_seed, a, b, q, q0_shift, gamma,
+                                         beta0, seed):
+        params = ModelParams(a=a, b=b, q=q, q0=q - q0_shift, gamma=gamma, beta0=beta0)
+        self._check(build_random_exponential_network(n, net_seed), params, seed)
+
+    def test_full_adjustment(self):
+        # gamma = 1: production jumps to the optimum, x_next = x*
+        params = ModelParams(a=0.5, b=0.9, q=-0.7, q0=0.2, gamma=1.0, beta0=0.95)
+        parts = self._check(build_random_exponential_network(8, 5), params, seed=4)
+        assert np.allclose(parts["x_next"], parts["xstar"], rtol=1e-14)
+
+
 class TestStep:
     @pytest.mark.parametrize("beta0", [1.0, 0.93])
     def test_equilibrium_is_stationary(self, beta0):
@@ -448,6 +512,30 @@ class TestSimulate:
         mild = simulate(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13, sigma=1e-3),
                         None, NoiseProcess(1e-3, 21), steps=2500, burn_in=500)
         assert traj.mean_xi[500:].std() > 2 * mild.mean_xi[500:].std()
+
+    def test_stops_at_the_step_wealth_turns_non_positive(self):
+        # plain n=64, q=-1, gamma=0.3, no shocks: the kicked economy breaks
+        # down within a few dozen steps; the run stops there, before any
+        # log of a non-positive wealth is taken
+        net = build_plain_network(64)
+        params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.3, sigma=0.0)
+        sim = Simulator(net, params)
+        state = sim.equilibrium_state()
+        kick = np.random.default_rng(12345).uniform(-1.0, 1.0, 64) * 1e-6
+        state.x_next = state.x_next * np.exp(kick)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeWealthWarning)
+            for _ in range(200):
+                state = sim.step(state, np.zeros(64))
+                if state.M <= 0:
+                    break
+        assert state.M <= 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ClearingError, match="household wealth") as info:
+                sim.simulate(NoiseProcess(0.0, 12345), steps=1200)
+        assert info.value.t == state.t
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_gauge_shift_changes_nothing_real(self):
         # same run with the price-level gauge offset: real quantities agree,
