@@ -38,7 +38,6 @@ from .stability import (
     CriticalLine,
     CriticalPoint,
     LinearizedSystem,
-    ModeQuadratic,
     StabilityReport,
     analyze_stability,
     build_linearized,

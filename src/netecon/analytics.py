@@ -16,7 +16,7 @@ from scipy.signal import periodogram
 
 from . import config as cfg
 from .csvio import write_csv
-from .simulator import NoiseProcess, Simulator, Trajectory
+from .simulator import ClearingError, NoiseProcess, Simulator, Trajectory
 
 __all__ = [
     "PeriodEstimate",
@@ -232,18 +232,23 @@ def _cell_seed(base_seed: int, value_index: int) -> int:
                .generate_state(1)[0])
 
 
-def _run_cell(args) -> dict:
-    """One (axis value, replica) simulation; returns the statistic bundle."""
+def _run_cell(args) -> dict | None:
+    """One (axis value, replica) simulation; returns the statistic bundle, or
+    None when the model or the numerics break down.  Any other error
+    (configuration, programming) propagates."""
     base, axis, value, seed = args
     conf = cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
-    sim = Simulator(cfg.build_network(conf), conf.params)
-    traj = sim.simulate(
-        NoiseProcess(sigma=conf.params.sigma, seed=seed),
-        steps=conf.run.steps,
-        burn_in=conf.run.burn_in,
-        initial_kick=conf.run.initial_kick,
-        config_hash=cfg.config_hash(conf),
-    )
+    try:
+        sim = Simulator(cfg.build_network(conf), conf.params)
+        traj = sim.simulate(
+            NoiseProcess(sigma=conf.params.sigma, seed=seed),
+            steps=conf.run.steps,
+            burn_in=conf.run.burn_in,
+            initial_kick=conf.run.initial_kick,
+            config_hash=cfg.config_hash(conf),
+        )
+    except (ClearingError, ArithmeticError, np.linalg.LinAlgError):
+        return None
     burn = traj.burn_in
     return {
         "volatility": volatility(traj.mean_xi, burn),
@@ -262,7 +267,9 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
 
     ``seeds`` lists one base seed per replica; the cell seed mixes the base
     seed with the value index, so the whole sweep is reproducible from
-    (config, seeds).  Failed cells are recorded, not fatal.
+    (config, seeds).  Cells whose simulation breaks down (clearing failure,
+    arithmetic or linear-algebra error) are counted in ``failed``; any other
+    error propagates.
     """
     values = list(values)
     seeds = list(seeds)
@@ -277,19 +284,9 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = []
-            for fut in [pool.submit(_run_cell, t) for t in tasks]:
-                try:
-                    outcomes.append(fut.result())
-                except Exception:
-                    outcomes.append(None)
+            outcomes = list(pool.map(_run_cell, tasks))
     else:
-        outcomes = []
-        for t in tasks:
-            try:
-                outcomes.append(_run_cell(t))
-            except Exception:
-                outcomes.append(None)
+        outcomes = list(map(_run_cell, tasks))
 
     points = []
     for i, value in enumerate(values):

@@ -201,13 +201,20 @@ def parse_overrides(conf: ExperimentConfig, overrides: list[str]) -> ExperimentC
 
 
 def config_to_text(conf: ExperimentConfig) -> str:
-    """Canonical serialization of the hashed keys, sorted, defaults materialized."""
+    """Canonical serialization of the hashed keys, sorted, defaults materialized.
+
+    A file network adds the SHA-256 of its loaded matrix, so two tables
+    written to the same path get different stamps.
+    """
     lines = []
     for key, get in _HASHED:
         value = get(conf)
         if isinstance(value, tuple):
             value = ",".join(map(format_value, value))
         lines.append(f"{key} = {format_value(value)}")
+    if conf.network.kind == "file":
+        matrix = build_network(conf).w.tobytes()
+        lines.append(f"network.matrix_sha256 = {hashlib.sha256(matrix).hexdigest()}")
     return "\n".join(lines) + "\n"
 
 

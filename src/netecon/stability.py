@@ -7,20 +7,25 @@ the unknowns (mu_t, pi_t, xi_{t+1}) given (xi_t, pi_{t-1}).  For a normal
 input-output matrix the system diagonalizes in the eigenbasis of W and each
 non-uniform eigenvalue s contributes a second-order difference equation
 A2 xi_{t+1} + A1 xi_t + A0 xi_{t-1} = 0; the uniform mode is first order and
-always stable.  For general W the block system is eliminated numerically into
-a one-step state-space map on (xi_t, pi_{t-1}).
+always stable.  ``mode_quadratic`` (the coefficients) and ``mode_roots`` (the
+roots) state that quadratic once, vectorized over s.  For general W the block
+system is eliminated numerically into a one-step state-space map on
+(xi_t, pi_{t-1}).  ``analyze_stability`` is the one place that picks the modal
+or the state-space path; ``critical_gamma`` reads its reports.
 
 The simultaneous-clearing equations leave the overall price level free (the
 V-weighted clearing rows sum to zero), so the last clearing row is replaced by
 the gauge sum(pi_t) = 0, mirroring the nonlinear solver.  In the lagged
-variant the system is regular and the exact monetary-unit-symmetry eigenpair
+variant (reached through ``build_linearized`` and ``state_space_spectrum``)
+the system is regular and the exact monetary-unit-symmetry eigenpair
 (eigenvalue one) is excluded from the verdict instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +37,6 @@ __all__ = [
     "CriticalLine",
     "CriticalPoint",
     "LinearizedSystem",
-    "ModeQuadratic",
-    "ModeResult",
     "StabilityReport",
     "analyze_stability",
     "build_linearized",
@@ -269,21 +272,14 @@ def uniform_mode_multiplier(params: ModelParams) -> float:
     return (1.0 - gamma) / (1.0 - gamma + zeta * (1.0 - b + a * b))
 
 
-@dataclass(frozen=True)
-class ModeQuadratic:
-    """Coefficients of the per-mode characteristic quadratic A2 a^2 + A1 a + A0."""
-
-    s: complex
-    A2: complex
-    A1: complex
-    A0: complex
-    zeta_hat: float
-    c: float
+def _modulus(z) -> np.ndarray:
+    """|z| elementwise by hypot, bit for bit Python's ``abs(complex)``
+    (numpy's vectorized complex ``abs`` differs in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
-def mode_quadratic(s: complex, params: ModelParams,
-                   allow_unit_modulus: bool = False) -> ModeQuadratic:
-    """Quadratic for the non-uniform mode with eigenvalue s (|s| < 1).
+def mode_quadratic(s, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (A2, A1, A0) of the quadratic of each non-uniform mode s.
 
     With c = b(1-a) and zhat = gamma / ((1-b)(1 - b(1-a)^2 |s|^2)):
 
@@ -291,67 +287,79 @@ def mode_quadratic(s: complex, params: ModelParams,
         A1 = -[1 - gamma + zhat (c s - q c sbar - b (1+q))]
         A0 = -q b zhat
 
-    ``allow_unit_modulus`` admits |s| = 1 for the degenerate case of the
-    identity network, where the derivation formally extends (flagged in
-    reports).
+    ``s`` is an array of eigenvalues of W with |s| <= 1 + 1e-12; the
+    derivation formally extends to |s| = 1 (identity or permutation
+    networks), which reports count as special.
     """
     if params.b >= 1.0:
         raise ValueError("mode quadratic requires b < 1")
-    s = complex(s)
-    mod2 = abs(s) ** 2
-    if mod2 >= 1.0 and not (allow_unit_modulus and mod2 <= 1.0 + 1e-12):
-        raise ValueError("mode quadratic requires |s| < 1")
+    s = np.asarray(s, dtype=complex)
+    mod = _modulus(s)
+    if (mod > 1.0 + 1e-12).any():
+        raise ValueError("mode quadratic requires |s| <= 1")
     a, b, q, gamma = params.a, params.b, params.q, params.gamma
     c = params.c
+    mod2 = mod ** 2
     zhat = gamma / ((1.0 - b) * (1.0 - b * (1.0 - a) ** 2 * mod2))
-    sbar = s.conjugate()
+    sbar = np.conj(s)
     a2 = 1.0 - gamma + zhat * (1.0 - b - c * sbar * (1.0 + q) + c**2 * mod2)
     a1 = -(1.0 - gamma + zhat * (c * s - q * c * sbar - b * (1.0 + q)))
-    a0 = -q * b * zhat
-    return ModeQuadratic(s=s, A2=a2, A1=a1, A0=complex(a0), zeta_hat=zhat, c=c)
+    a0 = (-q * b * zhat).astype(complex)  # keeps A0 = -0 at q = 0, the sign a zero root shows
+    return a2, a1, a0
 
 
-def mode_roots(mq: ModeQuadratic) -> tuple[complex, complex]:
-    """Roots of the mode quadratic, cancellation-free.
+def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (r1, r2) of the quadratics A2 a^2 + A1 a + A0, cancellation-free.
 
-    The larger-magnitude root comes from the stable branch of the quadratic
-    formula, the other from the product A0/A2.  A2 = 0 degenerates to a linear
-    equation: the single root is returned together with an infinity marker.
+    r1 = big / A2 and r2 = A0 / big, where big is the larger-magnitude branch
+    of -A1 +/- sqrt(A1^2 - 4 A2 A0) over two.  A2 = 0 degenerates to a linear
+    equation: r1 is its single root and r2 the infinity marker.
     """
-    a2, a1, a0 = mq.A2, mq.A1, mq.A0
-    if a2 == 0:
-        if a1 == 0:
-            raise ValueError("degenerate quadratic with A2 = A1 = 0")
-        return (-a0 / a1, complex(np.inf))
-    disc = np.sqrt(complex(a1 * a1 - 4.0 * a2 * a0))
-    # pick the sign that avoids cancellation in -A1 -/+ disc
-    if abs(-a1 + disc) >= abs(-a1 - disc):
-        big = (-a1 + disc) / 2.0
-    else:
-        big = (-a1 - disc) / 2.0
-    if big == 0:
-        return (0j, 0j)
-    return (big / a2, a0 / big)
-
-
-@dataclass(frozen=True)
-class ModeResult:
-    s: complex
-    alphas: tuple[complex, complex]
-    max_mod: float
+    a2, a1, a0 = (np.asarray(v, dtype=complex) for v in (a2, a1, a0))
+    linear = a2 == 0
+    if (linear & (a1 == 0)).any():
+        raise ValueError("degenerate quadratic with A2 = A1 = 0")
+    disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+    plus, minus = -a1 + disc, -a1 - disc
+    big = np.where(_modulus(plus) >= _modulus(minus), plus, minus) / 2.0
+    with np.errstate(all="ignore"):  # np.where drops the branches that divide by zero
+        r1 = np.where(linear, -a0 / a1, np.where(big == 0, 0j, big / a2))
+        r2 = np.where(linear, np.inf, np.where(big == 0, 0j, a0 / big))
+    return r1, r2
 
 
 @dataclass(eq=False)
 class StabilityReport:
-    """Per-mode roots, maximal growth rate and the stability verdict."""
+    """Per-mode roots, maximal growth rate and the stability verdict.
 
-    per_mode: list[ModeResult]
+    Row k holds an eigenvalue ``s[k]`` of W (NaN on the state-space path),
+    its roots ``alphas[k]`` (NaN in the second column where a row has one
+    root) and ``max_mod[k]``, the larger root modulus.  On the modal path the
+    uniform mode comes first, with its multiplier as the one root.
+    """
+
+    s: np.ndarray
+    alphas: np.ndarray
+    max_mod: np.ndarray
     max_growth: float
     uniform_multiplier: float
     stable: bool
     method: str
     special_unit_modes: int = 0
     gamma: float = field(default=np.nan)
+
+    @property
+    def max_alpha(self) -> float:
+        """Largest root modulus, the uniform mode included."""
+        return max(self.max_growth, self.uniform_multiplier)
+
+    @property
+    def leading_root(self) -> complex:
+        """The finite root of largest modulus; ties go to the earlier row, then
+        to r1 over r2."""
+        flat = self.alphas.ravel()
+        finite = np.flatnonzero(np.isfinite(flat))
+        return complex(flat[finite[np.argmax(_modulus(flat[finite]))]])
 
 
 def _uniform_mode_index(net: IONetwork) -> tuple[np.ndarray, int]:
@@ -365,27 +373,6 @@ def _uniform_mode_index(net: IONetwork) -> tuple[np.ndarray, int]:
     return vals, int(near_one[np.argmax(overlap)])
 
 
-def _modal_max_growth_fast(s_modes: np.ndarray, params: ModelParams) -> float:
-    """Max root modulus over non-uniform modes, vectorized over eigenvalues."""
-    if len(s_modes) == 0:
-        return 0.0
-    a, b, q, gamma = params.a, params.b, params.q, params.gamma
-    c = params.c
-    mod2 = np.abs(s_modes) ** 2
-    zhat = gamma / ((1.0 - b) * (1.0 - b * (1.0 - a) ** 2 * mod2))
-    sbar = np.conj(s_modes)
-    a2 = 1.0 - gamma + zhat * (1.0 - b - c * sbar * (1.0 + q) + c**2 * mod2)
-    a1 = -(1.0 - gamma + zhat * (c * s_modes - q * c * sbar - b * (1.0 + q)))
-    a0 = -q * b * zhat + 0j
-    disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-    plus, minus = -a1 + disc, -a1 - disc
-    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(a2 != 0, big / np.where(a2 != 0, a2, 1.0), np.inf)
-        r2 = np.where(big != 0, a0 / np.where(big != 0, big, 1.0), 0.0)
-    return float(np.max(np.maximum(np.abs(r1), np.abs(r2))))
-
-
 def max_growth_rate_modal(net: IONetwork, params: ModelParams) -> StabilityReport:
     """Stability of a normal network via the per-mode quadratics.
 
@@ -397,67 +384,49 @@ def max_growth_rate_modal(net: IONetwork, params: ModelParams) -> StabilityRepor
         raise ValueError("modal analysis requires a normal network")
     vals, uniform_idx = _uniform_mode_index(net)
     multiplier = uniform_mode_multiplier(params)
-    per_mode = [ModeResult(s=complex(vals[uniform_idx]),
-                           alphas=(complex(multiplier), complex(np.nan)),
-                           max_mod=multiplier)]
-    special = 0
-    max_growth = 0.0
-    for idx, s in enumerate(vals):
-        if idx == uniform_idx:
-            continue
-        on_circle = abs(s) >= 1.0 - 1e-12
-        special += int(on_circle)
-        mq = mode_quadratic(s, params, allow_unit_modulus=on_circle)
-        roots = mode_roots(mq)
-        mod = max(abs(roots[0]), abs(roots[1]))
-        per_mode.append(ModeResult(s=complex(s), alphas=roots, max_mod=mod))
-        max_growth = max(max_growth, mod)
+    s_modes = np.delete(np.asarray(vals, dtype=complex), uniform_idx)
+    r1, r2 = mode_roots(*mode_quadratic(s_modes, params))
+    mods = np.maximum(_modulus(r1), _modulus(r2))
+    max_growth = float(mods.max()) if mods.size else 0.0
     return StabilityReport(
-        per_mode=per_mode,
+        s=np.concatenate([[complex(vals[uniform_idx])], s_modes]),
+        alphas=np.vstack([[multiplier, np.nan], np.column_stack([r1, r2])]),
+        max_mod=np.concatenate([[multiplier], mods]),
         max_growth=max_growth,
         uniform_multiplier=multiplier,
         stable=bool(max_growth < 1.0 and multiplier < 1.0),
         method="mode_quadratic",
-        special_unit_modes=special,
+        special_unit_modes=int((_modulus(s_modes) >= 1.0 - 1e-12).sum()),
         gamma=params.gamma,
     )
 
 
 def analyze_stability(net: IONetwork, params: ModelParams,
-                      equilibrium: EquilibriumState | None = None,
-                      variant: str = "simultaneous",
-                      force_state_space: bool = False) -> StabilityReport:
-    """Dispatch: modal quadratics for normal networks, state space otherwise."""
-    if not force_state_space and variant == "simultaneous" and is_normal(net):
+                      equilibrium: EquilibriumState | None = None) -> StabilityReport:
+    """Modal quadratics for normal networks, the state-space spectrum otherwise.
+
+    The one place that chooses between the two paths.  ``equilibrium`` (solved
+    when None) is used by the state-space path only.
+    """
+    if is_normal(net):
         return max_growth_rate_modal(net, params)
-    lin = build_linearized(net, params, equilibrium, variant)
-    vals = state_space_spectrum(lin)
-    per_mode = [ModeResult(s=complex(np.nan), alphas=(complex(v), complex(np.nan)),
-                           max_mod=float(abs(v))) for v in vals]
-    max_growth = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    vals = state_space_spectrum(build_linearized(net, params, equilibrium))
+    max_mod = _modulus(vals)
+    max_growth = float(max_mod.max()) if max_mod.size else 0.0
     try:
         multiplier = uniform_mode_multiplier(params)
     except ValueError:
         multiplier = np.nan
     return StabilityReport(
-        per_mode=per_mode,
+        s=np.full(len(vals), np.nan + 0j),
+        alphas=np.column_stack([vals, np.full(len(vals), np.nan)]).astype(complex),
+        max_mod=max_mod,
         max_growth=max_growth,
         uniform_multiplier=multiplier,
         stable=bool(max_growth < 1.0),
         method="state_space",
         gamma=params.gamma,
     )
-
-
-def _max_growth(net: IONetwork, params: ModelParams,
-                equilibrium: EquilibriumState | None,
-                normal: bool, variant: str) -> float:
-    if normal and variant == "simultaneous":
-        report = max_growth_rate_modal(net, params)
-        return max(report.max_growth, report.uniform_multiplier)
-    lin = build_linearized(net, params, equilibrium, variant)
-    vals = state_space_spectrum(lin)
-    return float(np.max(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +448,6 @@ def critical_gamma(
     params: ModelParams,
     q: float,
     grid_step: float = 1e-3,
-    variant: str = "simultaneous",
 ) -> CriticalPoint | None:
     """Smallest gamma in (0, 1] where the leading root crosses the unit circle.
 
@@ -488,22 +456,15 @@ def critical_gamma(
     system is stable (or unstable) throughout; when several crossings exist
     the smallest is refined and the count is recorded.
     """
-    base = ModelParams(a=params.a, b=params.b, q=q, q0=None if params.q0 == params.q else params.q0,
-                       gamma=params.gamma, beta0=params.beta0, sigma=params.sigma)
-    normal = is_normal(net) and variant == "simultaneous"
-    equilibrium = None if normal else solve_equilibrium(net, base)
-    if normal:
-        vals, uniform_idx = _uniform_mode_index(net)
-        s_modes = np.delete(vals, uniform_idx)
+    base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
+    # gamma leaves the static equilibrium unchanged: solve it once per q
+    equilibrium = solve_equilibrium(net, base)
+
+    def report(gamma: float) -> StabilityReport:
+        return analyze_stability(net, replace(base, gamma=gamma), equilibrium)
 
     def f(gamma: float) -> float:
-        pr = ModelParams(a=base.a, b=base.b, q=base.q, q0=base.q0, gamma=gamma,
-                         beta0=base.beta0, sigma=base.sigma)
-        if normal:
-            growth = max(_modal_max_growth_fast(s_modes, pr),
-                         uniform_mode_multiplier(pr))
-            return growth - 1.0
-        return _max_growth(net, pr, equilibrium, normal, variant) - 1.0
+        return report(gamma).max_alpha - 1.0
 
     gammas = np.arange(grid_step, 1.0 + grid_step / 2, grid_step)
     values = np.array([f(g) for g in gammas])
@@ -516,7 +477,6 @@ def critical_gamma(
         return None
 
     lo, hi = float(gammas[crossings[0]]), float(gammas[crossings[0]] + grid_step)
-    f_lo = values[crossings[0]]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -524,34 +484,18 @@ def critical_gamma(
             lo = hi = mid
             break
         if f_mid < 0:
-            lo, f_lo = mid, f_mid
+            lo = mid
         else:
             hi = mid
     gamma_c = 0.5 * (lo + hi)
 
-    probe = ModelParams(a=base.a, b=base.b, q=base.q, q0=base.q0,
-                        gamma=min(gamma_c + 1e-8, 1.0), beta0=base.beta0, sigma=base.sigma)
-    root = _leading_root(net, probe, equilibrium, normal, variant)
+    root = report(min(gamma_c + 1e-8, 1.0)).leading_root
     if abs(root.imag) < REAL_ROOT_IMAG_TOL and root.real < 0:
         kind = "real_minus_one"
     else:
         kind = "complex_pair"
     return CriticalPoint(gamma_c=gamma_c, kind=kind,
                          crossing_count=len(crossings), root=root)
-
-
-def _leading_root(net, params, equilibrium, normal, variant) -> complex:
-    if normal:
-        report = max_growth_rate_modal(net, params)
-        best, best_mod = complex(report.uniform_multiplier), report.uniform_multiplier
-        for mode in report.per_mode[1:]:
-            for alpha in mode.alphas:
-                if np.isfinite(alpha) and abs(alpha) > best_mod:
-                    best, best_mod = alpha, abs(alpha)
-        return best
-    lin = build_linearized(net, params, equilibrium, variant)
-    vals = state_space_spectrum(lin)
-    return complex(vals[np.argmax(np.abs(vals))])
 
 
 @dataclass(eq=False)
@@ -574,24 +518,18 @@ def trace_critical_line(
     """critical_gamma across a q grid; cells are independent and may run
     concurrently (jobs > 1 uses a process pool)."""
     q_grid = np.asarray(list(q_grid), dtype=float)
+    cell = partial(critical_gamma, net, params, grid_step=grid_step)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(
-                _critical_cell, [(net, params, float(q), grid_step) for q in q_grid]
-            ))
+            points = list(pool.map(cell, q_grid.tolist()))
     else:
-        points = [_critical_cell((net, params, float(q), grid_step)) for q in q_grid]
+        points = list(map(cell, q_grid.tolist()))
     gamma_c = np.array([p.gamma_c if p else np.nan for p in points])
     kind = [p.kind if p else "none" for p in points]
     root = [p.root if p else complex(np.nan) for p in points]
     return CriticalLine(q_grid=q_grid, gamma_c=gamma_c, kind=kind, root=root)
-
-
-def _critical_cell(args) -> CriticalPoint | None:
-    net, params, q, grid_step = args
-    return critical_gamma(net, params, q, grid_step=grid_step)
 
 
 def critical_gamma_closed_form(q: float, s: float, a: float, b: float) -> float | None:
@@ -630,13 +568,12 @@ def hopf_angle(s: float, a: float) -> float:
 
 def report_to_csv(report: StabilityReport, path, config_hash: str = "") -> None:
     verdict = "stable" if report.stable else "unstable"
-    max_alpha = max(report.max_growth, report.uniform_multiplier)
-    rows = [(mode.s.real, mode.s.imag, mode.alphas[0].real, mode.alphas[0].imag,
-             mode.alphas[1].real, mode.alphas[1].imag, mode.max_mod)
-            for mode in report.per_mode]
+    r1, r2 = report.alphas.T
+    rows = zip(report.s.real, report.s.imag, r1.real, r1.imag, r2.real, r2.imag,
+               report.max_mod)
     write_csv(path, ["s_re", "s_im", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
                      "max_mod"], rows, config_hash,
-              [f"verdict={verdict} max_alpha={max_alpha:.12g} method={report.method}"])
+              [f"verdict={verdict} max_alpha={report.max_alpha:.12g} method={report.method}"])
 
 
 def critical_line_to_csv(line: CriticalLine, path, config_hash: str = "") -> None:

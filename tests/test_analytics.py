@@ -238,3 +238,45 @@ class TestRunSweep:
     def test_seed_count_validated(self):
         with pytest.raises(ValueError):
             run_sweep(default_config(), "gamma", [0.1], replicas=2, seeds=[1])
+
+    def _small_conf(self):
+        from netecon.config import parse_overrides
+
+        return parse_overrides(default_config(), ["network.n=4", "run.steps=150",
+                                                  "run.burn_in=20"])
+
+    def test_programming_error_propagates(self, monkeypatch):
+        from netecon.simulator import Simulator
+
+        def broken(self, *args, **kwargs):
+            raise TypeError("bug in the simulation code")
+
+        monkeypatch.setattr(Simulator, "simulate", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_sweep(self._small_conf(), "gamma", [0.1], replicas=1, seeds=[1], jobs=1)
+
+    def test_breakdown_counted_as_failed(self, monkeypatch):
+        from netecon.simulator import ClearingError, Simulator
+
+        original = Simulator.simulate
+
+        def breaks_at_high_gamma(self, *args, **kwargs):
+            if self.params.gamma > 0.2:
+                raise ClearingError("wealth non-positive", t=7)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "simulate", breaks_at_high_gamma)
+        result = run_sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2,
+                           seeds=[1, 2], jobs=1)
+        ok, broken = result.points
+        assert ok.failed == 0 and np.isfinite(ok.statistic)
+        assert broken.failed == 2 and np.isnan(broken.statistic)
+
+    def test_configuration_error_propagates(self):
+        # b = 1 has no equilibrium: an error of the configuration, not a
+        # failed cell
+        from netecon.config import parse_overrides
+
+        conf = parse_overrides(self._small_conf(), ["params.b=1.0"])
+        with pytest.raises(ValueError, match="b < 1"):
+            run_sweep(conf, "gamma", [0.1], replicas=1, seeds=[1])

@@ -13,6 +13,7 @@ from netecon.config import (
     default_config,
     load_config,
     parse_overrides,
+    set_key,
 )
 
 
@@ -77,6 +78,22 @@ run.steps = 100
         # the default stamp, with q0 = q = -1 materialized, is unchanged
         assert config_hash(default_config()) == "e9070605e7816b76"
         assert config_hash(load_config(None, ["params.q=-1"])) == "e9070605e7816b76"
+
+    def test_file_network_stamp_covers_the_matrix(self, tmp_path):
+        # two different tables written to one path get different stamps; the
+        # same table gets the same stamp, and the path alone still counts
+        path = tmp_path / "wiring.csv"
+        conf = load_config(None, ["network.kind=file", f"network.path={path}"])
+        path.write_text("0.6,0.4\n0.3,0.7\n")
+        first = config_hash(conf)
+        path.write_text("0.5,0.5\n0.5,0.5\n")
+        second = config_hash(conf)
+        assert first != second
+        path.write_text("0.6,0.4\n0.3,0.7\n")
+        assert config_hash(conf) == first
+        other = tmp_path / "copy.csv"
+        other.write_text("0.6,0.4\n0.3,0.7\n")
+        assert config_hash(set_key(conf, "network.path", str(other))) != first
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

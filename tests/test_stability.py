@@ -6,7 +6,7 @@ from conftest import make_circulant, make_symmetric_stochastic
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.stability import (
-    ModeQuadratic,
+    StabilityReport,
     analyze_stability,
     build_linearized,
     critical_gamma,
@@ -24,6 +24,11 @@ from netecon.stability import (
 )
 
 PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
+
+
+def _max_root_modulus(s, params):
+    r1, r2 = mode_roots(*mode_quadratic(s, params))
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
 class TestBuildLinearized:
@@ -98,29 +103,42 @@ class TestUniformMode:
 class TestModeQuadratic:
     def test_s_zero_q_zero(self):
         for gamma in (0.05, 0.2, 0.7):
-            mq = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=0.0, gamma=gamma))
-            assert mq.A2 == pytest.approx(1.0, abs=1e-14)
-            assert mq.A1 == pytest.approx(-(1.0 - gamma - 9.0 * gamma), abs=1e-12)
-            assert mq.A0 == 0.0
+            a2, a1, a0 = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=0.0, gamma=gamma))
+            assert a2 == pytest.approx(1.0, abs=1e-14)
+            assert a1 == pytest.approx(-(1.0 - gamma - 9.0 * gamma), abs=1e-12)
+            assert a0 == 0.0
 
     def test_s_zero_q_minus_one(self):
         gamma = 0.13
-        mq = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=gamma))
-        assert mq.A2 == pytest.approx(1.0, abs=1e-14)
-        assert mq.A1 == pytest.approx(-(1.0 - gamma), abs=1e-14)
-        assert mq.A0 == pytest.approx(9.0 * gamma, abs=1e-12)
+        a2, a1, a0 = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=gamma))
+        assert a2 == pytest.approx(1.0, abs=1e-14)
+        assert a1 == pytest.approx(-(1.0 - gamma), abs=1e-14)
+        assert a0 == pytest.approx(9.0 * gamma, abs=1e-12)
+
+    def test_vectorized_over_s(self):
+        # an array of s gives one quadratic per entry, each equal to the
+        # quadratic of that s alone
+        s = np.array([0.0, 0.3 + 0.2j, -0.5, 0.1j])
+        coeffs = mode_quadratic(s, PARAMS)
+        for k, sk in enumerate(s):
+            for arr, alone in zip(coeffs, mode_quadratic(sk, PARAMS)):
+                assert arr.shape == s.shape
+                assert arr[k] == alone
 
     def test_frozen_adjustment_is_marginal(self):
         # gamma -> 0 freezes production: root at one
-        mq = ModeQuadratic(s=0.0, A2=1.0, A1=-1.0, A0=0.0, zeta_hat=0.0, c=0.45)
-        roots = mode_roots(mq)
-        assert sorted(abs(r) for r in roots) == [0.0, 1.0]
+        roots = mode_roots(1.0, -1.0, 0.0)
+        assert sorted(abs(complex(r)) for r in roots) == [0.0, 1.0]
 
-    def test_unit_modulus_rejected_without_flag(self):
+    def test_unit_modulus_admitted_beyond_rejected(self):
+        # |s| = 1 (identity or permutation networks) is admitted, reports
+        # count it as special; beyond the unit circle is an error
         with pytest.raises(ValueError):
-            mode_quadratic(1.0, PARAMS)
-        mq = mode_quadratic(1.0, PARAMS, allow_unit_modulus=True)
-        assert np.isfinite(mq.A2.real)
+            mode_quadratic(1.5, PARAMS)
+        with pytest.raises(ValueError):
+            mode_quadratic(np.array([0.2, 1.5j]), PARAMS)
+        a2, _, _ = mode_quadratic(1.0, PARAMS)
+        assert np.isfinite(a2.real)
 
     def test_crs_rejected(self):
         with pytest.raises(ValueError):
@@ -129,8 +147,7 @@ class TestModeQuadratic:
 
 class TestModeRoots:
     def test_simple_factorization(self):
-        mq = ModeQuadratic(s=0.0, A2=1.0, A1=-1.0, A0=0.0, zeta_hat=0.0, c=0.45)
-        roots = sorted(mode_roots(mq), key=abs)
+        roots = sorted(mode_roots(1.0, -1.0, 0.0), key=abs)
         assert roots[0] == 0.0
         assert roots[1] == pytest.approx(1.0)
 
@@ -138,22 +155,29 @@ class TestModeRoots:
         # q = -1, s = 0: product of roots = 9 gamma = 1 at gamma = 1/9,
         # discriminant negative -> conjugate pair exactly on the circle
         gamma = 1.0 / 9.0
-        mq = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=gamma))
-        r1, r2 = mode_roots(mq)
+        r1, r2 = mode_roots(*mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=-1.0,
+                                                             gamma=gamma)))
         assert abs(r1) == pytest.approx(1.0, abs=1e-12)
         assert abs(r2) == pytest.approx(1.0, abs=1e-12)
         assert abs(r1.imag) > 0.5
 
     def test_real_minus_one_at_q0_critical(self):
-        mq = mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=0.0, gamma=0.2))
-        roots = sorted(mode_roots(mq), key=abs)
+        roots = sorted(mode_roots(*mode_quadratic(0.0, ModelParams(a=0.5, b=0.9, q=0.0,
+                                                                   gamma=0.2))), key=abs)
         assert roots[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_degenerate_linear(self):
-        mq = ModeQuadratic(s=0.0, A2=0.0, A1=2.0, A0=-1.0, zeta_hat=0.0, c=0.45)
-        root, marker = mode_roots(mq)
+        root, marker = mode_roots(0.0, 2.0, -1.0)
         assert root == pytest.approx(0.5)
         assert np.isinf(marker)
+
+    def test_degenerate_entry_of_an_array(self):
+        # A2 = 0 in one entry leaves the other entries' roots untouched
+        r1, r2 = mode_roots(np.array([0.0, 1.0]), np.array([2.0, -1.0]), np.array([-1.0, 0.0]))
+        assert r1[0] == pytest.approx(0.5) and np.isinf(r2[0])
+        assert sorted([abs(r1[1]), abs(r2[1])]) == [0.0, 1.0]
+        with pytest.raises(ValueError):
+            mode_roots(np.array([0.0, 1.0]), np.array([0.0, -1.0]), np.array([1.0, 0.0]))
 
     @given(
         a2=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0),
@@ -162,8 +186,7 @@ class TestModeRoots:
     )
     @settings(max_examples=50, deadline=None)
     def test_vieta_identities(self, a2, a1, a0):
-        mq = ModeQuadratic(s=0.0, A2=a2, A1=a1, A0=a0, zeta_hat=0.0, c=0.45)
-        r1, r2 = mode_roots(mq)
+        r1, r2 = mode_roots(a2, a1, a0)
         assert abs(r1 * r2 - a0 / a2) < 1e-8 * max(1.0, abs(a0 / a2))
         assert abs((r1 + r2) + a1 / a2) < 1e-8 * max(1.0, abs(a1 / a2))
 
@@ -199,12 +222,25 @@ class TestModalVsStateSpace:
         net = make_circulant(8, 5)
         report = max_growth_rate_modal(net, PARAMS)
         by_imag = {}
-        for mode in report.per_mode[1:]:
-            key = round(abs(mode.s.imag), 9)
-            by_imag.setdefault(key, []).append(mode.max_mod)
+        for s, max_mod in zip(report.s[1:], report.max_mod[1:]):
+            key = round(abs(s.imag), 9)
+            by_imag.setdefault(key, []).append(max_mod)
         for key, mods in by_imag.items():
             if key > 0 and len(mods) == 2:
                 assert mods[0] == pytest.approx(mods[1], abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_circulant_leading_root_is_the_spectral_radius(self, seed):
+        # the report's leading root has the modulus of the largest state-space
+        # eigenvalue, on both sides of the critical line
+        net = make_circulant(9, seed)
+        for q, gamma in ((-1.0, 0.08), (-1.0, 0.14), (-0.4, 0.14), (0.3, 0.3)):
+            params = ModelParams(a=0.5, b=0.9, q=q, gamma=gamma)
+            report = analyze_stability(net, params)
+            assert report.method == "mode_quadratic"
+            vals = state_space_spectrum(build_linearized(net, params))
+            assert abs(abs(report.leading_root) - np.max(np.abs(vals))) < 1e-10
+            assert abs(report.leading_root) == pytest.approx(report.max_alpha, abs=1e-15)
 
     def test_identity_matrix_flagged_special(self):
         net = IONetwork(4, np.eye(4))
@@ -295,15 +331,11 @@ class TestCriticalGamma:
         assert cp.kind == "complex_pair"
 
     def test_bracketing_certificate(self):
-        from netecon.stability import _modal_max_growth_fast
-
         cp = critical_gamma(build_plain_network(16), PARAMS, q=-1.0)
-        below = _modal_max_growth_fast(np.zeros(1, dtype=complex),
-                                       ModelParams(a=0.5, b=0.9, q=-1.0,
-                                                   gamma=cp.gamma_c - 1e-6))
-        above = _modal_max_growth_fast(np.zeros(1, dtype=complex),
-                                       ModelParams(a=0.5, b=0.9, q=-1.0,
-                                                   gamma=cp.gamma_c + 1e-6))
+        below = _max_root_modulus(np.zeros(1, dtype=complex),
+                                  ModelParams(a=0.5, b=0.9, q=-1.0, gamma=cp.gamma_c - 1e-6))
+        above = _max_root_modulus(np.zeros(1, dtype=complex),
+                                  ModelParams(a=0.5, b=0.9, q=-1.0, gamma=cp.gamma_c + 1e-6))
         assert below < 1.0 < above
 
     def test_interior_maximum_at_negative_q(self):
@@ -331,8 +363,7 @@ class TestClosedForms:
         for s in (0.0, 0.2, 0.35):
             for q in (0.0, 0.25):
                 gc = critical_gamma_closed_form(q, s, 0.5, 0.9)
-                mq = mode_quadratic(s, ModelParams(a=0.5, b=0.9, q=q, gamma=gc))
-                r = mode_roots(mq)
+                r = mode_roots(*mode_quadratic(s, ModelParams(a=0.5, b=0.9, q=q, gamma=gc)))
                 assert min(abs(abs(r[0]) - 1), abs(abs(r[1]) - 1)) < 1e-10
 
     def test_b1_limit_independent_of_a_and_s(self):
@@ -379,6 +410,29 @@ class TestAnalyzeDispatch:
     def test_non_normal_uses_state_space(self):
         report = analyze_stability(build_random_exponential_network(5, 1), PARAMS)
         assert report.method == "state_space"
+
+    def test_leading_root_tie_breaking(self):
+        # uniform row first, then rows in order, r1 before r2; strict maximum
+        # over finite roots only
+        alphas = np.array([[0.5, np.nan], [0.5j, 0.2], [np.inf, -0.5], [0.4, 0.5]])
+        report = StabilityReport(s=np.zeros(4), alphas=alphas, max_mod=np.zeros(4),
+                                 max_growth=0.5, uniform_multiplier=0.5, stable=True,
+                                 method="mode_quadratic")
+        assert report.leading_root == 0.5
+        report.alphas = np.array([[0.1, np.nan], [0.3, 0.3j], [0.2j, -0.3]])
+        assert report.leading_root == 0.3
+        report.alphas = np.array([[0.1, np.nan], [0.3j, -0.3j]])
+        assert report.leading_root == 0.3j
+
+    def test_state_space_report_rows(self):
+        net = build_random_exponential_network(5, 1)
+        report = analyze_stability(net, PARAMS)
+        vals = state_space_spectrum(build_linearized(net, PARAMS))
+        assert report.alphas.shape == (len(vals), 2)
+        assert np.array_equal(report.alphas[:, 0], vals)
+        assert np.all(np.isnan(report.s)) and np.all(np.isnan(report.alphas[:, 1]))
+        assert report.max_alpha == report.max_growth == np.max(report.max_mod)
+        assert report.leading_root == vals[np.argmax(np.abs(vals))]
 
     def test_verdicts_around_threshold(self):
         net = build_plain_network(8)
