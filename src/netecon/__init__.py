@@ -49,7 +49,6 @@ from .stability import (
     max_growth_rate_modal,
     mode_quadratic,
     mode_roots,
-    state_space_matrix,
     trace_critical_line,
     uniform_mode_multiplier,
 )

@@ -105,11 +105,13 @@ def load_network(path) -> IONetwork:
 
     Rows are renormalized to sum to one; a warning is recorded when any row sum
     deviates from one by more than 1e-9 (real input-output tables carry
-    rounding error).  Malformed files, non-square tables, negative entries and
-    all-zero rows are rejected.
+    rounding error).  Missing, unreadable or malformed files, non-square
+    tables, negative entries and all-zero rows are rejected with ValueError.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except OSError as exc:
+        raise ValueError(f"cannot read network CSV {path!r}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"malformed network CSV {path!r}: {exc}") from exc
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:

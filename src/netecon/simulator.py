@@ -8,11 +8,13 @@ productivities z_t.
 The firms' per-step rules (price forecast, discount factor, optimal
 production, slow adjustment by gamma, Lagrange multipliers, nominal spending
 and the clearing residuals) are stated once, in ``_clearing_parts``, which
-the Newton solve evaluates at every trial point; their exact derivative is
-stated once, in ``_clearing_jacobian``, from the same parts.  ``Simulator.step``
-builds the cleared state from that kernel's parts at the solution, household
-wealth included; the factor demands ``ell`` and ``psi`` are derived from the
-state on access and never stored.
+the Newton solve evaluates at every trial point; their exact derivatives are
+stated once, in ``_clearing_jacobian`` (in the clearing unknowns) and
+``_clearing_known_jacobian`` (in the knowns), from the same parts; the linear
+stability analysis differentiates ``Simulator.step`` through them.
+``Simulator.step`` builds the cleared state from that kernel's parts at the
+solution, household wealth included; the factor demands ``ell`` and ``psi``
+are derived from the state on access and never stored.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -121,6 +123,22 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
         d wage            = h dlog h - a b 1' d spend
         d gauge / dlog p  = 1'
 
+    Derivatives in the knowns y = (log x_sold, log p_lag, log z) (used by
+    ``_clearing_known_jacobian``, together with those of log x_next in
+    (log p, log h)).  With dL/dlog p_lag = I - A and g = gamma x*/x_next =
+    1 - b (1-k):
+
+        dlog x*           = [b A - c W, -a b 1 | 0, b (I - A), I] / (1-b)
+                            in (log p, log h | y)
+        dlog x_next       = (1 - g) dlog x_sold + g dlog x*
+        d spend / dy      = [diag(spend (1-k)), diag(alpha) (I - A),
+                             diag(spend k / (1-b))]
+        d v_nominal / dy  = [diag(v_nominal), 0, 0]
+
+    The goods and wage rows in y follow from d spend / dy and
+    d v_nominal / dy by the formulas above at fixed h; the gauge does not
+    depend on y.
+
     Returns raw arrays; overflow produces non-finite entries that the Newton
     damping treats as a rejected trial.
     """
@@ -187,6 +205,36 @@ def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict) -> np.n
     jac[-1, :-1] = 1.0
     jac[-1, -1] = 0.0
     return jac
+
+
+def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Exact partials in the knowns y = (log x_sold, log p_lag, log z).
+
+    Returns the (n+1) x 3n Jacobian of ``_residual_vector`` in y at fixed u,
+    and the n x (4n+1) Jacobian of log x_next in (u, y).  ``parts`` are those
+    ``_clearing_parts`` returned at u; the formulas are in its docstring.
+    """
+    pr, w, n = ctx.params, ctx.net.w, ctx.net.n
+    a, b, c, q, q0 = pr.a, pr.b, pr.c, pr.q, pr.q0
+    spend, v = parts["spend"], parts["v_nominal"]
+    g = pr.gamma * parts["xstar"] / parts["x_next"]
+    k = (g - 1.0 + b) / b
+    eye = np.eye(n)
+    lag = q0 / n - q * eye  # I - A
+    d_xstar = np.hstack([
+        b * (eye - lag) - c * w, np.full((n, 1), -a * b), np.zeros((n, n)), b * lag, eye,
+    ]) / (1.0 - b)
+    x_next_jac = g[:, None] * d_xstar
+    x_next_jac[:, n + 1:2 * n + 1] += np.diag(1.0 - g)
+    d_spend = np.hstack([
+        np.diag(spend * (1.0 - k)),
+        (spend * (1.0 + k * (b / (1.0 - b))))[:, None] * lag,
+        np.diag(spend * k / (1.0 - b)),
+    ])
+    goods = -c * (w.T @ d_spend - d_spend.mean(axis=0))
+    goods[:, :n] += np.diag(v) - v / n
+    residual_jac = np.vstack([goods[:-1], -a * b * d_spend.sum(axis=0), np.zeros(3 * n)])
+    return residual_jac, x_next_jac
 
 
 def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.ndarray:

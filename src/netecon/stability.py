@@ -1,24 +1,24 @@
 """Linear stability of the equilibrium: modal quadratics, state-space maps,
 critical lines.
 
-Around equilibrium the dynamics of the log-deviations (prices pi, quantities
-xi, multipliers mu) reduces to three coupled n-dimensional linear equations in
-the unknowns (mu_t, pi_t, xi_{t+1}) given (xi_t, pi_{t-1}).  For a normal
-input-output matrix the system diagonalizes in the eigenbasis of W and each
-non-uniform eigenvalue s contributes a second-order difference equation
-A2 xi_{t+1} + A1 xi_t + A0 xi_{t-1} = 0; the uniform mode is first order and
-always stable.  ``mode_quadratic`` (the coefficients) and ``mode_roots`` (the
-roots) state that quadratic once, vectorized over s.  For general W the block
-system is eliminated numerically into a one-step state-space map on
-(xi_t, pi_{t-1}).  ``analyze_stability`` is the one place that picks the modal
-or the state-space path; ``critical_gamma`` reads its reports.
+The state-space map is the derivative of ``Simulator.step`` at the
+equilibrium, taken from the simulator's own clearing kernel.  One step maps
+the state y = (log x_sold, log p_lag) and the shock log z to the new state
+(log x_next, log p) through the clearing unknowns u = (log p, log h), which
+solve R(u, y) = 0.  By the implicit-function theorem du/dy = -J_u^{-1} dR/dy,
+where J_u is the Newton solve's exact Jacobian (``_clearing_jacobian``) and
+dR/dy its partials in the knowns (``_clearing_known_jacobian``).  The
+clearing equations leave the overall price level free; the solver's gauge
+residual sum(log p) - target is one of the rows of R, so the map inherits the
+gauge: it sends the uniform lagged-price direction to zero when q0 = q.
 
-The simultaneous-clearing equations leave the overall price level free (the
-V-weighted clearing rows sum to zero), so the last clearing row is replaced by
-the gauge sum(pi_t) = 0, mirroring the nonlinear solver.  In the lagged
-variant (reached through ``build_linearized`` and ``state_space_spectrum``)
-the system is regular and the exact monetary-unit-symmetry eigenpair
-(eigenvalue one) is excluded from the verdict instead.
+For a normal input-output matrix the linearized dynamics diagonalizes in the
+eigenbasis of W and each non-uniform eigenvalue s contributes a second-order
+difference equation A2 xi_{t+1} + A1 xi_t + A0 xi_{t-1} = 0; the uniform mode
+is first order and always stable.  ``mode_quadratic`` (the coefficients) and
+``mode_roots`` (the roots) state that quadratic once, vectorized over s.
+``analyze_stability`` is the one place that picks the modal or the
+state-space path; ``critical_gamma`` reads its reports.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ import numpy as np
 from .csvio import write_csv
 from .equilibrium import EquilibriumState, ModelParams, solve_equilibrium
 from .network import IONetwork, is_normal
+from .simulator import (
+    ClearingContext,
+    _clearing_jacobian,
+    _clearing_known_jacobian,
+    _clearing_parts,
+    _residual_vector,
+)
 
 __all__ = [
     "CriticalLine",
@@ -50,208 +57,88 @@ __all__ = [
     "mode_quadratic",
     "mode_roots",
     "report_to_csv",
-    "state_space_matrix",
     "state_space_spectrum",
     "trace_critical_line",
     "uniform_mode_multiplier",
 ]
 
-PROJECTOR_TOL = 1e-10
 REAL_ROOT_IMAG_TOL = 1e-6
 UNIT_EIG_TOL = 1e-9
+EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# linearized block system
+# the state-space map: the derivative of the simulator's step
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class LinearizedSystem:
-    """Matrices of the linearized dynamics around a solved equilibrium."""
+    """The clearing kernel evaluated at a solved equilibrium.
 
-    net: IONetwork
-    params: ModelParams
-    equilibrium: EquilibriumState
-    W_tilde: np.ndarray
-    J0: np.ndarray
-    J1: np.ndarray
-    J2: np.ndarray
-    variant: str = "simultaneous"
+    ``context`` holds the equilibrium knowns, ``u`` = (log p, log h) the
+    clearing unknowns and ``parts`` the kernel's parts there; the state-space
+    map is derived from them on demand.
+    """
+
+    context: ClearingContext
+    u: np.ndarray
+    parts: dict
 
 
 def build_linearized(
     net: IONetwork,
     params: ModelParams,
     equilibrium: EquilibriumState | None = None,
-    variant: str = "simultaneous",
 ) -> LinearizedSystem:
-    """Construct W_tilde and the projectors J0, J1, J2 from the equilibrium.
+    """Evaluate the clearing kernel at the equilibrium (solved when None).
 
-    Validates the projector identities (J1 J2 = J1, J2 J1 = J2, J1 Wt = J1,
-    J2 Wt = J2) and the monetary-unit-symmetry identity: the linearized
-    equations must be satisfied exactly by xi = 0, mu = pi = uniform.
-    Violations signal an inconsistent equilibrium solve.
+    Raises ArithmeticError when the equilibrium does not clear the markets
+    to 1e-10, which signals an inconsistent equilibrium solve.
     """
-    if variant not in ("simultaneous", "lagged"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "lagged" and params.beta0 != 1.0:
-        raise ValueError("the lagged variant is derived for beta0 = 1")
     if equilibrium is None:
         equilibrium = solve_equilibrium(net, params)
-    n = net.n
-    v = equilibrium.V_eq
-    w_tilde = net.w.T * v[None, :] / v[:, None]
-    j0 = np.full((n, n), 1.0 / n)
-    j1 = np.tile(v / v.sum(), (n, 1))
-    j2 = v[None, :] / (n * v[:, None])
-
-    def _check(lhs: np.ndarray, rhs: np.ndarray, label: str) -> None:
-        err = float(np.max(np.abs(lhs - rhs)))
-        if err > PROJECTOR_TOL:
-            raise ArithmeticError(f"projector identity {label} violated by {err:.3e}")
-
-    _check(j1 @ j2, j1, "J1 J2 = J1")
-    _check(j2 @ j1, j2, "J2 J1 = J2")
-    _check(j1 @ w_tilde, j1, "J1 Wt = J1")
-    _check(j2 @ w_tilde, j2, "J2 Wt = J2")
-
-    lin = LinearizedSystem(net, params, equilibrium, w_tilde, j0, j1, j2, variant)
-    _check_mus_identity(lin)
-    return lin
-
-
-def _blocks(lin: LinearizedSystem):
-    """Block matrices of the linear system M u = N k + E eps.
-
-    Unknowns u = (mu_t, pi_t, xi_{t+1}); knowns k = (xi_t, pi_{t-1}) for the
-    simultaneous variant, (xi_t, pi_{t-1}, y_{t-1}) with
-    y = xi + pi - (1-a) b mu for the lagged variant.
-    """
-    pr = lin.params
-    n = lin.net.n
-    a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, pr.gamma
-    c = pr.c
-    k_adj = gamma * b / (1.0 - b)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-
-    m1 = np.hstack([eye - a * lin.J1, -(1.0 - a) * lin.net.w,
-                    -((1.0 - b) / b * eye + a * lin.J1)])
-    m2 = np.hstack([k_adj * eye, -k_adj * ((1.0 + q) * eye - q0 * lin.J0),
-                    (1.0 - gamma) * eye])
-    n1 = [zero, zero]
-    n2 = [(1.0 - gamma) * eye, -k_adj * (q * eye - q0 * lin.J0)]
-    if lin.variant == "simultaneous":
-        coupling = c * pr.beta0 * (lin.W_tilde - lin.J2)
-        m3 = np.hstack([-coupling, eye - lin.J2, -coupling])
-        n3 = [-(eye - lin.J2), zero]
-        n_known = 2 * n
-    else:
-        coupling = c * (lin.W_tilde)
-        m3 = np.hstack([-coupling, eye, -coupling])
-        n1.append(zero)
-        n2.append(zero)
-        n3 = [-(eye + c * lin.J2), zero, lin.J2]
-        n_known = 3 * n
-    m_mat = np.vstack([m1, m2, m3])
-    n_mat = np.vstack([np.hstack(n1), np.hstack(n2), np.hstack(n3)])
-    e_mat = np.vstack([-(1.0 / b) * eye, zero, zero])
-    return m_mat, n_mat, e_mat, n_known
-
-
-def _check_mus_identity(lin: LinearizedSystem) -> None:
-    """Uniform price shift must solve the system exactly (xi = 0, mu = pi = 1)."""
-    n = lin.net.n
-    m_mat, n_mat, _, _ = _blocks(lin)
-    ones, zeros = np.ones(n), np.zeros(n)
-    u = np.concatenate([ones, ones, zeros])
-    if lin.variant == "simultaneous":
-        k = np.concatenate([zeros, ones])
-    else:
-        k = np.concatenate([zeros, ones, (1.0 - lin.params.c) * ones])
-    res = float(np.max(np.abs(m_mat @ u - n_mat @ k)))
-    if res > PROJECTOR_TOL:
-        raise ArithmeticError(
-            f"monetary-unit symmetry identity violated by {res:.3e}"
-        )
+    log_p = np.log(equilibrium.p_eq)
+    ctx = ClearingContext(
+        net=net, params=params, x_sold=equilibrium.x_eq, p_lag=equilibrium.p_eq,
+        z=equilibrium.z_bar, gauge_target=float(np.sum(log_p)),
+    )
+    u = np.concatenate([log_p, [np.log(equilibrium.h_eq)]])
+    parts = _clearing_parts(ctx, log_p, u[-1])
+    res = float(np.max(np.abs(_residual_vector(parts))))
+    if not res <= EQUILIBRIUM_RESIDUAL_TOL:
+        raise ArithmeticError(f"equilibrium does not clear the markets (residual {res:.3e})")
+    return LinearizedSystem(ctx, u, parts)
 
 
 def _state_space_solution(lin: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """One-step map S on the state and the noise input matrix B.
+    """One-step map S on the state (xi_t, pi_{t-1}) and the noise input matrix B.
 
-    State is (xi_t, pi_{t-1}) for the simultaneous variant (dimension 2n,
-    with the last clearing row replaced by the gauge sum(pi_t) = 0) and
-    (xi_t, pi_{t-1}, y_{t-1}) for the lagged variant (dimension 3n).
+    Rows are (log x_next, log p), columns of S (log x_sold, log p_lag) and of
+    B log z, all as deviations from the equilibrium.
     """
-    n = lin.net.n
-    m_mat, n_mat, e_mat, n_known = _blocks(lin)
-    if lin.variant == "simultaneous":
-        # the V-weighted clearing rows sum to zero; swap the redundant one
-        # for the gauge row pinning the price level
-        gauge_row = 3 * n - 1
-        m_mat[gauge_row] = 0.0
-        m_mat[gauge_row, n:2 * n] = 1.0
-        n_mat[gauge_row] = 0.0
-        e_mat[gauge_row] = 0.0
+    n = lin.context.net.n
+    residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
     try:
-        sol = np.linalg.solve(m_mat, np.hstack([n_mat, e_mat]))
+        du = np.linalg.solve(_clearing_jacobian(lin.context, lin.u, lin.parts), -residual_jac)
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            "singular linearized block system outside the gauge direction"
-        ) from exc
-    u_known, u_noise = sol[:, :n_known], sol[:, n_known:]
-    xi_next = u_known[2 * n:3 * n]
-    pi_now = u_known[n:2 * n]
-    if lin.variant == "simultaneous":
-        s_map = np.vstack([xi_next, pi_now])
-        b_map = np.vstack([u_noise[2 * n:3 * n], u_noise[n:2 * n]])
-    else:
-        mu_now = u_known[:n]
-        c = lin.params.c
-        y_now = pi_now - c * mu_now
-        y_now[:, :n] += np.eye(n)  # y_t = xi_t + pi_t - c mu_t, xi_t is a known
-        s_map = np.vstack([xi_next, pi_now, y_now])
-        bn = u_noise
-        b_map = np.vstack([bn[2 * n:3 * n], bn[n:2 * n], bn[n:2 * n] - c * bn[:n]])
-    return s_map, b_map
-
-
-def state_space_matrix(lin: LinearizedSystem) -> np.ndarray:
-    """The one-step linear map on the deviation state (2n or 3n square)."""
-    return _state_space_solution(lin)[0]
+        raise ArithmeticError("singular clearing Jacobian at the equilibrium") from exc
+    full = np.vstack([x_next_jac[:, n + 1:] + x_next_jac[:, :n + 1] @ du, du[:n]])
+    return full[:, :2 * n], full[:, 2 * n:]
 
 
 def linear_state_map(
     net: IONetwork,
     params: ModelParams,
     equilibrium: EquilibriumState | None = None,
-    variant: str = "simultaneous",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: (S, B) such that state_{t+1} = S state_t + B eps_t."""
-    return _state_space_solution(build_linearized(net, params, equilibrium, variant))
+    """(S, B) such that state_{t+1} = S state_t + B eps_t, eps the log-productivity shock."""
+    return _state_space_solution(build_linearized(net, params, equilibrium))
 
 
 def state_space_spectrum(lin: LinearizedSystem) -> np.ndarray:
-    """Eigenvalues of the state-space map with the gauge direction removed.
-
-    For the simultaneous variant the gauge row already maps the uniform price
-    direction to zero, so the full spectrum is returned.  For the lagged
-    variant the exact eigenpair (eigenvalue 1 along the uniform-price
-    monetary-unit-symmetry direction) is dropped by eigenvector matching.
-    """
-    s_map = state_space_matrix(lin)
-    vals, vecs = np.linalg.eig(s_map)
-    if lin.variant == "simultaneous":
-        return vals
-    n = lin.net.n
-    mus = np.concatenate([np.zeros(n), np.ones(n), (1.0 - lin.params.c) * np.ones(n)])
-    mus = mus / np.linalg.norm(mus)
-    overlap = np.abs(mus @ vecs)  # eigenvectors are unit columns
-    candidates = np.where(np.abs(vals - 1.0) < 1e-6)[0]
-    if len(candidates) == 0:
-        return vals
-    drop = candidates[np.argmax(overlap[candidates])]
-    return np.delete(vals, drop)
+    """Eigenvalues of the state-space map; the gauge is part of the map, so
+    no eigenvalue is dropped."""
+    return np.linalg.eigvals(_state_space_solution(lin)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,13 @@ class TestCommands:
                      "equilibrium"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_missing_network_file_is_a_configuration_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["--set", "network.kind=file", "--set", f"network.path={missing}",
+                     "--out", str(tmp_path), "equilibrium"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(missing) in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # far outside the model's regime: the clearing solve breaks down
         import warnings

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from netecon.simulator import (
     NoiseProcess,
     Simulator,
     _clearing_jacobian,
+    _clearing_known_jacobian,
     _clearing_parts,
     _residual_vector,
     clearing_residual,
@@ -274,8 +276,36 @@ def _central_difference_jacobian(ctx, u, h=1e-6):
     return jac
 
 
+def _central_difference_known_jacobian(ctx, u, h=1e-6):
+    """Central differences of the residual vector in k = (log x_sold, log p_lag,
+    log z), and of log x_next in (u, k)."""
+    n = ctx.net.n
+
+    def evaluate(ctx_, u_):
+        parts = _clearing_parts(ctx_, u_[:n], u_[n])
+        return _residual_vector(parts), np.log(parts["x_next"])
+
+    residual_jac = np.empty((n + 1, 3 * n))
+    x_next_jac = np.empty((n, 4 * n + 1))
+    for j in range(n + 1):
+        e = np.zeros(n + 1)
+        e[j] = h
+        x_next_jac[:, j] = (evaluate(ctx, u + e)[1] - evaluate(ctx, u - e)[1]) / (2 * h)
+    for j in range(3 * n):
+        field, i = ("x_sold", "p_lag", "z")[j // n], j % n
+        up, down = getattr(ctx, field).copy(), getattr(ctx, field).copy()
+        up[i] *= np.exp(h)
+        down[i] *= np.exp(-h)
+        (r_up, x_up), (r_down, x_down) = (evaluate(replace(ctx, **{field: vec}), u)
+                                          for vec in (up, down))
+        residual_jac[:, j] = (r_up - r_down) / (2 * h)
+        x_next_jac[:, n + 1 + j] = (x_up - x_down) / (2 * h)
+    return residual_jac, x_next_jac
+
+
 class TestClearingJacobian:
-    """The exact Jacobian agrees with central differences of the kernel."""
+    """The exact Jacobian, and the partials in the knowns, agree with central
+    differences of the kernel."""
 
     @staticmethod
     def _check(net, params, seed, spread=0.2):
@@ -297,6 +327,10 @@ class TestClearingJacobian:
         reference = _central_difference_jacobian(ctx, u)
         assert np.all(np.isfinite(exact))
         assert np.max(np.abs(exact - reference)) < 1e-6 * np.max(np.abs(exact))
+        for known, reference in zip(_clearing_known_jacobian(ctx, parts),
+                                    _central_difference_known_jacobian(ctx, u)):
+            assert np.all(np.isfinite(known))
+            assert np.max(np.abs(known - reference)) < 1e-6 * np.max(np.abs(known))
         return parts
 
     @settings(max_examples=40, deadline=None)
@@ -594,3 +628,34 @@ class TestLinearRegimeBridge:
         want = s_map @ np.concatenate([xi0, pi0])
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) / scale < 1e-3
+
+    @pytest.mark.parametrize("q, gamma", [(-1.0, 0.10), (-1.0, 0.13), (0.0, 0.19), (-0.5, 0.3)])
+    @pytest.mark.parametrize("kind", ["plain", "random_exp"])
+    def test_linear_map_is_the_derivative_of_step(self, kind, q, gamma):
+        # central differences of the nonlinear step at the equilibrium, with no
+        # use of the kernel's derivatives, reproduce S and B column by column
+        from netecon.stability import linear_state_map
+
+        n, h = 12, 1e-5
+        net = build_plain_network(n) if kind == "plain" else build_random_exponential_network(n, 3)
+        params = ModelParams(a=0.5, b=0.9, q=q, gamma=gamma)
+        sim = Simulator(net, params, tol=1e-14)
+        eq = sim.equilibrium
+        s_map, b_map = linear_state_map(net, params, eq)
+
+        def new_state(j, sign):
+            state = sim.equilibrium_state()
+            shock = np.zeros(n)
+            if j < n:
+                state.x_next = state.x_next * np.exp(sign * h * (np.arange(n) == j))
+            elif j < 2 * n:
+                state.p = state.p * np.exp(sign * h * (np.arange(n) == j - n))
+            else:
+                shock[j - 2 * n] = sign * h
+            new = sim.step(state, shock)
+            return np.concatenate([np.log(new.x_next), np.log(new.p)])
+
+        numeric = np.column_stack([(new_state(j, 1) - new_state(j, -1)) / (2 * h)
+                                   for j in range(3 * n)])
+        scale = np.max(np.abs(s_map))
+        assert np.max(np.abs(numeric - np.hstack([s_map, b_map]))) < 1e-7 * scale

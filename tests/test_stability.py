@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from block_system import block_state_map
 from conftest import make_circulant, make_symmetric_stochastic
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
@@ -17,7 +20,6 @@ from netecon.stability import (
     max_growth_rate_modal,
     mode_quadratic,
     mode_roots,
-    state_space_matrix,
     state_space_spectrum,
     trace_critical_line,
     uniform_mode_multiplier,
@@ -31,36 +33,47 @@ def _max_root_modulus(s, params):
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
+BLOCK_ORACLE_NETWORKS = {
+    "plain": lambda: build_plain_network(6),
+    "random_exp12": lambda: build_random_exponential_network(12, 3),
+    "random_exp32": lambda: build_random_exponential_network(32, 1),
+    "symmetric": lambda: make_symmetric_stochastic(10, 2),
+    "circulant": lambda: make_circulant(9, 1),
+    "identity": lambda: IONetwork(4, np.eye(4)),
+    "n1": lambda: build_plain_network(1),
+}
+
+
 class TestBuildLinearized:
-    def test_plain_matrix_collapses_projectors(self):
-        # normal network: all three projectors equal the uniform averager and
-        # W_tilde is the transpose
-        net = build_plain_network(6)
-        lin = build_linearized(net, PARAMS)
-        j0 = np.full((6, 6), 1 / 6)
-        assert np.allclose(lin.J0, j0, atol=1e-14)
-        assert np.allclose(lin.J1, j0, atol=1e-12)
-        assert np.allclose(lin.J2, j0, atol=1e-12)
-        assert np.allclose(lin.W_tilde, net.w.T, atol=1e-12)
+    @pytest.mark.parametrize("name", list(BLOCK_ORACLE_NETWORKS))
+    def test_matches_block_system(self, name):
+        # the kernel's derivative reproduces the hand-linearized block system,
+        # projectors and gauge row included, also for q0 != q and beta0 != 1
+        net = BLOCK_ORACLE_NETWORKS[name]()
+        for params in (PARAMS,
+                       ModelParams(a=0.3, b=0.8, q=-0.5, q0=0.2, gamma=0.3, beta0=0.95),
+                       ModelParams(a=0.7, b=0.6, q=0.5, q0=-0.3, gamma=0.9, beta0=1.1)):
+            s_map, b_map = linear_state_map(net, params)
+            s_ref, b_ref = block_state_map(net, params)
+            scale = np.max(np.abs(s_ref))
+            assert np.max(np.abs(s_map - s_ref)) <= 1e-12 * scale
+            assert np.max(np.abs(b_map - b_ref)) <= 1e-12 * scale
 
     def test_single_firm_degenerate(self):
-        lin = build_linearized(build_plain_network(1), PARAMS)
-        for mat in (lin.W_tilde, lin.J0, lin.J1, lin.J2):
-            assert np.allclose(mat, [[1.0]], atol=1e-14)
+        # one firm: the gauge pins its price, so the map acts on quantity alone
+        params = ModelParams(a=0.5, b=0.9, q=0.0, gamma=0.3)
+        s_map, b_map = linear_state_map(build_plain_network(1), params)
+        assert s_map.shape == (2, 2) and b_map.shape == (2, 1)
+        assert np.all(s_map[1] == 0.0) and np.all(s_map[:, 1] == 0.0) and b_map[1, 0] == 0.0
+        assert s_map[0, 0] == pytest.approx(uniform_mode_multiplier(params), abs=1e-12)
 
-    def test_projector_identities_non_normal(self):
-        net = build_random_exponential_network(15, 3)
-        lin = build_linearized(net, PARAMS)
-        assert not np.allclose(lin.J1, lin.J0, atol=1e-6)  # genuinely non-normal
-        assert np.max(np.abs(lin.J1 @ lin.J2 - lin.J1)) < 1e-12
-        assert np.max(np.abs(lin.J2 @ lin.J1 - lin.J2)) < 1e-12
-        assert np.max(np.abs(lin.J1 @ lin.W_tilde - lin.J1)) < 1e-12
-        assert np.max(np.abs(lin.J2 @ lin.W_tilde - lin.J2)) < 1e-12
-
-    def test_variant_validation(self):
-        net = build_plain_network(3)
-        with pytest.raises(ValueError):
-            build_linearized(net, PARAMS, variant="bogus")
+    def test_inconsistent_equilibrium_rejected(self):
+        net = build_random_exponential_network(6, 2)
+        eq = solve_equilibrium(net, PARAMS)
+        skewed = replace(eq, p_eq=eq.p_eq * (1.0 + 1e-6 * np.arange(6)))
+        build_linearized(net, PARAMS, eq)
+        with pytest.raises(ArithmeticError, match="clear"):
+            build_linearized(net, PARAMS, skewed)
 
 
 class TestUniformMode:
@@ -263,60 +276,12 @@ class TestModalVsStateSpace:
 
 class TestGaugeHandling:
     def test_uniform_price_direction_annihilated(self):
-        # simultaneous variant: the gauge row maps (xi=0, pi=uniform) to zero
+        # the gauge row maps (xi=0, pi=uniform) to zero
         net = build_random_exponential_network(7, 2)
-        s_map = state_space_matrix(build_linearized(net, PARAMS))
+        s_map, _ = linear_state_map(net, PARAMS)
         state = np.concatenate([np.zeros(7), np.ones(7)])
         image = s_map @ state
         assert np.max(np.abs(image)) < 1e-10
-
-    def test_lagged_variant_mus_eigenpair_excluded(self):
-        net = build_random_exponential_network(6, 9)
-        lin = build_linearized(net, PARAMS, variant="lagged")
-        s_map = state_space_matrix(lin)
-        assert s_map.shape == (18, 18)
-        c = PARAMS.c
-        mus = np.concatenate([np.zeros(6), np.ones(6), (1 - c) * np.ones(6)])
-        image = s_map @ mus
-        assert np.max(np.abs(image - mus)) < 1e-9  # exact eigenpair at one
-        vals_all = np.linalg.eigvals(s_map)
-        vals_kept = state_space_spectrum(lin)
-        # exactly the unit eigenvalue is dropped, every other one survives
-        assert len(vals_kept) == len(vals_all) - 1
-        assert np.any(np.abs(vals_all - 1.0) < 1e-9)
-        assert not np.any(np.abs(vals_kept - 1.0) < 1e-9)
-        remaining = list(vals_all)
-        for v in vals_kept:
-            k = int(np.argmin(np.abs(np.array(remaining) - v)))
-            assert abs(remaining[k] - v) < 1e-9
-            remaining.pop(k)
-        assert abs(remaining[0] - 1.0) < 1e-9
-
-    def test_lagged_variant_plain_matrix_non_uniform_modes_unchanged(self):
-        # for normal networks the payment lag acts only through the rank-one
-        # projector on the uniform direction, so the non-uniform spectrum is
-        # identical to the simultaneous variant
-        net = build_plain_network(8)
-        params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.08)
-        r_sim = np.max(np.abs(state_space_spectrum(build_linearized(net, params))))
-        r_lag = np.max(np.abs(state_space_spectrum(
-            build_linearized(net, params, variant="lagged"))))
-        assert r_sim < 1.0 and r_lag < 1.0
-        assert abs(r_sim - r_lag) < 1e-12
-
-    def test_lagged_variant_exists_for_non_normal(self):
-        net = build_random_exponential_network(7, 4)
-        params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.08)
-        r_sim = np.max(np.abs(state_space_spectrum(build_linearized(net, params))))
-        r_lag = np.max(np.abs(state_space_spectrum(
-            build_linearized(net, params, variant="lagged"))))
-        assert r_sim < 1.0 and r_lag < 1.0
-        assert 0.5 < r_lag / r_sim < 2.0
-
-    def test_lagged_requires_unit_beta0(self):
-        net = build_plain_network(3)
-        with pytest.raises(ValueError, match="beta0"):
-            build_linearized(net, ModelParams(beta0=1.1), variant="lagged")
 
 
 class TestCriticalGamma:
