@@ -13,7 +13,6 @@ from .network import (
     IONetwork,
     build_plain_network,
     build_random_exponential_network,
-    is_normal,
     load_network,
 )
 from .equilibrium import (
@@ -31,7 +30,6 @@ from .simulator import (
     Simulator,
     Trajectory,
     clearing_residual,
-    simulate,
     trajectory_to_csv,
 )
 from .stability import (

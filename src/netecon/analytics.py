@@ -1,9 +1,12 @@
-"""Observables and summary statistics over trajectories.
+"""Summary statistics over trajectories.
 
-Aggregate output (flat-log and equilibrium-price weightings), level and
-first-difference volatility, average absolute pairwise correlations,
-consumption and log-utility series, dominant-period detection via the
-periodogram, and a reproducible parameter-sweep runner.
+Level and first-difference volatility, average absolute pairwise
+correlations, dominant-period detection via the periodogram, the amplitude
+envelope, the linearized volatility prediction and a reproducible
+parameter-sweep runner.  The observables themselves (the flat-log aggregate
+``mean_xi``, real output at equilibrium prices ``output_real``, consumption
+and log-utility) are recorded by ``Simulator.simulate`` on the
+``Trajectory``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ __all__ = [
     "PeriodEstimate",
     "SweepPoint",
     "SweepResult",
-    "aggregate_output",
     "amplitude_envelope",
     "avg_abs_correlation",
-    "consumption_series",
     "default_burn_in",
     "dominant_period",
     "linearized_volatility",
@@ -34,22 +35,6 @@ __all__ = [
     "volatility",
     "volatility_diff",
 ]
-
-
-def aggregate_output(traj: Trajectory, weighting: str = "flat_log") -> np.ndarray:
-    """Aggregate output series.
-
-    "flat_log": the flat average of per-sector log-deviations (default for
-    volatility work).  "equilibrium_price": real output at base prices,
-    sum_i x_t[i] p_eq[i].
-    """
-    if traj.xi.size == 0:
-        raise ValueError("trajectory carries no per-sector data")
-    if weighting == "flat_log":
-        return traj.mean_xi
-    if weighting == "equilibrium_price":
-        return traj.output_real
-    raise ValueError(f"unknown weighting {weighting!r}")
 
 
 def volatility(series: np.ndarray, burn_in: int) -> float:
@@ -88,17 +73,6 @@ def avg_abs_correlation(traj: Trajectory, burn_in: int) -> float:
     corr = np.corrcoef(xi.T)
     iu = np.triu_indices(n, k=1)
     return float(np.mean(np.abs(corr[iu])))
-
-
-def consumption_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(real total consumption, log-utility) series.
-
-    Consumption is sum_i M_t / (n p_t[i]); both series are recorded during
-    the run from wealth and prices.  Non-positive wealth is flagged.
-    """
-    if np.any(traj.wealth <= 0):
-        warnings.warn("non-positive household wealth in trajectory", stacklevel=2)
-    return traj.consumption_real, traj.log_utility
 
 
 @dataclass(frozen=True)

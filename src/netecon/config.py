@@ -115,7 +115,6 @@ KEYS = {
     "run.seed": ("run.seed", _INT, True),
     "run.initial_kick": ("run.initial_kick", _REAL, True),
     "output.dir": ("output.directory", _TEXT, False),
-    "output.directory": ("output.directory", _TEXT, False),
     "output.per_sector": ("output.per_sector", _BOOL, False),
     "sweep.axis": ("sweep_axis", _TEXT, True),
     "sweep.values": ("sweep_values", _REALS, True),

@@ -16,6 +16,7 @@ and no positivity issues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class ModelParams:
     a: labor share in [0, 1]; b: returns to scale in (0, 1]; q: price-trend
     extrapolation in [-1, 1]; q0: inflation extrapolation (defaults to q);
     gamma: production adjustment speed in (0, 1]; beta0: base discount factor;
-    sigma: scale of the i.i.d. Gaussian log-productivity shocks.
+    sigma: scale of the i.i.d. Gaussian log-productivity shocks.  Every
+    value must be finite.
     """
 
     a: float = 0.5
@@ -64,6 +66,8 @@ class ModelParams:
             raise ValueError("shock scale sigma must be non-negative")
         if self.q0 is None:
             object.__setattr__(self, "q0", float(self.q))
+        if not all(map(math.isfinite, (self.beta0, self.sigma, self.q0))):
+            raise ValueError("model parameters must be finite")
 
     @property
     def c(self) -> float:
@@ -85,21 +89,17 @@ class EquilibriumState:
 
 def solve_equilibrium(
     net: IONetwork, params: ModelParams, z_bar: np.ndarray | None = None,
-    v_scale: float = 1.0,
 ) -> EquilibriumState:
     """Solve the static equilibrium for decreasing returns to scale (b < 1).
 
     z_bar defaults to the all-ones vector of baseline productivities.  The
-    nominal scale is a pure gauge: v_scale sets 1'V = v_scale * n (the default
-    makes the plain-matrix V identically one); changing it rescales prices
-    and wage uniformly and leaves quantities and shares untouched.  Raises
-    for b >= 1 (the production optimum only exists under decreasing returns)
-    and for an equilibrium that fails its own residual bound.
+    nominal scale is a pure gauge, fixed at 1'V = n (so the plain-matrix V
+    is identically one).  Raises for b >= 1 (the production optimum only
+    exists under decreasing returns) and for an equilibrium that fails its
+    own residual bound.
     """
     if params.b >= 1.0:
         raise ValueError("equilibrium solve requires b < 1")
-    if v_scale <= 0:
-        raise ValueError("v_scale must be positive")
     n = net.n
     if z_bar is None:
         z_bar = np.ones(n)
@@ -111,7 +111,7 @@ def solve_equilibrium(
     c = params.c
     what = net.w.T - 1.0 / n
     try:
-        V = np.linalg.solve(np.eye(n) - c * beta0 * what, np.full(n, v_scale))
+        V = np.linalg.solve(np.eye(n) - c * beta0 * what, np.ones(n))
     except np.linalg.LinAlgError as exc:  # guarded; cannot occur for c*beta0 < 1
         raise ArithmeticError("singular equilibrium system for V") from exc
     if np.any(V <= 0):

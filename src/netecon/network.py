@@ -11,7 +11,8 @@ concurrent workers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +21,11 @@ __all__ = [
     "build_plain_network",
     "build_random_exponential_network",
     "load_network",
-    "is_normal",
 ]
 
 ROW_SUM_TOL = 1e-12
+#: max-norm of the commutator W W' - W' W below which ``w`` counts as normal
+NORMAL_TOL = 1e-10
 #: row sums that deviate more than this on file load trigger a renormalization warning
 LOAD_RENORM_TOL = 1e-9
 
@@ -39,9 +41,6 @@ class IONetwork:
 
     n: int
     w: np.ndarray
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    _eigenvectors: np.ndarray | None = field(default=None, repr=False)
-    _normal_flag: bool | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -49,6 +48,8 @@ class IONetwork:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weight matrix must be {self.n}x{self.n}, got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite input share")
         if np.any(w < 0):
             raise ValueError("negative input share")
         row_sums = w.sum(axis=1)
@@ -56,23 +57,22 @@ class IONetwork:
             raise ValueError("rows of the input-output matrix must sum to one")
         self.w = w
 
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, right eigenvectors) of ``w``, computed on first access."""
+        return np.linalg.eig(self.w)
+
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``w`` (computed lazily, cached)."""
-        if self._eigenvalues is None:
-            self._eigenvalues, self._eigenvectors = np.linalg.eig(self.w)
-        return self._eigenvalues
+        """Eigenvalues of ``w``."""
+        return self.eigensystem[0]
 
-    @property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, right eigenvectors) of ``w``, cached."""
-        _ = self.eigenvalues
-        return self._eigenvalues, self._eigenvectors
-
-    @property
-    def normal_flag(self) -> bool | None:
-        """True / False once normality has been checked, None before."""
-        return self._normal_flag
+    @cached_property
+    def is_normal(self) -> bool:
+        """Whether ``w`` commutes with its transpose (max-norm of the commutator
+        below ``NORMAL_TOL``), computed on first access."""
+        commutator = self.w @ self.w.T - self.w.T @ self.w
+        return bool(np.max(np.abs(commutator)) < NORMAL_TOL)
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:
@@ -83,9 +83,7 @@ def build_plain_network(n: int) -> IONetwork:
     """Uniform network, all shares equal to 1/n (eigenvalues 1 and 0)."""
     if n < 1:
         raise ValueError("network needs at least one firm (n >= 1)")
-    net = IONetwork(n, np.full((n, n), 1.0 / n))
-    net._normal_flag = True  # symmetric, hence normal
-    return net
+    return IONetwork(n, np.full((n, n), 1.0 / n))
 
 
 def build_random_exponential_network(n: int, seed: int) -> IONetwork:
@@ -130,14 +128,3 @@ def load_network(path) -> IONetwork:
         )
     return IONetwork(raw.shape[0], _normalized(raw))
 
-
-def is_normal(net: IONetwork, tol: float = 1e-10) -> bool:
-    """Whether ``w`` commutes with its transpose (max-norm of the commutator < tol)."""
-    if tol == 1e-10 and net._normal_flag is not None:
-        return net._normal_flag
-    w = net.w
-    commutator = w @ w.T - w.T @ w
-    flag = bool(np.max(np.abs(commutator)) < tol)
-    if tol == 1e-10:
-        net._normal_flag = flag
-    return flag

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .equilibrium import influence_vector_lp
 from .network import IONetwork
@@ -29,6 +30,10 @@ __all__ = [
     "sigma_slow",
     "transversality_blowup",
 ]
+
+#: convergence bound (max-norm step) and iteration cap of the Lyapunov fixed point
+LYAPUNOV_TOL = 1e-14
+LYAPUNOV_MAX_ITER = 100_000
 
 
 def long_plosser_simulate(
@@ -70,10 +75,7 @@ def sigma_slow(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
     return float(np.sqrt(np.sum(sigmas**2 * v**2)))
 
 
-def sigma_fast(
-    net: IONetwork, a: float, b: float, sigmas: np.ndarray,
-    tol: float = 1e-14, max_iter: int = 100_000,
-) -> float:
+def sigma_fast(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
     """Aggregate volatility for white-noise shocks.
 
     Computes the stationary covariance of the benchmark recursion as the
@@ -89,11 +91,11 @@ def sigma_fast(
     q = np.diag(sigmas**2)
     w = net.w
     cov = q.copy()
-    for _ in range(max_iter):
+    for _ in range(LYAPUNOV_MAX_ITER):
         new = c**2 * (w @ cov @ w.T) + q
         delta = float(np.max(np.abs(new - cov)))
         cov = new
-        if delta < tol:
+        if delta < LYAPUNOV_TOL:
             break
     else:  # unreachable under the precondition, guarded anyway
         raise ArithmeticError("Lyapunov iteration did not converge")
@@ -165,10 +167,11 @@ def transversality_blowup(
 
 @dataclass(frozen=True, eq=False)
 class NearInstabilityModel:
-    """Linear system X <- A X + eps with leading eigenvalue 1 - eta.
+    """Linear system X <- A X + eps with symmetric A and leading eigenvalue 1 - eta.
 
     U_plus is the unit-norm leading eigenvector; sigmas the per-component
-    shock standard deviations.
+    shock standard deviations.  A must be symmetric: the predicted covariance
+    U+ U+' Sigma^2 / (2 eta) assumes orthogonal modes.
     """
 
     A: np.ndarray
@@ -179,6 +182,8 @@ class NearInstabilityModel:
     def __post_init__(self) -> None:
         if abs(np.linalg.norm(self.U_plus) - 1.0) > 1e-10:
             raise ValueError("leading eigenvector must have unit norm")
+        if not np.allclose(self.A, self.A.T, rtol=0.0, atol=1e-12):
+            raise ValueError("near-instability model requires a symmetric A")
         radius = float(np.max(np.abs(np.linalg.eigvals(self.A))))
         if radius >= 1.0:
             raise ValueError(f"spectral radius {radius:.6f} is not below one")
@@ -213,7 +218,8 @@ def near_instability_stats(
 
     The prediction is cov ~ U+ U+' Sigma^2 / (2 eta) with
     Sigma^2 = sum_l sigma_l^2 (U+_l)^2, and pairwise correlations approach
-    sign(U+_j U+_k) as eta -> 0.  Burn-in of 10/eta steps is discarded.
+    sign(U+_j U+_k) as eta -> 0.  Each eigenmode of the symmetric A runs as
+    an independent AR(1) filter.  Burn-in of 10/eta steps is discarded.
     """
     n = len(model.U_plus)
     burn = int(np.ceil(10.0 / model.eta))
@@ -221,22 +227,11 @@ def near_instability_stats(
         raise ValueError("need steps well beyond the 10/eta burn-in")
     rng = np.random.default_rng(seed)
     eps = model.sigmas[None, :] * rng.standard_normal((steps, n))
-    a = model.A
-    if np.allclose(a, a.T, atol=1e-12):
-        # symmetric A: run each eigenmode as an independent AR(1) filter
-        from scipy.signal import lfilter
-
-        vals, vecs = np.linalg.eigh(a)
-        modes = eps @ vecs
-        for k in range(n):
-            modes[:, k] = lfilter([1.0], [1.0, -vals[k]], modes[:, k])
-        x = modes @ vecs.T
-    else:
-        x = np.empty((steps, n))
-        state = np.zeros(n)
-        for t in range(steps):
-            state = a @ state + eps[t]
-            x[t] = state
+    vals, vecs = np.linalg.eigh(model.A)
+    modes = eps @ vecs
+    for k in range(n):
+        modes[:, k] = lfilter([1.0], [1.0, -vals[k]], modes[:, k])
+    x = modes @ vecs.T
     sample = x[burn:]
     cov_emp = np.cov(sample.T)
     cov_emp = np.atleast_2d(cov_emp)

@@ -43,7 +43,6 @@ __all__ = [
     "Simulator",
     "Trajectory",
     "clearing_residual",
-    "simulate",
     "trajectory_to_csv",
 ]
 
@@ -255,7 +254,6 @@ def _solve_clearing(
     log_p0: np.ndarray,
     log_h0: float,
     tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, float, dict, int, float]:
     """Damped Newton on u = (log p, log h) with the exact Jacobian per iteration.
 
@@ -272,7 +270,7 @@ def _solve_clearing(
 
     res, parts = residual_at(u)
     err = float(np.max(np.abs(res))) if np.all(np.isfinite(res)) else np.inf
-    for iteration in range(max_iter):
+    for iteration in range(NEWTON_MAX_ITER):
         if err < tol:
             return u[:n], float(u[n]), parts, iteration, err
         if not np.isfinite(err):
@@ -307,11 +305,11 @@ def _solve_clearing(
                 residual=err, iterations=iteration,
             )
     if err < tol:
-        return u[:n], float(u[n]), parts, max_iter, err
+        return u[:n], float(u[n]), parts, NEWTON_MAX_ITER, err
     raise ClearingError(
-        f"clearing solve did not converge in {max_iter} iterations "
+        f"clearing solve did not converge in {NEWTON_MAX_ITER} iterations "
         f"(residual {err:.3e})",
-        residual=err, iterations=max_iter,
+        residual=err, iterations=NEWTON_MAX_ITER,
     )
 
 
@@ -370,7 +368,6 @@ class NoiseProcess:
 
     sigma: float
     seed: int
-    distribution: str = "gaussian_log"
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
@@ -382,7 +379,9 @@ class Trajectory:
     """Per-step observables of one simulation run.
 
     xi holds the per-sector log-deviations of sold quantities from
-    equilibrium, one row per recorded step.
+    equilibrium, one row per recorded step.  mean_xi is their flat average
+    (the aggregate used for volatility work) and output_real the real output
+    at equilibrium prices, sum_i V_eq[i] exp(xi[i]).
     """
 
     t: np.ndarray
@@ -414,15 +413,13 @@ class Simulator:
     """
 
     def __init__(self, net: IONetwork, params: ModelParams,
-                 z_bar: np.ndarray | None = None,
-                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
+                 z_bar: np.ndarray | None = None, tol: float = NEWTON_TOL):
         self.net = net
         self.params = params
         self.equilibrium = solve_equilibrium(net, params, z_bar)
         self.z_bar = self.equilibrium.z_bar
         self.gauge_target = float(np.sum(np.log(self.equilibrium.p_eq)))
         self.tol = tol
-        self.max_iter = max_iter
 
     def equilibrium_state(self) -> EconomyState:
         """The stationary state corresponding to the solved equilibrium."""
@@ -461,7 +458,7 @@ class Simulator:
         ctx = self.context_for(state, shock)
         try:
             log_p, log_h, parts, iters, err = _solve_clearing(
-                ctx, np.log(state.p), np.log(state.h), self.tol, self.max_iter
+                ctx, np.log(state.p), np.log(state.h), self.tol
             )
         except ClearingError:
             # deep in the chaotic phase the warm start can sit in a bad basin;
@@ -472,7 +469,6 @@ class Simulator:
                     np.full(self.net.n, self.gauge_target / self.net.n),
                     np.log(self.equilibrium.h_eq),
                     self.tol,
-                    self.max_iter,
                 )
             except ClearingError as exc:
                 exc.t = state.t + 1
@@ -604,23 +600,6 @@ class Simulator:
             noise.sigma, noise.seed, steps, burn_in, initial_kick,
         )).encode() + self.net.w.tobytes() + self.z_bar.tobytes()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-
-def simulate(
-    net: IONetwork,
-    params: ModelParams,
-    z_bar: np.ndarray | None,
-    noise: NoiseProcess,
-    steps: int,
-    burn_in: int = 0,
-    initial_kick: float = 1e-6,
-    config_hash: str | None = None,
-) -> Trajectory:
-    """Simulate ``steps`` periods from the kicked equilibrium (see Simulator.simulate)."""
-    return Simulator(net, params, z_bar).simulate(
-        noise, steps, burn_in, initial_kick, config_hash
-    )
 
 
 def trajectory_to_csv(traj: Trajectory, path, per_sector: bool = False) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .equilibrium import EquilibriumState, ModelParams, solve_equilibrium
-from .network import IONetwork, is_normal
+from .network import IONetwork
 from .simulator import (
     ClearingContext,
     _clearing_jacobian,
@@ -267,7 +267,7 @@ def max_growth_rate_modal(net: IONetwork, params: ModelParams) -> StabilityRepor
     the unit circle other than the uniform one (identity or permutation
     networks) are evaluated through the quadratic and counted as special.
     """
-    if not is_normal(net):
+    if not net.is_normal:
         raise ValueError("modal analysis requires a normal network")
     vals, uniform_idx = _uniform_mode_index(net)
     multiplier = uniform_mode_multiplier(params)
@@ -295,7 +295,7 @@ def analyze_stability(net: IONetwork, params: ModelParams,
     The one place that chooses between the two paths.  ``equilibrium`` (solved
     when None) is used by the state-space path only.
     """
-    if is_normal(net):
+    if net.is_normal:
         return max_growth_rate_modal(net, params)
     vals = state_space_spectrum(build_linearized(net, params, equilibrium))
     max_mod = _modulus(vals)

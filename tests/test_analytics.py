@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from netecon.analytics import (
-    aggregate_output,
     amplitude_envelope,
     avg_abs_correlation,
-    consumption_series,
     default_burn_in,
     dominant_period,
     linearized_volatility,
@@ -16,41 +14,36 @@ from netecon.analytics import (
 from netecon.config import default_config, replace_run
 from netecon.equilibrium import ModelParams
 from netecon.network import build_plain_network
-from netecon.simulator import NoiseProcess, simulate
+from netecon.simulator import NoiseProcess, Simulator
 
 
 def _small_traj(gamma=0.2, sigma=1e-3, n=5, steps=300, seed=3, q=-1.0, kick=1e-6):
     params = ModelParams(a=0.5, b=0.9, q=q, gamma=gamma, sigma=sigma)
-    return simulate(build_plain_network(n), params, None,
-                    NoiseProcess(sigma, seed), steps=steps, burn_in=50,
-                    initial_kick=kick)
+    return Simulator(build_plain_network(n), params).simulate(
+        NoiseProcess(sigma, seed), steps=steps, burn_in=50, initial_kick=kick)
 
 
 class TestAggregateOutput:
+    # the aggregates Simulator.simulate records: mean_xi, the flat average of
+    # the log-deviations, and output_real, output at equilibrium prices
     def test_equilibrium_values(self):
-        traj = _small_traj(sigma=0.0, seed=1)
-        traj.xi[:] = 0.0
-        traj.mean_xi[:] = 0.0
-        assert np.allclose(aggregate_output(traj, "flat_log"), 0.0)
-        y = aggregate_output(traj, "equilibrium_price")
-        assert y.shape == traj.mean_xi.shape
+        traj = _small_traj(sigma=0.0, seed=1, kick=0.0)
+        assert np.allclose(traj.mean_xi, 0.0, atol=1e-12)
+        assert np.allclose(traj.output_real, traj.output_eq, rtol=1e-12)
 
     def test_uniform_shift_linearity(self):
-        traj = _small_traj()
-        traj.xi[:] = 0.03
-        traj.mean_xi[:] = traj.xi.mean(axis=1)
-        assert np.allclose(aggregate_output(traj, "flat_log"), 0.03, atol=1e-15)
+        # one firm: every step is a uniform shift of the economy
+        traj = _small_traj(n=1)
+        assert np.array_equal(traj.mean_xi, traj.xi[:, 0])
+        assert np.allclose(traj.output_real, traj.output_eq * np.exp(traj.mean_xi),
+                           rtol=1e-15, atol=0.0)
 
     def test_single_sector_shock_flat_weight(self):
         traj = _small_traj(n=5)
-        traj.xi[:] = 0.0
-        traj.xi[:, 1] = 0.05
-        traj.mean_xi[:] = traj.xi.mean(axis=1)
-        assert np.allclose(aggregate_output(traj, "flat_log"), 0.01, atol=1e-15)
-
-    def test_unknown_weighting(self):
-        with pytest.raises(ValueError):
-            aggregate_output(_small_traj(), "bogus")
+        assert np.ptp(traj.xi, axis=1).max() > 0  # sectors differ
+        assert np.allclose(traj.mean_xi, traj.xi.mean(axis=1), rtol=0.0, atol=1e-18)
+        v_eq = traj.equilibrium.V_eq
+        assert np.allclose(traj.output_real, np.exp(traj.xi) @ v_eq, rtol=1e-14, atol=0.0)
 
 
 class TestVolatility:
@@ -77,8 +70,8 @@ class TestVolatility:
         n, gamma, sigma = 10, 0.05, 1e-3
         net = build_plain_network(n)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=gamma, sigma=sigma)
-        traj = simulate(net, params, None, NoiseProcess(sigma, 17),
-                        steps=16_000, burn_in=1000)
+        traj = Simulator(net, params).simulate(NoiseProcess(sigma, 17),
+                                               steps=16_000, burn_in=1000)
         measured = volatility(traj.mean_xi, 1000)
         predicted = linearized_volatility(net, params, sigma)
         agg = traj.mean_xi[1000:]
@@ -125,14 +118,12 @@ class TestCorrelation:
 class TestConsumption:
     def test_equilibrium_constant(self):
         traj = _small_traj(sigma=0.0, seed=5, kick=0.0)
-        cons, util = consumption_series(traj)
+        cons, util = traj.consumption_real, traj.log_utility
         assert np.ptp(cons) / cons.mean() < 1e-8
         assert np.ptp(util) < 1e-7
 
     def test_matches_definition(self):
         # recorded consumption equals sum_i M / (n p_i) rebuilt from states
-        from netecon.simulator import Simulator
-
         n = 4
         net = build_plain_network(n)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.2, sigma=1e-3)
@@ -144,7 +135,7 @@ class TestConsumption:
         for _ in range(40):
             state = sim.step(state, 1e-3 * rng.standard_normal(n))
             recomputed.append(state.M / n * np.sum(1.0 / state.p))
-        traj = simulate(net, params, None, NoiseProcess(1e-3, 11), 40, 5)
+        traj = sim.simulate(NoiseProcess(1e-3, 11), 40, 5)
         assert traj.consumption_real.shape == (40,)
         assert np.all(np.isfinite(recomputed))
 

@@ -265,6 +265,12 @@ class TestCommands:
         assert main(["--set", "bogus.key=1", "--out", str(tmp_path),
                      "equilibrium"]) == 1
         assert "configuration error" in capsys.readouterr().err
+        # output.dir is the one spelling of the output directory key
+        assert main(["--set", f"output.directory={tmp_path}", "equilibrium"]) == 1
+        assert "unknown key 'output.directory'" in capsys.readouterr().err
+        # non-finite model parameters are rejected, not run
+        assert main(["--set", "params.q0=nan", "--out", str(tmp_path), "stability"]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_missing_network_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

@@ -21,7 +21,10 @@ class TestModelParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(a=-0.1), dict(a=1.1), dict(b=0.0), dict(b=1.2), dict(gamma=0.0),
-         dict(gamma=1.3), dict(q=-1.5), dict(q=2.0), dict(beta0=0.0), dict(sigma=-1.0)],
+         dict(gamma=1.3), dict(q=-1.5), dict(q=2.0), dict(beta0=0.0), dict(sigma=-1.0),
+         # non-finite values that pass the range checks
+         dict(beta0=np.inf), dict(sigma=np.inf), dict(sigma=np.nan), dict(q0=np.nan),
+         dict(q0=np.inf)],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,17 +74,6 @@ class TestSolveEquilibrium:
         net = build_plain_network(3)
         with pytest.raises(ValueError):
             solve_equilibrium(net, PARAMS, z_bar=np.array([1.0, -1.0, 1.0]))
-
-    def test_monetary_unit_symmetry_of_v_gauge(self):
-        # doubling the nominal gauge doubles prices and the wage exactly and
-        # leaves quantities and shares untouched
-        net = build_random_exponential_network(10, 4)
-        eq1 = solve_equilibrium(net, PARAMS)
-        eq2 = solve_equilibrium(net, PARAMS, v_scale=2.0)
-        assert np.max(np.abs(eq2.x_eq - eq1.x_eq)) < 1e-10
-        assert np.allclose(eq2.S_eq, eq1.S_eq, atol=1e-14)
-        assert np.allclose(eq2.p_eq, 2.0 * eq1.p_eq, rtol=1e-13)
-        assert eq2.h_eq == pytest.approx(2.0 * eq1.h_eq, rel=1e-14)
 
     def test_monetary_unit_symmetry_of_z_scale(self):
         # productivity rescaling moves prices, not quantities or shares

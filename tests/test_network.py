@@ -6,7 +6,6 @@ from netecon.network import (
     IONetwork,
     build_plain_network,
     build_random_exponential_network,
-    is_normal,
     load_network,
 )
 
@@ -110,21 +109,22 @@ class TestLoadNetwork:
 
 class TestIsNormal:
     def test_plain_is_normal(self):
-        assert is_normal(build_plain_network(5))
+        assert build_plain_network(5).is_normal
 
     def test_identity_is_normal(self):
-        assert is_normal(IONetwork(3, np.eye(3)))
+        assert IONetwork(3, np.eye(3)).is_normal
 
     def test_asymmetric_counterexample(self):
         # direct commutator computation: W W' != W' W for this matrix
         net = IONetwork(2, np.array([[0.9, 0.1], [0.5, 0.5]]))
-        assert not is_normal(net, tol=1e-10)
+        assert not net.is_normal
 
     def test_flag_cached(self):
+        # computed on first access, then stored on the instance
         net = build_random_exponential_network(6, 0)
-        assert net.normal_flag is None
-        is_normal(net)
-        assert net.normal_flag is False
+        assert "is_normal" not in vars(net)
+        assert net.is_normal is False
+        assert vars(net)["is_normal"] is False
 
 
 def test_invalid_matrix_rejected():
@@ -132,3 +132,5 @@ def test_invalid_matrix_rejected():
         IONetwork(2, np.array([[0.7, 0.2], [0.5, 0.5]]))  # row sum != 1
     with pytest.raises(ValueError):
         IONetwork(2, np.array([[1.5, -0.5], [0.5, 0.5]]))  # negative entry
+    with pytest.raises(ValueError, match="non-finite"):
+        IONetwork(2, np.array([[np.nan, 0.5], [0.5, 0.5]]))  # NaN passes both checks above

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_symmetric_stochastic
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.reduced import (
+    NearInstabilityModel,
     adiabatic_response,
     build_near_instability_model,
     long_plosser_simulate,
@@ -75,6 +76,12 @@ class TestSigmaSlowFast:
         n = 16
         val = sigma_slow(build_plain_network(n), A, B, np.ones(n))
         assert val == pytest.approx(1.0 / (0.55 * np.sqrt(n)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_plain_fast_closed_form(self, n):
+        # the plain aggregate follows y' = c y + mean(eps): variance 1/(n (1 - c^2))
+        val = sigma_fast(build_plain_network(n), A, B, np.ones(n))
+        assert val == pytest.approx(1.0 / np.sqrt(n * (1.0 - C**2)), rel=1e-12)
 
     def test_zero_sigma(self):
         assert sigma_slow(build_plain_network(3), A, B, np.zeros(3)) == 0.0
@@ -155,6 +162,12 @@ class TestNearInstability:
         with pytest.raises(ValueError):
             build_near_instability_model(np.array([1.0, 0.0]), eta=-0.1,
                                          sigmas=np.ones(2))
+        # the covariance prediction assumes orthogonal modes; the tolerance is
+        # absolute, so a relative asymmetry of 5e-6 is rejected too
+        for a in ([[0.9, 0.05], [0.0, 0.5]], [[0.5, 0.2], [0.200001, 0.3]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                NearInstabilityModel(A=np.array(a), U_plus=np.array([1.0, 0.0]),
+                                     sigmas=np.ones(2), eta=0.1)
 
     def test_diagonal_reference_case(self):
         # A = diag(0.99, 0.5): component one is an AR(1) with exact

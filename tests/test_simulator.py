@@ -18,7 +18,6 @@ from netecon.simulator import (
     _clearing_parts,
     _residual_vector,
     clearing_residual,
-    simulate,
 )
 
 PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
@@ -507,8 +506,8 @@ class TestSimulate:
     def test_zero_noise_zero_kick_is_constant(self):
         net = build_plain_network(5)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.3, sigma=0.0)
-        traj = simulate(net, params, None, NoiseProcess(0.0, 1), steps=50,
-                        burn_in=10, initial_kick=0.0)
+        traj = Simulator(net, params).simulate(NoiseProcess(0.0, 1), steps=50,
+                                               burn_in=10, initial_kick=0.0)
         for series in (traj.output_real, traj.mean_xi, traj.wage,
                        traj.consumption_real, traj.price_level):
             assert np.ptp(series) < 1e-9
@@ -516,8 +515,8 @@ class TestSimulate:
     def test_deterministic_for_seed(self):
         net = build_plain_network(6)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.2, sigma=1e-3)
-        t1 = simulate(net, params, None, NoiseProcess(1e-3, 9), steps=40, burn_in=5)
-        t2 = simulate(net, params, None, NoiseProcess(1e-3, 9), steps=40, burn_in=5)
+        t1 = Simulator(net, params).simulate(NoiseProcess(1e-3, 9), steps=40, burn_in=5)
+        t2 = Simulator(net, params).simulate(NoiseProcess(1e-3, 9), steps=40, burn_in=5)
         assert np.array_equal(t1.mean_xi, t2.mean_xi)
         assert np.array_equal(t1.xi, t2.xi)
         assert t1.config_hash == t2.config_hash
@@ -525,26 +524,33 @@ class TestSimulate:
     def test_trajectory_finite_and_sized(self):
         net = build_plain_network(4)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.18, sigma=1e-3)
-        traj = simulate(net, params, None, NoiseProcess(1e-3, 2), steps=200, burn_in=50)
+        traj = Simulator(net, params).simulate(NoiseProcess(1e-3, 2), steps=200, burn_in=50)
         assert len(traj) == 200
         assert np.all(np.isfinite(traj.xi))
 
     def test_steps_validation(self):
         net = build_plain_network(3)
         with pytest.raises(ValueError):
-            simulate(net, PARAMS, None, NoiseProcess(0.0, 1), steps=10, burn_in=10)
+            Simulator(net, PARAMS).simulate(NoiseProcess(0.0, 1), steps=10, burn_in=10)
+
+    def test_noise_process_is_gaussian_only(self):
+        # the shocks are always i.i.d. Gaussian on log-productivity; there is
+        # no distribution to choose
+        with pytest.raises(TypeError):
+            NoiseProcess(1e-3, 1, distribution="gaussian_log")
 
     def test_deep_unstable_phase_irregular_but_bounded(self):
         # past the first transitions the aggregate loses its regularity but
         # the nonlinearities keep every observable finite and bounded
         net = build_plain_network(16)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.185, sigma=1e-3)
-        traj = simulate(net, params, None, NoiseProcess(1e-3, 21), steps=2500,
-                        burn_in=500)
+        traj = Simulator(net, params).simulate(NoiseProcess(1e-3, 21), steps=2500,
+                                               burn_in=500)
         assert np.all(np.isfinite(traj.xi))
         assert np.max(np.abs(traj.xi)) < 5.0
-        mild = simulate(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13, sigma=1e-3),
-                        None, NoiseProcess(1e-3, 21), steps=2500, burn_in=500)
+        mild_params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13, sigma=1e-3)
+        mild = Simulator(net, mild_params).simulate(NoiseProcess(1e-3, 21), steps=2500,
+                                                    burn_in=500)
         assert traj.mean_xi[500:].std() > 2 * mild.mean_xi[500:].std()
 
     def test_stops_at_the_step_wealth_turns_non_positive(self):
