@@ -58,6 +58,11 @@ class RunConfig:
     seed: int = 12345
     initial_kick: float = 1e-6
 
+    def __post_init__(self) -> None:
+        # a sweep without replicas would write statistics of nothing
+        if self.replicas < 1:
+            raise ValueError("run.replicas must be at least 1")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
@@ -156,7 +161,7 @@ def set_key(conf: ExperimentConfig, key: str, value) -> ExperimentConfig:
             if key == "params.q" and obj.q0 == obj.q:
                 value = _replaced(value, "q0", value.q)
         return _replaced(conf, section, value)
-    except ValueError as exc:  # ModelParams range checks
+    except ValueError as exc:  # ModelParams and RunConfig range checks
         raise ConfigError(str(exc)) from exc
 
 

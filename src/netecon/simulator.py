@@ -141,11 +141,12 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
     Returns raw arrays; overflow produces non-finite entries that the Newton
     damping treats as a rejected trial.
     """
-    pr = ctx.params
+    pr, n = ctx.params, ctx.net.n
     a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, pr.gamma
+    # sum() / n rather than mean(): the same bits without mean()'s call overhead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dlp = log_p - ctx.log_p_lag
-        log_beta = np.log(pr.beta0) - q0 * dlp.mean()
+        log_beta = np.log(pr.beta0) - q0 * (dlp.sum() / n)
         log_ep = log_p + q * dlp
         log_xstar = (
             np.log(ctx.z) + b * (log_beta + log_ep) - a * b * log_h - pr.c * (ctx.net.w @ log_p)
@@ -155,7 +156,7 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
         lam = np.exp(log_beta + log_ep) * (x_next / xstar) ** ((1.0 - b) / b)
         spend = lam * x_next
         v_nominal = ctx.x_sold * np.exp(log_p)
-        goods = (v_nominal - v_nominal.mean()) - pr.c * (spend @ ctx.net.w - spend.mean())
+        goods = (v_nominal - v_nominal.sum() / n) - pr.c * (spend @ ctx.net.w - spend.sum() / n)
         wage = np.exp(log_h) - a * b * spend.sum()
         gauge = log_p.sum() - ctx.gauge_target
     return {
@@ -196,9 +197,9 @@ def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict) -> np.n
         d_spend.flat[:: n + 1] += (1.0 + pr.q) * alpha
         d_spend_h = (-a * b / (1.0 - b)) * k * spend
         diag = np.arange(n - 1)
-        jac[:-2, :-1] = -c * (w[:, :-1].T @ d_spend - d_spend.mean(axis=0)) - v / n
+        jac[:-2, :-1] = -c * (w[:, :-1].T @ d_spend - d_spend.sum(axis=0) / n) - v / n
         jac[diag, diag] += v[:-1]
-        jac[:-2, -1] = -c * (d_spend_h @ w[:, :-1] - d_spend_h.mean())
+        jac[:-2, -1] = -c * (d_spend_h @ w[:, :-1] - d_spend_h.sum() / n)
         jac[-2, :-1] = -a * b * d_spend.sum(axis=0)
         jac[-2, -1] = np.exp(u[n]) - a * b * d_spend_h.sum()
     jac[-1, :-1] = 1.0

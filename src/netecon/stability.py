@@ -19,13 +19,29 @@ is first order and always stable.  ``mode_quadratic`` (the coefficients) and
 ``mode_roots`` (the roots) state that quadratic once, vectorized over s.
 ``analyze_stability`` is the one place that picks the modal or the
 state-space path; ``critical_gamma`` reads its reports.
+
+Critical lines.  The equilibrium does not depend on gamma, and at it
+x_next = x_sold = x*, so gamma enters the kernel's derivatives only through
+g = gamma and k = (gamma - 1 + b)/b: the clearing Jacobian J_u and the
+partials R_y, X_u, X_y are affine in gamma.  On the unknowns
+(du, xi_t, pi_{t-1}) the eigenproblem of the step is the (3n+1)-square
+pencil L0 + gamma L1 - alpha E, whose rows are J_u du + R_y y = 0,
+X_u du + X_y y = alpha xi_t and du_p = alpha pi_{t-1}; L0 and L1 come from
+two kernel evaluations per q.  A root reaches alpha = -1 (a flip) exactly at
+the real generalized eigenvalues of (L0 + E, -L1), one eigenproblem per q.
+A Neimark-Sacker crossing (a complex pair at an unknown angle) has no such
+linear equation, so ``critical_gamma`` brackets the first upward sign
+change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
+(plus five halvings toward 0) and refines it by Brent's method; with none
+below the flip, the flip itself is gamma_c.  A random_exp n=32 cell takes
+15-42 state-space spectra where an exhaustive 1e-3 scan took about 1,020.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -65,6 +81,14 @@ __all__ = [
 REAL_ROOT_IMAG_TOL = 1e-6
 UNIT_EIG_TOL = 1e-9
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
+# critical_gamma: uniform grid points per search interval, halvings below the
+# first of them (down to 1/1024 of the interval, the 1e-3 floor of an
+# exhaustive scan of (0, 1]), Brent's bracket width, and the bound on
+# |max|alpha| - 1| that identifies a root at -1 as the crossing
+SEARCH_POINTS = 32
+SEARCH_HALVINGS = 5
+GAMMA_XTOL = 1e-13
+CROSSING_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +350,90 @@ class CriticalPoint:
 
     gamma_c: float
     kind: str  # "real_minus_one" | "complex_pair"
-    crossing_count: int
     root: complex
 
 
-def critical_gamma(
-    net: IONetwork,
-    params: ModelParams,
-    q: float,
-    grid_step: float = 1e-3,
-) -> CriticalPoint | None:
-    """Smallest gamma in (0, 1] where the leading root crosses the unit circle.
+def _step_matrix(lin: LinearizedSystem) -> np.ndarray:
+    """The (3n+1)-square matrix L of the step's eigenproblem at ``lin``'s gamma.
 
-    Grid scan (default step 1e-3) to bracket sign changes of max|alpha| - 1,
-    bisection refined to |max|alpha| - 1| < 1e-10.  Returns None when the
-    system is stable (or unstable) throughout; when several crossings exist
-    the smallest is refined and the count is recorded.
+    On the unknowns v = (du, xi_t, pi_{t-1}) the state-space map has the
+    eigenvalue alpha exactly when (L - alpha E) v = 0 for some v != 0, with
+    E = diag(0_{n+1}, I_{2n}): the rows are J_u du + R_y y = 0 (clearing),
+    X_u du + X_y y = alpha xi_t (log x_next) and du_p = alpha pi_{t-1}
+    (log p), where y = (xi_t, pi_{t-1}).
     """
+    n = lin.context.net.n
+    residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
+    mat = np.zeros((3 * n + 1, 3 * n + 1))
+    mat[:n + 1, :n + 1] = _clearing_jacobian(lin.context, lin.u, lin.parts)
+    mat[:n + 1, n + 1:] = residual_jac[:, :2 * n]
+    mat[n + 1:2 * n + 1] = x_next_jac[:, :3 * n + 1]
+    mat[2 * n + 1:, :n] = np.eye(n)
+    return mat
+
+
+def _gamma_pencil(net: IONetwork, params: ModelParams,
+                  equilibrium: EquilibriumState) -> tuple[np.ndarray, np.ndarray]:
+    """(L0, L1) with L(gamma) = L0 + gamma L1 for every gamma.
+
+    L is affine in gamma (see the module docstring), so its values at
+    gamma = 1/2 and 1 determine it.
+    """
+    l0, l1 = (_step_matrix(build_linearized(net, replace(params, gamma=gamma), equilibrium))
+              for gamma in (0.5, 1.0))
+    l1 -= l0
+    l1 *= 2.0
+    l0 -= 0.5 * l1
+    return l0, l1
+
+
+def _flip_gamma(net: IONetwork, params: ModelParams,
+                equilibrium: EquilibriumState) -> float | None:
+    """Smallest gamma in (0, 1) at which alpha = -1 is an eigenvalue, or None.
+
+    alpha = -1 is an eigenvalue at gamma exactly when L0 + E + gamma L1 is
+    singular.  Its last block row reads du_p = -pi_{t-1} there; folding the
+    pi_{t-1} columns into the du_p ones leaves the (2n+1)-square pencil
+    F0 + gamma F1 on (du, xi_t).  The candidates are its real finite
+    generalized eigenvalues, found as the reciprocal eigenvalues of
+    -F0^{-1} F1 (numpy has no generalized eigensolver; F0 is the step at
+    gamma = 0, where x_next = x_sold).  A flip within GAMMA_XTOL of gamma = 1
+    is not told apart from one at 1 and is left to the search, whose grid
+    ends at 1.
+    """
+    n = net.n
+    l0, l1 = _gamma_pencil(net, params, equilibrium)
+    for mat in (l0, l1):
+        mat[:, :n] -= mat[:, 2 * n + 1:]
+    f0, f1 = l0[:2 * n + 1, :2 * n + 1], l1[:2 * n + 1, :2 * n + 1]
+    xi = np.arange(n + 1, 2 * n + 1)
+    f0[xi, xi] += 1.0  # E
+    # zero eigenvalues of -F0^{-1} F1 are infinite gammas
+    inverse = np.linalg.eigvals(np.linalg.solve(f0, -f1))
+    roots = 1.0 / inverse[inverse != 0.0]
+    real = roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.abs(roots)]
+    real = real[(real > 0.0) & (real < 1.0 - GAMMA_XTOL)]
+    return float(real.min()) if real.size else None
+
+
+def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoint | None:
+    """Smallest gamma in (0, 1] where the leading root leaves the unit circle.
+
+    The first gamma_flip at which a root reaches -1 is exact, from one
+    generalized eigenproblem (``_flip_gamma``).  max|alpha| - 1 is evaluated
+    (through ``analyze_stability``, modal or state-space) lazily in
+    ascending order on a grid over (0, gamma_flip] (over (0, 1] when there
+    is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal steps per
+    interval, below the first of them SEARCH_HALVINGS halvings.  The first
+    sign change from <= 0 to > 0 is refined by Brent's method to
+    GAMMA_XTOL, except that a change ending at gamma_flip where
+    |max|alpha| - 1| <= CROSSING_TOL returns gamma_flip itself.  The kind is
+    read off the leading root at gamma_c + 1e-8.  Returns None when no
+    upward crossing is found: stable throughout, or unstable from the first
+    grid point on.
+    """
+    from scipy.optimize import brentq  # here, not at import: it takes ~0.5 s
+
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
     equilibrium = solve_equilibrium(net, base)
@@ -350,39 +441,35 @@ def critical_gamma(
     def report(gamma: float) -> StabilityReport:
         return analyze_stability(net, replace(base, gamma=gamma), equilibrium)
 
-    def f(gamma: float) -> float:
+    @cache
+    def excess(gamma: float) -> float:
         return report(gamma).max_alpha - 1.0
 
-    gammas = np.arange(grid_step, 1.0 + grid_step / 2, grid_step)
-    values = np.array([f(g) for g in gammas])
-    signs = np.sign(values)
-    crossings = [
-        i for i in range(len(gammas) - 1)
-        if signs[i] <= 0 < signs[i + 1]
-    ]
-    if not crossings:
-        return None
-
-    lo, hi = float(gammas[crossings[0]]), float(gammas[crossings[0]] + grid_step)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < 1e-10 or hi - lo < 1e-13:
-            lo = hi = mid
+    gamma_flip = _flip_gamma(net, base, equilibrium)
+    ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
+    # halvings below the first uniform step bracket early crossings; linspace
+    # ends each interval exactly at its upper end, gamma_flip included
+    halvings = ends[0] / SEARCH_POINTS * 0.5 ** np.arange(SEARCH_HALVINGS, 0, -1)
+    grid = np.concatenate([halvings] + [np.linspace(start, end, SEARCH_POINTS + 1)[1:]
+                                        for start, end in zip([0.0] + ends, ends)]).tolist()
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        if excess(lo) > 0.0:
+            continue
+        if hi == gamma_flip and abs(excess(hi)) <= CROSSING_TOL:
+            gamma_c = gamma_flip
             break
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    gamma_c = 0.5 * (lo + hi)
+        if excess(hi) > 0.0:
+            gamma_c = brentq(excess, lo, hi, xtol=GAMMA_XTOL)
+            break
+    else:
+        return None
 
     root = report(min(gamma_c + 1e-8, 1.0)).leading_root
     if abs(root.imag) < REAL_ROOT_IMAG_TOL and root.real < 0:
         kind = "real_minus_one"
     else:
         kind = "complex_pair"
-    return CriticalPoint(gamma_c=gamma_c, kind=kind,
-                         crossing_count=len(crossings), root=root)
+    return CriticalPoint(gamma_c=gamma_c, kind=kind, root=root)
 
 
 @dataclass(eq=False)
@@ -399,13 +486,12 @@ def trace_critical_line(
     net: IONetwork,
     params: ModelParams,
     q_grid,
-    grid_step: float = 1e-3,
     jobs: int = 1,
 ) -> CriticalLine:
     """critical_gamma across a q grid; cells are independent and may run
     concurrently (jobs > 1 uses a process pool)."""
     q_grid = np.asarray(list(q_grid), dtype=float)
-    cell = partial(critical_gamma, net, params, grid_step=grid_step)
+    cell = partial(critical_gamma, net, params)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -296,7 +296,7 @@ def test_criterion_12_phase_diagram_properties():
     gcs = {}
     for n in (20, 40, 80):
         net = ne.build_random_exponential_network(n, seed=n)
-        cp = ne.critical_gamma(net, params, q=-0.5, grid_step=1e-3)
+        cp = ne.critical_gamma(net, params, q=-0.5)
         gcs[n] = cp.gamma_c
     ordering_ok = gcs[20] < gcs[40] < gcs[80]
 

@@ -271,6 +271,9 @@ class TestCommands:
         # non-finite model parameters are rejected, not run
         assert main(["--set", "params.q0=nan", "--out", str(tmp_path), "stability"]) == 1
         assert "must be finite" in capsys.readouterr().err
+        # a sweep without replicas is rejected, not written as a NaN row
+        assert main(["--set", "run.replicas=0", "--out", str(tmp_path), "sweep"]) == 1
+        assert "run.replicas must be at least 1" in capsys.readouterr().err
 
     def test_missing_network_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

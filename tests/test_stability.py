@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from block_system import block_state_map
 from conftest import make_circulant, make_symmetric_stochastic
+from netecon import stability
+from netecon.config import build_network, load_config
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.stability import (
     StabilityReport,
+    _flip_gamma,
+    _gamma_pencil,
+    _step_matrix,
     analyze_stability,
     build_linearized,
     critical_gamma,
@@ -24,8 +31,10 @@ from netecon.stability import (
     trace_critical_line,
     uniform_mode_multiplier,
 )
+from scan_oracle import scan_critical_gamma
 
 PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
+PHASE_ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "phase_oracle.json"
 
 
 def _max_root_modulus(s, params):
@@ -312,9 +321,91 @@ class TestCriticalGamma:
 
     def test_non_normal_state_space_path(self):
         net = build_random_exponential_network(10, 4)
-        cp = critical_gamma(net, PARAMS, q=-1.0, grid_step=0.01)
+        cp = critical_gamma(net, PARAMS, q=-1.0)
         assert cp is not None
         assert 0.02 < cp.gamma_c < 0.2
+
+
+def _same_crossing(point, reference, tol=1e-9):
+    if reference is None:
+        return point is None
+    return (point is not None and abs(point.gamma_c - reference[0]) <= tol
+            and point.kind == reference[1])
+
+
+# (network, b, q): the plain closed-form cells, the plain n=8 q grid at two
+# returns to scale (b = 0.5 has no crossing for q <= 0), crossings below
+# gamma = 1/32 near constant returns and one below both searches' first
+# point (no crossing found), and one non-normal cell
+SCAN_CELLS = (
+    [("plain16", 0.9, q) for q in (-1.0, -0.5, 0.0, 0.5)]
+    + [("plain8", b, q) for b in (0.9, 0.5) for q in np.arange(-1.0, 1.0001, 0.25).tolist()]
+    + [("plain4", 0.99, q) for q in (-1.0, -0.5, 0.0)] + [("plain4", 0.9999, -1.0)]
+    + [("random_exp10", 0.9, -1.0)]
+)
+SCAN_NETWORKS = {
+    "plain16": lambda: build_plain_network(16),
+    "plain8": lambda: build_plain_network(8),
+    "plain4": lambda: build_plain_network(4),
+    "random_exp10": lambda: build_random_exponential_network(10, 4),
+}
+
+
+class TestCriticalSearch:
+    """The pencil-and-bracket search against the frozen exhaustive scan."""
+
+    @pytest.mark.parametrize("name,b,q", SCAN_CELLS)
+    def test_matches_exhaustive_scan(self, name, b, q):
+        net, params = SCAN_NETWORKS[name](), replace(PARAMS, b=b)
+        reference = scan_critical_gamma(net, params, q)
+        assert _same_crossing(critical_gamma(net, params, q), reference)
+
+    def test_recorded_phase_oracle_cells(self, monkeypatch):
+        # the random_exp n=32 cells recorded from the exhaustive scan, with at
+        # most 50 state-space spectra per cell
+        with open(PHASE_ORACLE) as fh:
+            cells = json.load(fh)["cells"]
+        assert len(cells) == 24
+        calls = []
+
+        def counted(lin):
+            calls.append(lin)
+            return state_space_spectrum(lin)
+
+        monkeypatch.setattr(stability, "state_space_spectrum", counted)
+        for cell in cells:
+            conf = load_config(None, ["network.kind=random_exp", "network.n=32",
+                                      f"network.seed={cell['network_seed']}"])
+            calls.clear()
+            point = critical_gamma(build_network(conf), conf.params, cell["q"])
+            assert _same_crossing(point, (cell["gamma_c"], cell["kind"])), cell
+            assert 0 < len(calls) <= 50, cell
+
+    @pytest.mark.parametrize("net", [build_plain_network(6),
+                                     build_random_exponential_network(12, 3)])
+    def test_pencil_is_affine_in_gamma(self, net):
+        params = replace(PARAMS, q=-0.5, q0=None)
+        eq = solve_equilibrium(net, params)
+        l0, l1 = _gamma_pencil(net, params, eq)
+        for gamma in (0.05, 0.37, 0.8):
+            direct = _step_matrix(build_linearized(net, replace(params, gamma=gamma), eq))
+            err = np.max(np.abs(direct - (l0 + gamma * l1))) / np.max(np.abs(direct))
+            assert err <= 1e-13
+
+    def test_flip_below_the_scan_floor(self):
+        # b -> 1, q = 1: the flip at gamma ~ 6.7e-4 lies below the exhaustive
+        # scan's first point 1e-3, where that scan found no crossing
+        net, params = build_plain_network(4), replace(PARAMS, b=0.999)
+        point = critical_gamma(net, params, q=1.0)
+        assert point.kind == "real_minus_one"
+        assert point.gamma_c == pytest.approx(
+            critical_gamma_closed_form(1.0, 0.0, params.a, params.b), abs=1e-12)
+
+    def test_flip_gamma_closed_form(self):
+        # plain network, q = 0: the s = 0 modes reach -1 at gamma = 0.2
+        net, params = build_plain_network(16), replace(PARAMS, q=0.0, q0=None)
+        gamma_flip = _flip_gamma(net, params, solve_equilibrium(net, params))
+        assert gamma_flip == pytest.approx(0.2, abs=1e-13)
 
 
 class TestClosedForms:
