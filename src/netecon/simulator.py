@@ -178,29 +178,49 @@ def _residual_vector(parts: dict) -> np.ndarray:
     return np.concatenate([parts["goods"][:-1], [parts["wage"], parts["gauge"]]])
 
 
-def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict) -> np.ndarray:
+def _jacobian_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers for ``_clearing_jacobian``: the (n+1)^2 Jacobian, the n^2
+    d spend / dlog p and the (n-1) x n goods block in log p, contiguous so
+    that the elementwise passes over it run as one flat loop.  ``np.empty``
+    touches no page until they are written."""
+    return np.empty((n + 1, n + 1)), np.empty((n, n)), np.empty((n - 1, n))
+
+
+def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict,
+                       work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Exact (n+1) x (n+1) Jacobian of ``_residual_vector`` in u = (log p, log h).
 
     ``parts`` are those ``_clearing_parts`` returned at u; the formulas are
     in its docstring.  The one O(n^3) term is W' (d spend / dlog p).
+
+    The Jacobian is assembled in place in ``work``, the buffers of
+    ``_jacobian_workspace``, and the Jacobian buffer is returned.  Every
+    entry is written anew, so a reused workspace carries nothing over from
+    an earlier call, and no n^2 array is allocated.  A caller that keeps the
+    result passes fresh buffers.
     """
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, c = pr.a, pr.b, pr.c
     spend, v = parts["spend"], parts["v_nominal"]
-    jac = np.empty((n + 1, n + 1))
+    jac, d_spend, goods = work
     with np.errstate(over="ignore", invalid="ignore"):
         k = (pr.gamma * parts["xstar"] / parts["x_next"] - 1.0 + b) / b
         alpha = spend * (1.0 + k * (b / (1.0 - b)))
         mu = spend * k * (c / (1.0 - b))
-        d_spend = -mu[:, None] * w
+        np.multiply(-mu[:, None], w, out=d_spend)
         d_spend -= (pr.q0 / n) * alpha[:, None]
         d_spend.flat[:: n + 1] += (1.0 + pr.q) * alpha
         d_spend_h = (-a * b / (1.0 - b)) * k * spend
+        col = d_spend.sum(axis=0)
+        np.matmul(w[:, :-1].T, d_spend, out=goods)
+        goods -= col / n
+        goods *= -c
+        goods -= v / n
+        jac[:-2, :-1] = goods
         diag = np.arange(n - 1)
-        jac[:-2, :-1] = -c * (w[:, :-1].T @ d_spend - d_spend.sum(axis=0) / n) - v / n
         jac[diag, diag] += v[:-1]
         jac[:-2, -1] = -c * (d_spend_h @ w[:, :-1] - d_spend_h.sum() / n)
-        jac[-2, :-1] = -a * b * d_spend.sum(axis=0)
+        jac[-2, :-1] = -a * b * col
         jac[-2, -1] = np.exp(u[n]) - a * b * d_spend_h.sum()
     jac[-1, :-1] = 1.0
     jac[-1, -1] = 0.0
@@ -219,21 +239,45 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndar
     spend, v = parts["spend"], parts["v_nominal"]
     g = pr.gamma * parts["xstar"] / parts["x_next"]
     k = (g - 1.0 + b) / b
-    eye = np.eye(n)
-    lag = q0 / n - q * eye  # I - A
-    d_xstar = np.hstack([
-        b * (eye - lag) - c * w, np.full((n, 1), -a * b), np.zeros((n, n)), b * lag, eye,
-    ]) / (1.0 - b)
-    x_next_jac = g[:, None] * d_xstar
-    x_next_jac[:, n + 1:2 * n + 1] += np.diag(1.0 - g)
-    d_spend = np.hstack([
-        np.diag(spend * (1.0 - k)),
-        (spend * (1.0 + k * (b / (1.0 - b))))[:, None] * lag,
-        np.diag(spend * k / (1.0 - b)),
-    ])
-    goods = -c * (w.T @ d_spend - d_spend.mean(axis=0))
-    goods[:, :n] += np.diag(v) - v / n
-    residual_jac = np.vstack([goods[:-1], -a * b * d_spend.sum(axis=0), np.zeros(3 * n)])
+    diag = np.arange(n)
+    # I - A is lag_off off the diagonal and lag_diag on it.  Every block is
+    # written with the floating-point operations of its dense form: a
+    # diagonal block D gives W' D = W' * d[None, :] (one nonzero per sum)
+    # with column sums d, so the arrays are those of the dense assembly.
+    lag_off, lag_diag = q0 / n, q0 / n - q
+    x_next_jac = np.zeros((n, 4 * n + 1))
+    d_p = x_next_jac[:, :n]
+    np.subtract(b * (0.0 - lag_off), c * w, out=d_p)
+    d_p[diag, diag] = b * (1.0 - lag_diag) - c * w[diag, diag]
+    d_p /= 1.0 - b
+    d_p *= g[:, None]
+    x_next_jac[:, n] = g * (-a * b / (1.0 - b))
+    x_next_jac[diag, n + 1 + diag] = 1.0 - g
+    d_lag = x_next_jac[:, 2 * n + 1:3 * n + 1]
+    d_lag[:] = (g * (b * lag_off / (1.0 - b)))[:, None]
+    d_lag[diag, diag] = g * (b * lag_diag / (1.0 - b))
+    x_next_jac[diag, 3 * n + 1 + diag] = g * (1.0 / (1.0 - b))
+
+    # d spend / dy = [diag(s_sold), diag(alpha) (I - A), diag(s_z)]
+    alpha = spend * (1.0 + k * (b / (1.0 - b)))
+    s_sold, s_z = spend * (1.0 - k), spend * k / (1.0 - b)
+    d_spend_lag = np.empty((n, n))
+    d_spend_lag[:] = (alpha * lag_off)[:, None]
+    d_spend_lag[diag, diag] = alpha * lag_diag
+    col = np.concatenate([s_sold, d_spend_lag.sum(axis=0), s_z])
+    residual_jac = np.empty((n + 1, 3 * n))
+    goods, w_t, rows = residual_jac[:-2], w[:, :-1].T, diag[:-1]
+    np.multiply(w_t, s_sold, out=goods[:, :n])
+    np.matmul(w_t, d_spend_lag, out=goods[:, n:2 * n])
+    np.multiply(w_t, s_z, out=goods[:, 2 * n:])
+    goods -= col / n
+    goods *= -c
+    # + diag(v) - v / n on the log x_sold block, the diagonal in one rounding
+    on_diag = goods[rows, rows] + (v - v / n)[:-1]
+    goods[:, :n] -= v / n
+    goods[rows, rows] = on_diag
+    residual_jac[-2] = -a * b * col
+    residual_jac[-1] = 0.0
     return residual_jac, x_next_jac
 
 
@@ -254,10 +298,12 @@ def _solve_clearing(
     ctx: ClearingContext,
     log_p0: np.ndarray,
     log_h0: float,
-    tol: float = NEWTON_TOL,
+    tol: float,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, float, dict, int, float]:
     """Damped Newton on u = (log p, log h) with the exact Jacobian per iteration.
 
+    The Jacobian is assembled in ``work`` (see ``_clearing_jacobian``).
     Returns (log_p, log_h, parts-at-solution, iterations, max residual).
     Raises ClearingError on non-convergence; never returns a non-clearing
     point.
@@ -277,7 +323,7 @@ def _solve_clearing(
         if not np.isfinite(err):
             raise ClearingError("non-finite clearing residual at the starting point",
                                 residual=err, iterations=iteration)
-        jac = _clearing_jacobian(ctx, u, parts)
+        jac = _clearing_jacobian(ctx, u, parts, work)
         if not np.all(np.isfinite(jac)):
             raise ClearingError("non-finite clearing Jacobian", residual=err,
                                 iterations=iteration)
@@ -409,8 +455,10 @@ class Trajectory:
 class Simulator:
     """Step engine bound to one (network, params, z_bar) configuration.
 
-    Solves and caches the equilibrium once; safe to instantiate one engine per
-    concurrent worker (no shared mutable state, RNG is owned by the caller).
+    Solves and caches the equilibrium once.  Each engine owns the workspace
+    its clearing Newton solve assembles the Jacobian in, and the RNG is owned
+    by the caller: one engine per concurrent worker is safe, one engine
+    stepped from two threads at once is not.
     """
 
     def __init__(self, net: IONetwork, params: ModelParams,
@@ -421,6 +469,7 @@ class Simulator:
         self.z_bar = self.equilibrium.z_bar
         self.gauge_target = float(np.sum(np.log(self.equilibrium.p_eq)))
         self.tol = tol
+        self._work = _jacobian_workspace(net.n)
 
     def equilibrium_state(self) -> EconomyState:
         """The stationary state corresponding to the solved equilibrium."""
@@ -459,7 +508,7 @@ class Simulator:
         ctx = self.context_for(state, shock)
         try:
             log_p, log_h, parts, iters, err = _solve_clearing(
-                ctx, np.log(state.p), np.log(state.h), self.tol
+                ctx, np.log(state.p), np.log(state.h), self.tol, self._work
             )
         except ClearingError:
             # deep in the chaotic phase the warm start can sit in a bad basin;
@@ -470,6 +519,7 @@ class Simulator:
                     np.full(self.net.n, self.gauge_target / self.net.n),
                     np.log(self.equilibrium.h_eq),
                     self.tol,
+                    self._work,
                 )
             except ClearingError as exc:
                 exc.t = state.t + 1
@@ -557,14 +607,13 @@ class Simulator:
             xi = np.log(state.x) - log_x_eq
             xi_all[k] = xi
             cols["output_real"][k] = float(np.sum(eq.V_eq * np.exp(xi)))
-            cols["mean_xi"][k] = float(xi.mean())
+            cols["mean_xi"][k] = float(xi.sum()) / n
             cols["wealth"][k] = state.M
             cols["consumption_real"][k] = state.M * inv_n * float(np.sum(1.0 / state.p))
-            cols["log_utility"][k] = n * np.log(state.M * inv_n) - float(
-                np.sum(np.log(state.p))
-            )
+            log_p_sum = float(np.sum(np.log(state.p)))
+            cols["log_utility"][k] = n * np.log(state.M * inv_n) - log_p_sum
             cols["wage"][k] = state.h
-            cols["price_level"][k] = float(np.exp(np.mean(np.log(state.p))))
+            cols["price_level"][k] = float(np.exp(log_p_sum / n))
             iters[k] = state.newton_iters
             cols["max_residual"][k] = state.max_residual
             # mean_xi is non-finite whenever some sector's xi is

@@ -53,6 +53,7 @@ from .simulator import (
     _clearing_jacobian,
     _clearing_known_jacobian,
     _clearing_parts,
+    _jacobian_workspace,
     _residual_vector,
 )
 
@@ -143,7 +144,8 @@ def _state_space_solution(lin: LinearizedSystem) -> tuple[np.ndarray, np.ndarray
     n = lin.context.net.n
     residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
     try:
-        du = np.linalg.solve(_clearing_jacobian(lin.context, lin.u, lin.parts), -residual_jac)
+        du = np.linalg.solve(_clearing_jacobian(lin.context, lin.u, lin.parts,
+                                                 _jacobian_workspace(n)), -residual_jac)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("singular clearing Jacobian at the equilibrium") from exc
     full = np.vstack([x_next_jac[:, n + 1:] + x_next_jac[:, :n + 1] @ du, du[:n]])
@@ -365,7 +367,7 @@ def _step_matrix(lin: LinearizedSystem) -> np.ndarray:
     n = lin.context.net.n
     residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
     mat = np.zeros((3 * n + 1, 3 * n + 1))
-    mat[:n + 1, :n + 1] = _clearing_jacobian(lin.context, lin.u, lin.parts)
+    mat[:n + 1, :n + 1] = _clearing_jacobian(lin.context, lin.u, lin.parts, _jacobian_workspace(n))
     mat[:n + 1, n + 1:] = residual_jac[:, :2 * n]
     mat[n + 1:2 * n + 1] = x_next_jac[:, :3 * n + 1]
     mat[2 * n + 1:, :n] = np.eye(n)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_known_jacobian import dense_known_jacobian
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import build_plain_network, build_random_exponential_network
 from netecon.simulator import (
@@ -16,6 +18,7 @@ from netecon.simulator import (
     _clearing_jacobian,
     _clearing_known_jacobian,
     _clearing_parts,
+    _jacobian_workspace,
     _residual_vector,
     clearing_residual,
 )
@@ -302,27 +305,35 @@ def _central_difference_known_jacobian(ctx, u, h=1e-6):
     return residual_jac, x_next_jac
 
 
+def _kicked_point(net, params, seed, spread=0.2):
+    """A clearing context and a trial point u, both log-uniformly kicked by
+    up to ``spread`` off the equilibrium."""
+    eq = solve_equilibrium(net, params)
+    rng = np.random.default_rng(seed)
+    n = net.n
+
+    def kick():
+        return np.exp(rng.uniform(-spread, spread, n))
+
+    ctx = ClearingContext(
+        net=net, params=params, x_sold=eq.x_eq * kick(), p_lag=eq.p_eq * kick(),
+        z=eq.z_bar * kick(), gauge_target=float(np.sum(np.log(eq.p_eq))),
+    )
+    u = np.concatenate([np.log(eq.p_eq * kick()),
+                        [np.log(eq.h_eq) + rng.uniform(-spread, spread)]])
+    return ctx, u
+
+
 class TestClearingJacobian:
     """The exact Jacobian, and the partials in the knowns, agree with central
     differences of the kernel."""
 
     @staticmethod
-    def _check(net, params, seed, spread=0.2):
-        eq = solve_equilibrium(net, params)
-        rng = np.random.default_rng(seed)
+    def _check(net, params, seed):
+        ctx, u = _kicked_point(net, params, seed)
         n = net.n
-
-        def kick():
-            return np.exp(rng.uniform(-spread, spread, n))
-
-        ctx = ClearingContext(
-            net=net, params=params, x_sold=eq.x_eq * kick(), p_lag=eq.p_eq * kick(),
-            z=eq.z_bar * kick(), gauge_target=float(np.sum(np.log(eq.p_eq))),
-        )
-        u = np.concatenate([np.log(eq.p_eq * kick()),
-                            [np.log(eq.h_eq) + rng.uniform(-spread, spread)]])
         parts = _clearing_parts(ctx, u[:n], u[n])
-        exact = _clearing_jacobian(ctx, u, parts)
+        exact = _clearing_jacobian(ctx, u, parts, _jacobian_workspace(n))
         reference = _central_difference_jacobian(ctx, u)
         assert np.all(np.isfinite(exact))
         assert np.max(np.abs(exact - reference)) < 1e-6 * np.max(np.abs(exact))
@@ -354,6 +365,36 @@ class TestClearingJacobian:
         params = ModelParams(a=0.5, b=0.9, q=-0.7, q0=0.2, gamma=1.0, beta0=0.95)
         parts = self._check(build_random_exponential_network(8, 5), params, seed=4)
         assert np.allclose(parts["x_next"], parts["xstar"], rtol=1e-14)
+
+    @pytest.mark.parametrize("net", [
+        build_plain_network(7), build_random_exponential_network(7, 2),
+        build_random_exponential_network(64, 3),
+    ], ids=["plain7", "random_exp7", "random_exp64"])
+    @pytest.mark.parametrize("q, q0, gamma", [(-1.0, -1.0, 0.13), (-0.5, 0.0, 0.3),
+                                              (0.6, 0.2, 1.0)])
+    def test_known_jacobian_matches_dense_assembly(self, net, q, q0, gamma):
+        # the blocks written in place are the frozen dense assembly, bit for bit
+        params = ModelParams(a=0.5, b=0.9, q=q, q0=q0, gamma=gamma)
+        ctx, u = _kicked_point(net, params, seed=net.n)
+        parts = _clearing_parts(ctx, u[:net.n], u[net.n])
+        for known, dense in zip(_clearing_known_jacobian(ctx, parts),
+                                dense_known_jacobian(ctx, parts)):
+            np.testing.assert_array_equal(known, dense)
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_reused_workspace_keeps_nothing_from_an_earlier_point(self, n):
+        # a workspace filled at one trial point gives, at another, the bits of
+        # a NaN-filled one: every entry is written anew
+        net = build_random_exponential_network(n, 1)
+        params = ModelParams(a=0.5, b=0.9, q=-0.5, q0=0.1, gamma=0.2)
+        (ctx1, u1), (ctx2, u2) = (_kicked_point(net, params, seed) for seed in (1, 2))
+        work = _jacobian_workspace(n)
+        _clearing_jacobian(ctx1, u1, _clearing_parts(ctx1, u1[:n], u1[n]), work)
+        reused = _clearing_jacobian(ctx2, u2, _clearing_parts(ctx2, u2[:n], u2[n]), work)
+        fresh = _clearing_jacobian(ctx2, u2, _clearing_parts(ctx2, u2[:n], u2[n]),
+                                   tuple(np.full_like(buf, np.nan) for buf in work))
+        assert np.all(np.isfinite(fresh))
+        np.testing.assert_array_equal(reused, fresh)
 
 
 class TestStep:
@@ -420,6 +461,23 @@ class TestStep:
                 assert state.max_residual < 1e-10
                 assert abs(state.ell.sum() - 1.0) < 1e-10
                 assert state.h > 0 and np.all(state.p > 0) and np.all(state.x > 0)
+
+    def test_step_allocates_no_n_squared_array(self):
+        # the Newton iteration assembles its Jacobian in the engine's
+        # workspace: a step's allocations stay below one n x n float64 array
+        n = 256
+        sim = Simulator(build_random_exponential_network(n, 1),
+                        ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13))
+        rng = np.random.default_rng(0)
+        state = sim.step(sim.equilibrium_state(), 1e-3 * rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            state = sim.step(state, 1e-3 * rng.standard_normal(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.newton_iters >= 1
+        assert peak < n * n * 8
 
     def test_breakdown_fails_loudly_with_time_index(self):
         # shocks far beyond the model's regime eventually push household
