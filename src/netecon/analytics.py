@@ -4,8 +4,8 @@ Level and first-difference volatility, average absolute pairwise
 correlations, dominant-period detection via the periodogram, the amplitude
 envelope, the linearized volatility prediction and a reproducible
 parameter-sweep runner.  The observables themselves (the flat-log aggregate
-``mean_xi``, real output at equilibrium prices ``output_real``, consumption
-and log-utility) are recorded by ``Simulator.simulate`` on the
+``mean_xi``, real output at equilibrium prices ``output_real`` and real
+consumption) are recorded by ``Simulator.simulate`` on the
 ``Trajectory``.
 """
 
@@ -27,10 +27,8 @@ __all__ = [
     "SweepResult",
     "amplitude_envelope",
     "avg_abs_correlation",
-    "default_burn_in",
     "dominant_period",
     "linearized_volatility",
-    "periodogram_to_csv",
     "run_sweep",
     "volatility",
     "volatility_diff",
@@ -127,28 +125,6 @@ def amplitude_envelope(series: np.ndarray, window: int = 6) -> np.ndarray:
     return np.sqrt(np.maximum(mean2 - mean**2, 0.0))
 
 
-def default_burn_in(max_growth: float, steps: int) -> int:
-    """Burn-in heuristic: longer equilibration near criticality.
-
-    max(1000, 20/(1-max|alpha|)) in the stable phase, 1000 when unstable;
-    capped at half the run.
-    """
-    if max_growth < 1.0:
-        burn = max(1000, int(np.ceil(20.0 / (1.0 - max_growth))))
-    else:
-        burn = 1000
-    return min(burn, steps // 2)
-
-
-def periodogram_to_csv(series: np.ndarray, burn_in: int, path,
-                       config_hash: str = "") -> None:
-    """Write the mean-removed Hann-tapered periodogram as frequency, power rows."""
-    series = np.asarray(series, dtype=float)
-    x = series[burn_in:]
-    freqs, power = periodogram(x - x.mean(), window="hann", detrend=False)
-    write_csv(path, ["frequency", "power"], zip(freqs, power), config_hash)
-
-
 def linearized_volatility(net, params, sigma: float) -> float:
     """Stationary flat-log aggregate volatility predicted by the linearized map.
 
@@ -206,10 +182,24 @@ def _cell_seed(base_seed: int, value_index: int) -> int:
                .generate_state(1)[0])
 
 
+# the statistics of one sweep cell, by name: any one of them can be the
+# sweep's statistic column, and the others become its extra columns.  Each
+# calls its function through the module, where a profiler may wrap it.
+_CELL_STATISTICS = {
+    "volatility": lambda traj, burn: volatility(traj.mean_xi, burn),
+    "volatility_diff": lambda traj, burn: volatility_diff(traj.mean_xi, burn),
+    "correlation": lambda traj, burn: avg_abs_correlation(traj, burn),
+    "mean_output": lambda traj, burn: float(np.mean(traj.output_real[burn:])),
+    "mean_consumption": lambda traj, burn: float(np.mean(traj.consumption_real[burn:])),
+    "output_eq": lambda traj, burn: traj.output_eq,
+    "consumption_eq": lambda traj, burn: traj.consumption_eq,
+}
+
+
 def _run_cell(args) -> dict | None:
-    """One (axis value, replica) simulation; returns the statistic bundle, or
-    None when the model or the numerics break down.  Any other error
-    (configuration, programming) propagates."""
+    """One (axis value, replica) simulation; returns the statistics of
+    ``_CELL_STATISTICS``, or None when the model or the numerics break down.
+    Any other error (configuration, programming) propagates."""
     base, axis, value, seed = args
     conf = cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
     try:
@@ -223,16 +213,7 @@ def _run_cell(args) -> dict | None:
         )
     except (ClearingError, ArithmeticError, np.linalg.LinAlgError):
         return None
-    burn = traj.burn_in
-    return {
-        "volatility": volatility(traj.mean_xi, burn),
-        "volatility_diff": volatility_diff(traj.mean_xi, burn),
-        "correlation": avg_abs_correlation(traj, burn),
-        "mean_output": float(np.mean(traj.output_real[burn:])),
-        "mean_consumption": float(np.mean(traj.consumption_real[burn:])),
-        "output_eq": traj.output_eq,
-        "consumption_eq": traj.consumption_eq,
-    }
+    return {name: stat(traj, traj.burn_in) for name, stat in _CELL_STATISTICS.items()}
 
 
 def run_sweep(base_config, axis: str, values, replicas: int, seeds,
@@ -243,12 +224,15 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
     seed with the value index, so the whole sweep is reproducible from
     (config, seeds).  Cells whose simulation breaks down (clearing failure,
     arithmetic or linear-algebra error) are counted in ``failed``; any other
-    error propagates.
+    error propagates.  ``statistic`` names one of ``_CELL_STATISTICS``.
     """
     values = list(values)
     seeds = list(seeds)
     if len(seeds) != replicas:
         raise ValueError("need exactly one base seed per replica")
+    if statistic not in _CELL_STATISTICS:
+        raise ValueError(f"unknown sweep statistic {statistic!r} "
+                         f"({', '.join(_CELL_STATISTICS)})")
     tasks = []
     for i, value in enumerate(values):
         for base_seed in seeds:

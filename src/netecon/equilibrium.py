@@ -8,7 +8,7 @@ with the scale gauge 1'V = n (so the plain matrix gives V = 1).  The wage is
 h = a b beta0 1'V and log-prices solve a single linear system obtained by
 substituting x = V / p into the equilibrium production relation,
 
-    (I - b(1-a) W) log p = (1-b) log V - log z_bar - b log beta0 + a b log h.
+    (I - b(1-a) W) log p = (1-b) log V - b log beta0 + a b log h.
 
 Prices are therefore exact up to the linear solve, no fixed-point iteration
 and no positivity issues.
@@ -84,29 +84,20 @@ class EquilibriumState:
     h_eq: float
     V_eq: np.ndarray
     S_eq: np.ndarray
-    z_bar: np.ndarray
 
 
-def solve_equilibrium(
-    net: IONetwork, params: ModelParams, z_bar: np.ndarray | None = None,
-) -> EquilibriumState:
+def solve_equilibrium(net: IONetwork, params: ModelParams) -> EquilibriumState:
     """Solve the static equilibrium for decreasing returns to scale (b < 1).
 
-    z_bar defaults to the all-ones vector of baseline productivities.  The
-    nominal scale is a pure gauge, fixed at 1'V = n (so the plain-matrix V
-    is identically one).  Raises for b >= 1 (the production optimum only
-    exists under decreasing returns) and for an equilibrium that fails its
-    own residual bound.
+    Baseline productivities are one (a monetary unit).  The nominal scale
+    is a pure gauge, fixed at 1'V = n (so the plain-matrix V is identically
+    one).  Raises for b >= 1 (the production optimum only exists under
+    decreasing returns) and for an equilibrium that fails its own residual
+    bound.
     """
     if params.b >= 1.0:
         raise ValueError("equilibrium solve requires b < 1")
     n = net.n
-    if z_bar is None:
-        z_bar = np.ones(n)
-    z_bar = np.asarray(z_bar, dtype=float)
-    if z_bar.shape != (n,) or np.any(z_bar <= 0):
-        raise ValueError("z_bar must be a positive n-vector")
-
     a, b, beta0 = params.a, params.b, params.beta0
     c = params.c
     what = net.w.T - 1.0 / n
@@ -118,7 +109,7 @@ def solve_equilibrium(
         raise ArithmeticError("equilibrium nominal outputs are not all positive")
 
     h = a * b * beta0 * V.sum()
-    rhs = (1.0 - b) * np.log(V) - np.log(z_bar) - b * np.log(beta0) + a * b * np.log(h)
+    rhs = (1.0 - b) * np.log(V) - b * np.log(beta0) + a * b * np.log(h)
     try:
         log_p = np.linalg.solve(np.eye(n) - c * net.w, rhs)
     except np.linalg.LinAlgError as exc:
@@ -126,7 +117,7 @@ def solve_equilibrium(
     p = np.exp(log_p)
     x = V / p
     V = x * p  # V[i] = x[i] p[i] holds bitwise
-    eq = EquilibriumState(p_eq=p, x_eq=x, h_eq=float(h), V_eq=V, S_eq=V / V.sum(), z_bar=z_bar)
+    eq = EquilibriumState(p_eq=p, x_eq=x, h_eq=float(h), V_eq=V, S_eq=V / V.sum())
 
     res = equilibrium_residual(eq, net, params)
     if res > 1e-10:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 from scipy.signal import lfilter
 
 from .equilibrium import influence_vector_lp
@@ -30,10 +31,6 @@ __all__ = [
     "sigma_slow",
     "transversality_blowup",
 ]
-
-#: convergence bound (max-norm step) and iteration cap of the Lyapunov fixed point
-LYAPUNOV_TOL = 1e-14
-LYAPUNOV_MAX_ITER = 100_000
 
 
 def long_plosser_simulate(
@@ -78,27 +75,16 @@ def sigma_slow(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
 def sigma_fast(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
     """Aggregate volatility for white-noise shocks.
 
-    Computes the stationary covariance of the benchmark recursion as the
-    fixed point of C <- c^2 W C W' + diag(sigma^2) (a Lyapunov equation,
-    iterated instead of solved as the dense n^2 x n^2 system; the iteration
-    is a contraction for c < 1) and returns sqrt(n^-2 1'C 1).
+    Solves the discrete Lyapunov equation C = c^2 W C W' + diag(sigma^2)
+    for the stationary covariance of the benchmark recursion (c < 1 makes it
+    stable) and returns sqrt(n^-2 1'C 1).
     """
     c = b * (1.0 - a)
     if not c < 1.0:
         raise ValueError("fast-shock volatility requires b(1-a) < 1")
     sigmas = np.asarray(sigmas, dtype=float)
     n = net.n
-    q = np.diag(sigmas**2)
-    w = net.w
-    cov = q.copy()
-    for _ in range(LYAPUNOV_MAX_ITER):
-        new = c**2 * (w @ cov @ w.T) + q
-        delta = float(np.max(np.abs(new - cov)))
-        cov = new
-        if delta < LYAPUNOV_TOL:
-            break
-    else:  # unreachable under the precondition, guarded anyway
-        raise ArithmeticError("Lyapunov iteration did not converge")
+    cov = solve_discrete_lyapunov(c * net.w, np.diag(sigmas**2))
     return float(np.sqrt(cov.sum() / n**2))
 
 

@@ -24,7 +24,6 @@ is irrelevant for all real quantities.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -368,10 +367,10 @@ def _solve_clearing(
 class EconomyState:
     """Cleared state of the economy at time t.
 
-    x is the quantity sold at t (decided at t-1), p the prices cleared at t,
-    p_prev the prices at t-1 (feeding the forecast), z the productivities,
-    lam the Lagrange multipliers, x_next the production decided at t for t+1,
-    h the wage, M household wealth and beta the discount factor.  The factor
+    x is the quantity sold at t (decided at t-1), p the prices cleared at t
+    (feeding the next step's forecast), z the productivities, lam the
+    Lagrange multipliers, x_next the production decided at t for t+1, h the
+    wage, M household wealth and beta the discount factor.  The factor
     demands ``ell`` (labor) and ``psi`` (the dense n x n intermediate inputs)
     are derived from these fields and the network on each access; no step
     computes them.
@@ -380,7 +379,6 @@ class EconomyState:
     t: int
     x: np.ndarray
     p: np.ndarray
-    p_prev: np.ndarray
     z: np.ndarray
     lam: np.ndarray
     x_next: np.ndarray
@@ -435,9 +433,7 @@ class Trajectory:
     xi: np.ndarray
     output_real: np.ndarray
     mean_xi: np.ndarray
-    wealth: np.ndarray
     consumption_real: np.ndarray
-    log_utility: np.ndarray
     wage: np.ndarray
     price_level: np.ndarray
     newton_iters: np.ndarray
@@ -453,7 +449,7 @@ class Trajectory:
 
 
 class Simulator:
-    """Step engine bound to one (network, params, z_bar) configuration.
+    """Step engine bound to one (network, params) configuration.
 
     Solves and caches the equilibrium once.  Each engine owns the workspace
     its clearing Newton solve assembles the Jacobian in, and the RNG is owned
@@ -461,12 +457,10 @@ class Simulator:
     stepped from two threads at once is not.
     """
 
-    def __init__(self, net: IONetwork, params: ModelParams,
-                 z_bar: np.ndarray | None = None, tol: float = NEWTON_TOL):
+    def __init__(self, net: IONetwork, params: ModelParams, tol: float = NEWTON_TOL):
         self.net = net
         self.params = params
-        self.equilibrium = solve_equilibrium(net, params, z_bar)
-        self.z_bar = self.equilibrium.z_bar
+        self.equilibrium = solve_equilibrium(net, params)
         self.gauge_target = float(np.sum(np.log(self.equilibrium.p_eq)))
         self.tol = tol
         self._work = _jacobian_workspace(net.n)
@@ -480,8 +474,7 @@ class Simulator:
             t=0,
             x=eq.x_eq.copy(),
             p=eq.p_eq.copy(),
-            p_prev=eq.p_eq.copy(),
-            z=self.z_bar.copy(),
+            z=np.ones(self.net.n),
             lam=lam,
             x_next=eq.x_eq.copy(),
             h=eq.h_eq,
@@ -493,13 +486,12 @@ class Simulator:
 
     def context_for(self, state: EconomyState, shock: np.ndarray) -> ClearingContext:
         """Clearing context for the step following ``state``."""
-        z_new = self.z_bar * np.exp(np.asarray(shock, dtype=float))
         return ClearingContext(
             net=self.net,
             params=self.params,
             x_sold=state.x_next,
             p_lag=state.p,
-            z=z_new,
+            z=np.exp(np.asarray(shock, dtype=float)),
             gauge_target=self.gauge_target,
         )
 
@@ -533,7 +525,6 @@ class Simulator:
             t=state.t + 1,
             x=ctx.x_sold,
             p=np.exp(log_p),
-            p_prev=state.p.copy(),
             z=ctx.z,
             lam=parts["lam"],
             x_next=parts["x_next"],
@@ -552,14 +543,15 @@ class Simulator:
         steps: int,
         burn_in: int = 0,
         initial_kick: float = 1e-6,
-        config_hash: str | None = None,
+        config_hash: str = "",
     ) -> Trajectory:
         """Run ``steps`` periods from the kicked equilibrium; record all steps.
 
         The initial condition is the equilibrium with a uniform random
         log-perturbation of scale ``initial_kick`` on the predetermined
         production, so the unstable phase is excited even at sigma = 0.
-        Fully deterministic for a fixed seed.
+        Fully deterministic for a fixed seed.  ``config_hash`` is the stamp
+        ``trajectory_to_csv`` writes; empty, the CSV is unstamped.
         """
         if not steps > burn_in >= 0:
             raise ValueError("need steps > burn_in >= 0")
@@ -581,8 +573,8 @@ class Simulator:
         cols = {
             name: np.empty(steps)
             for name in (
-                "output_real", "mean_xi", "wealth", "consumption_real",
-                "log_utility", "wage", "price_level", "max_residual",
+                "output_real", "mean_xi", "consumption_real", "wage",
+                "price_level", "max_residual",
             )
         }
         iters = np.empty(steps, dtype=int)
@@ -596,8 +588,8 @@ class Simulator:
                     f"simulation failed at step {exc.t}: {exc}",
                     t=exc.t, residual=exc.residual, iterations=exc.iterations,
                 ) from exc
-            # the economy has broken down once wealth is gone (its log enters
-            # the utility) or an observable overflows: stop at that step
+            # the economy has broken down once wealth is gone or an
+            # observable overflows: stop at that step
             if not state.M > 0:
                 raise ClearingError(
                     f"simulation failed at step {state.t}: household wealth "
@@ -608,12 +600,9 @@ class Simulator:
             xi_all[k] = xi
             cols["output_real"][k] = float(np.sum(eq.V_eq * np.exp(xi)))
             cols["mean_xi"][k] = float(xi.sum()) / n
-            cols["wealth"][k] = state.M
             cols["consumption_real"][k] = state.M * inv_n * float(np.sum(1.0 / state.p))
-            log_p_sum = float(np.sum(np.log(state.p)))
-            cols["log_utility"][k] = n * np.log(state.M * inv_n) - log_p_sum
             cols["wage"][k] = state.h
-            cols["price_level"][k] = float(np.exp(log_p_sum / n))
+            cols["price_level"][k] = float(np.exp(float(np.sum(np.log(state.p))) / n))
             iters[k] = state.newton_iters
             cols["max_residual"][k] = state.max_residual
             # mean_xi is non-finite whenever some sector's xi is
@@ -628,28 +617,17 @@ class Simulator:
             xi=xi_all,
             output_real=cols["output_real"],
             mean_xi=cols["mean_xi"],
-            wealth=cols["wealth"],
             consumption_real=cols["consumption_real"],
-            log_utility=cols["log_utility"],
             wage=cols["wage"],
             price_level=cols["price_level"],
             newton_iters=iters,
             max_residual=cols["max_residual"],
             burn_in=burn_in,
-            config_hash=config_hash or self._default_hash(noise, steps, burn_in, initial_kick),
+            config_hash=config_hash,
             equilibrium=eq,
             output_eq=output_eq,
             consumption_eq=consumption_eq,
         )
-
-    def _default_hash(self, noise: NoiseProcess, steps: int, burn_in: int,
-                      initial_kick: float) -> str:
-        pr = self.params
-        blob = repr((
-            self.net.n, pr.a, pr.b, pr.q, pr.q0, pr.gamma, pr.beta0,
-            noise.sigma, noise.seed, steps, burn_in, initial_kick,
-        )).encode() + self.net.w.tobytes() + self.z_bar.tobytes()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def trajectory_to_csv(traj: Trajectory, path, per_sector: bool = False) -> None:

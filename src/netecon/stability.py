@@ -40,7 +40,7 @@ below the flip, the flip itself is gamma_c.  A random_exp n=32 cell takes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 
 import numpy as np
@@ -125,7 +125,7 @@ def build_linearized(
     log_p = np.log(equilibrium.p_eq)
     ctx = ClearingContext(
         net=net, params=params, x_sold=equilibrium.x_eq, p_lag=equilibrium.p_eq,
-        z=equilibrium.z_bar, gauge_target=float(np.sum(log_p)),
+        z=np.ones(net.n), gauge_target=float(np.sum(log_p)),
     )
     u = np.concatenate([log_p, [np.log(equilibrium.h_eq)]])
     parts = _clearing_parts(ctx, log_p, u[-1])
@@ -259,7 +259,6 @@ class StabilityReport:
     stable: bool
     method: str
     special_unit_modes: int = 0
-    gamma: float = field(default=np.nan)
 
     @property
     def max_alpha(self) -> float:
@@ -310,7 +309,6 @@ def max_growth_rate_modal(net: IONetwork, params: ModelParams) -> StabilityRepor
         stable=bool(max_growth < 1.0 and multiplier < 1.0),
         method="mode_quadratic",
         special_unit_modes=int((_modulus(s_modes) >= 1.0 - 1e-12).sum()),
-        gamma=params.gamma,
     )
 
 
@@ -338,7 +336,6 @@ def analyze_stability(net: IONetwork, params: ModelParams,
         uniform_multiplier=multiplier,
         stable=bool(max_growth < 1.0),
         method="state_space",
-        gamma=params.gamma,
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 from netecon.analytics import (
     amplitude_envelope,
     avg_abs_correlation,
-    default_burn_in,
     dominant_period,
     linearized_volatility,
     run_sweep,
@@ -118,9 +117,8 @@ class TestCorrelation:
 class TestConsumption:
     def test_equilibrium_constant(self):
         traj = _small_traj(sigma=0.0, seed=5, kick=0.0)
-        cons, util = traj.consumption_real, traj.log_utility
+        cons = traj.consumption_real
         assert np.ptp(cons) / cons.mean() < 1e-8
-        assert np.ptp(util) < 1e-7
 
     def test_matches_definition(self):
         # recorded consumption equals sum_i M / (n p_i) rebuilt from states
@@ -163,18 +161,6 @@ class TestDominantPeriod:
         est = dominant_period(series, 0)
         assert est.period == pytest.approx(50.0, abs=1.0)
 
-    def test_periodogram_export(self, tmp_path):
-        from netecon.analytics import periodogram_to_csv
-
-        t = np.arange(4096)
-        path = tmp_path / "pgram.csv"
-        periodogram_to_csv(np.sin(2 * np.pi * t / 32.0), 0, path, config_hash="abc")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config_hash=abc"
-        assert lines[1] == "frequency,power"
-        freqs, power = zip(*(map(float, l.split(",")) for l in lines[2:]))
-        assert freqs[int(np.argmax(power))] == pytest.approx(1 / 32.0, abs=1e-4)
-
 
 class TestEnvelope:
     def test_modulated_carrier(self):
@@ -189,14 +175,6 @@ class TestEnvelope:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             amplitude_envelope(np.ones(10), window=1)
-
-
-class TestBurnIn:
-    def test_near_critical_longer(self):
-        assert default_burn_in(0.999, 100_000) == 20_000
-        assert default_burn_in(0.5, 100_000) == 1000
-        assert default_burn_in(1.2, 100_000) == 1000
-        assert default_burn_in(0.9999, 4000) == 2000  # capped at half the run
 
 
 class TestRunSweep:

@@ -100,6 +100,13 @@ run.steps = 100
         table = readme.split("### Configuration reference", 1)[1].split("\n## ", 1)[0]
         assert sorted(re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)) == sorted(KEYS)
 
+    def test_readme_lists_every_sweep_statistic(self):
+        from netecon.analytics import _CELL_STATISTICS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = re.search(r"^\| `sweep.statistic` \|.*$", readme, flags=re.M).group(0)
+        assert re.findall(r"`(\w+)`", row.split("|")[3]) == list(_CELL_STATISTICS)
+
 
 # (--set overrides, command, overrides the flags in the command stand for):
 # every subcommand, both stability paths and all four reduced models
@@ -274,6 +281,18 @@ class TestCommands:
         # a sweep without replicas is rejected, not written as a NaN row
         assert main(["--set", "run.replicas=0", "--out", str(tmp_path), "sweep"]) == 1
         assert "run.replicas must be at least 1" in capsys.readouterr().err
+
+    def test_unknown_sweep_statistic_is_rejected_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr("netecon.analytics.Simulator", no_simulation)
+        assert main(["--set", "network.n=4", "--set", "sweep.statistic=foo",
+                     "--out", str(tmp_path), "sweep"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'foo'" in err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_network_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

@@ -70,22 +70,6 @@ class TestSolveEquilibrium:
         with pytest.raises(ValueError, match="b < 1"):
             solve_equilibrium(build_plain_network(3), ModelParams(b=1.0))
 
-    def test_bad_z_bar_rejected(self):
-        net = build_plain_network(3)
-        with pytest.raises(ValueError):
-            solve_equilibrium(net, PARAMS, z_bar=np.array([1.0, -1.0, 1.0]))
-
-    def test_monetary_unit_symmetry_of_z_scale(self):
-        # productivity rescaling moves prices, not quantities or shares
-        net = build_random_exponential_network(10, 4)
-        eq1 = solve_equilibrium(net, PARAMS)
-        eq2 = solve_equilibrium(net, PARAMS, z_bar=2.0 * np.ones(10))
-        assert np.allclose(eq2.V_eq, eq1.V_eq, atol=1e-12)
-        assert np.allclose(eq2.S_eq, eq1.S_eq, atol=1e-12)
-        ratio = eq2.p_eq / eq1.p_eq
-        assert np.ptp(ratio) < 1e-12  # uniform price rescaling
-        assert np.allclose(eq2.x_eq * ratio[0], eq1.x_eq, atol=1e-12)
-
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 24))
 @settings(max_examples=20, deadline=None)

@@ -83,6 +83,13 @@ class TestSigmaSlowFast:
         val = sigma_fast(build_plain_network(n), A, B, np.ones(n))
         assert val == pytest.approx(1.0 / np.sqrt(n * (1.0 - C**2)), rel=1e-12)
 
+    def test_plain_fast_exact_at_small_sigma(self):
+        # C ~ 1e-6 here: a fixed-point iteration stopped on an absolute step
+        # of 1e-14 misses the closed form by 3e-7 relative
+        n, sig = 400, 1e-3
+        val = sigma_fast(build_plain_network(n), A, B, np.full(n, sig))
+        assert val == pytest.approx(sig / np.sqrt(n * (1.0 - C**2)), rel=1e-12)
+
     def test_zero_sigma(self):
         assert sigma_slow(build_plain_network(3), A, B, np.zeros(3)) == 0.0
         assert sigma_fast(build_plain_network(3), A, B, np.zeros(3)) == 0.0

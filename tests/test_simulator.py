@@ -80,7 +80,7 @@ class TestOptimalProduction:
     def test_reproduces_equilibrium(self):
         net = build_random_exponential_network(15, 2)
         eq = solve_equilibrium(net, PARAMS)
-        x_star = _parts(eq.p_eq, eq.p_eq, h=eq.h_eq, z=eq.z_bar, net=net)["xstar"]
+        x_star = _parts(eq.p_eq, eq.p_eq, h=eq.h_eq, net=net)["xstar"]
         assert np.max(np.abs(x_star - eq.x_eq)) < 1e-10
 
     def test_monetary_unit_symmetry(self):
@@ -207,7 +207,7 @@ class TestHouseholdWealth:
 
 def _equilibrium_context(net, params, eq):
     return ClearingContext(
-        net=net, params=params, x_sold=eq.x_eq, p_lag=eq.p_eq, z=eq.z_bar,
+        net=net, params=params, x_sold=eq.x_eq, p_lag=eq.p_eq, z=np.ones(net.n),
         gauge_target=float(np.sum(np.log(eq.p_eq))),
     )
 
@@ -317,7 +317,7 @@ def _kicked_point(net, params, seed, spread=0.2):
 
     ctx = ClearingContext(
         net=net, params=params, x_sold=eq.x_eq * kick(), p_lag=eq.p_eq * kick(),
-        z=eq.z_bar * kick(), gauge_target=float(np.sum(np.log(eq.p_eq))),
+        z=kick(), gauge_target=float(np.sum(np.log(eq.p_eq))),
     )
     u = np.concatenate([np.log(eq.p_eq * kick()),
                         [np.log(eq.h_eq) + rng.uniform(-spread, spread)]])
