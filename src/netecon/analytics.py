@@ -19,7 +19,7 @@ from scipy.signal import periodogram
 
 from . import config as cfg
 from .csvio import write_csv
-from .simulator import ClearingError, NoiseProcess, Simulator, Trajectory
+from .simulator import NUMERICAL_FAILURES, NoiseProcess, Simulator, Trajectory
 
 __all__ = [
     "PeriodEstimate",
@@ -211,7 +211,7 @@ def _run_cell(args) -> dict | None:
             initial_kick=conf.run.initial_kick,
             config_hash=cfg.config_hash(conf),
         )
-    except (ClearingError, ArithmeticError, np.linalg.LinAlgError):
+    except NUMERICAL_FAILURES:
         return None
     return {name: stat(traj, traj.burn_in) for name, stat in _CELL_STATISTICS.items()}
 
@@ -222,9 +222,9 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
 
     ``seeds`` lists one base seed per replica; the cell seed mixes the base
     seed with the value index, so the whole sweep is reproducible from
-    (config, seeds).  Cells whose simulation breaks down (clearing failure,
-    arithmetic or linear-algebra error) are counted in ``failed``; any other
-    error propagates.  ``statistic`` names one of ``_CELL_STATISTICS``.
+    (config, seeds).  Cells whose simulation breaks down (one of
+    ``NUMERICAL_FAILURES``) are counted in ``failed``; any other error
+    propagates.  ``statistic`` names one of ``_CELL_STATISTICS``.
     """
     values = list(values)
     seeds = list(seeds)

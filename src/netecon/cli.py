@@ -17,7 +17,7 @@ import numpy as np
 from . import analytics, config as cfg, reduced as red
 from .csvio import format_value, write_csv
 from .equilibrium import equilibrium_residual, solve_equilibrium
-from .simulator import ClearingError, NoiseProcess, Simulator, trajectory_to_csv
+from .simulator import NUMERICAL_FAILURES, NoiseProcess, Simulator, trajectory_to_csv
 from .stability import analyze_stability, report_to_csv, trace_critical_line, critical_line_to_csv
 
 __all__ = [
@@ -220,12 +220,12 @@ def main(argv: list[str] | None = None) -> int:
             paths = cmd_reduced(conf, args.model)
         else:  # unreachable, argparse enforces choices
             return 1
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (ClearingError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     for path in paths:
         print(path)
     return 0

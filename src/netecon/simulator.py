@@ -13,8 +13,9 @@ stated once, in ``_clearing_jacobian`` (in the clearing unknowns) and
 ``_clearing_known_jacobian`` (in the knowns), from the same parts; the linear
 stability analysis differentiates ``Simulator.step`` through them.
 ``Simulator.step`` builds the cleared state from that kernel's parts at the
-solution, household wealth included; the factor demands ``ell`` and ``psi``
-are derived from the state on access and never stored.
+solution, household wealth included, non-positive or not (``simulate`` ends
+a run there); the factor demands ``ell`` and ``psi`` are derived from the
+state on access and never stored.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -25,19 +26,19 @@ is irrelevant for all real quantities.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import write_csv
-from .equilibrium import EquilibriumState, ModelParams, solve_equilibrium
+from .equilibrium import ModelParams, solve_equilibrium
 from .network import IONetwork
 
 __all__ = [
     "ClearingContext",
     "ClearingError",
     "EconomyState",
+    "NUMERICAL_FAILURES",
     "NoiseProcess",
     "Simulator",
     "Trajectory",
@@ -51,7 +52,8 @@ NEWTON_MAX_HALVINGS = 25
 
 
 class ClearingError(RuntimeError):
-    """Raised when the market-clearing Newton solve fails to converge."""
+    """Raised when the market-clearing Newton solve fails to converge, or when
+    a simulation breaks down; ``t`` is the step, named in the message."""
 
     def __init__(self, message: str, t: int | None = None, residual: float = np.nan,
                  iterations: int = 0):
@@ -60,9 +62,14 @@ class ClearingError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.t is None else f"step {self.t}: {message}"
 
-class NegativeWealthWarning(UserWarning):
-    """Household wealth came out non-positive (economy far out of equilibrium)."""
+
+# the errors that mean the model or the numerics broke down (np.linalg's
+# LinAlgError subclasses ValueError: catch these before ValueError)
+NUMERICAL_FAILURES = (ClearingError, ArithmeticError, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +375,9 @@ class EconomyState:
     """Cleared state of the economy at time t.
 
     x is the quantity sold at t (decided at t-1), p the prices cleared at t
-    (feeding the next step's forecast), z the productivities, lam the
-    Lagrange multipliers, x_next the production decided at t for t+1, h the
-    wage, M household wealth and beta the discount factor.  The factor
+    (feeding the next step's forecast), lam the Lagrange multipliers, x_next
+    the production decided at t for t+1, h the wage and M household wealth,
+    which may be non-positive once the economy has broken down.  The factor
     demands ``ell`` (labor) and ``psi`` (the dense n x n intermediate inputs)
     are derived from these fields and the network on each access; no step
     computes them.
@@ -379,12 +386,10 @@ class EconomyState:
     t: int
     x: np.ndarray
     p: np.ndarray
-    z: np.ndarray
     lam: np.ndarray
     x_next: np.ndarray
     h: float
     M: float
-    beta: float
     net: IONetwork
     params: ModelParams
     newton_iters: int = 0
@@ -440,7 +445,6 @@ class Trajectory:
     max_residual: np.ndarray
     burn_in: int
     config_hash: str
-    equilibrium: EquilibriumState
     output_eq: float
     consumption_eq: float
 
@@ -474,12 +478,10 @@ class Simulator:
             t=0,
             x=eq.x_eq.copy(),
             p=eq.p_eq.copy(),
-            z=np.ones(self.net.n),
             lam=lam,
             x_next=eq.x_eq.copy(),
             h=eq.h_eq,
             M=m,
-            beta=pr.beta0,
             net=self.net,
             params=pr,
         )
@@ -518,19 +520,14 @@ class Simulator:
                 raise
         # wealth: nominal sales minus intermediate-input spending
         m = float(np.sum(parts["v_nominal"])) - self.params.c * float(np.sum(parts["spend"]))
-        if m <= 0:
-            warnings.warn("household wealth is non-positive", NegativeWealthWarning,
-                          stacklevel=2)
         return EconomyState(
             t=state.t + 1,
             x=ctx.x_sold,
             p=np.exp(log_p),
-            z=ctx.z,
             lam=parts["lam"],
             x_next=parts["x_next"],
             h=float(np.exp(log_h)),
             M=m,
-            beta=float(np.exp(parts["log_beta"])),
             net=self.net,
             params=self.params,
             newton_iters=iters,
@@ -551,7 +548,9 @@ class Simulator:
         log-perturbation of scale ``initial_kick`` on the predetermined
         production, so the unstable phase is excited even at sigma = 0.
         Fully deterministic for a fixed seed.  ``config_hash`` is the stamp
-        ``trajectory_to_csv`` writes; empty, the CSV is unstamped.
+        ``trajectory_to_csv`` writes; empty, the CSV is unstamped.  The run
+        stops with ClearingError, naming the step, where no state clears,
+        household wealth is non-positive or an observable is non-finite.
         """
         if not steps > burn_in >= 0:
             raise ValueError("need steps > burn_in >= 0")
@@ -581,21 +580,12 @@ class Simulator:
         xi_all = np.empty((steps, n))
         for k in range(steps):
             shock = noise.sigma * rng.standard_normal(n)
-            try:
-                state = self.step(state, shock)
-            except ClearingError as exc:
-                raise ClearingError(
-                    f"simulation failed at step {exc.t}: {exc}",
-                    t=exc.t, residual=exc.residual, iterations=exc.iterations,
-                ) from exc
+            state = self.step(state, shock)
             # the economy has broken down once wealth is gone or an
             # observable overflows: stop at that step
             if not state.M > 0:
-                raise ClearingError(
-                    f"simulation failed at step {state.t}: household wealth "
-                    f"{state.M:.3e} is not positive", t=state.t,
-                    residual=state.max_residual,
-                )
+                raise ClearingError(f"household wealth {state.M:.3e} is not positive",
+                                    t=state.t, residual=state.max_residual)
             xi = np.log(state.x) - log_x_eq
             xi_all[k] = xi
             cols["output_real"][k] = float(np.sum(eq.V_eq * np.exp(xi)))
@@ -608,10 +598,8 @@ class Simulator:
             # mean_xi is non-finite whenever some sector's xi is
             bad = [name for name, col in cols.items() if not math.isfinite(col[k])]
             if bad:
-                raise ClearingError(
-                    f"simulation failed at step {state.t}: non-finite {', '.join(bad)}",
-                    t=state.t, residual=state.max_residual,
-                )
+                raise ClearingError(f"non-finite {', '.join(bad)}", t=state.t,
+                                    residual=state.max_residual)
         return Trajectory(
             t=np.arange(1, steps + 1),
             xi=xi_all,
@@ -624,7 +612,6 @@ class Simulator:
             max_residual=cols["max_residual"],
             burn_in=burn_in,
             config_hash=config_hash,
-            equilibrium=eq,
             output_eq=output_eq,
             consumption_eq=consumption_eq,
         )

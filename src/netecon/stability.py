@@ -394,12 +394,14 @@ def _flip_gamma(net: IONetwork, params: ModelParams,
     singular.  Its last block row reads du_p = -pi_{t-1} there; folding the
     pi_{t-1} columns into the du_p ones leaves the (2n+1)-square pencil
     F0 + gamma F1 on (du, xi_t).  The candidates are its real finite
-    generalized eigenvalues, found as the reciprocal eigenvalues of
-    -F0^{-1} F1 (numpy has no generalized eigensolver; F0 is the step at
-    gamma = 0, where x_next = x_sold).  A flip within GAMMA_XTOL of gamma = 1
-    is not told apart from one at 1 and is left to the search, whose grid
-    ends at 1.
+    generalized eigenvalues, from the QZ algorithm on (F0, -F1); F0, the
+    step at gamma = 0, is never inverted, since it is singular where the
+    wage row vanishes (a = 1).  Roots within GAMMA_XTOL of gamma = 0 or 1
+    are not told apart from the ends: one at 0 is no flip in (0, 1), and
+    one at 1 is left to the search, whose grid ends at 1.
     """
+    from scipy.linalg import eigvals  # here, not at import, as brentq below
+
     n = net.n
     l0, l1 = _gamma_pencil(net, params, equilibrium)
     for mat in (l0, l1):
@@ -407,11 +409,10 @@ def _flip_gamma(net: IONetwork, params: ModelParams,
     f0, f1 = l0[:2 * n + 1, :2 * n + 1], l1[:2 * n + 1, :2 * n + 1]
     xi = np.arange(n + 1, 2 * n + 1)
     f0[xi, xi] += 1.0  # E
-    # zero eigenvalues of -F0^{-1} F1 are infinite gammas
-    inverse = np.linalg.eigvals(np.linalg.solve(f0, -f1))
-    roots = 1.0 / inverse[inverse != 0.0]
+    roots = eigvals(f0, -f1)
+    roots = roots[np.isfinite(roots)]
     real = roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.abs(roots)]
-    real = real[(real > 0.0) & (real < 1.0 - GAMMA_XTOL)]
+    real = real[(real > GAMMA_XTOL) & (real < 1.0 - GAMMA_XTOL)]
     return float(real.min()) if real.size else None
 
 

@@ -41,7 +41,8 @@ class TestAggregateOutput:
         traj = _small_traj(n=5)
         assert np.ptp(traj.xi, axis=1).max() > 0  # sectors differ
         assert np.allclose(traj.mean_xi, traj.xi.mean(axis=1), rtol=0.0, atol=1e-18)
-        v_eq = traj.equilibrium.V_eq
+        params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.2, sigma=1e-3)
+        v_eq = Simulator(build_plain_network(5), params).equilibrium.V_eq
         assert np.allclose(traj.output_real, np.exp(traj.xi) @ v_eq, rtol=1e-14, atol=0.0)
 
 

@@ -301,17 +301,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "configuration error" in err and str(missing) in err
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # far outside the model's regime: the clearing solve breaks down
-        import warnings
+    def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it is still a numerical failure
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
 
+        monkeypatch.setattr("netecon.cli.analyze_stability", singular)
+        assert main(["--set", "network.n=4", "--out", str(tmp_path), "stability"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "configuration error" not in err
+
+    def test_phase_diagram_at_a_one(self, tmp_path):
+        # a = 1 makes the gamma = 0 step singular; the cell has no crossing
+        assert main(["--set", "network.kind=random_exp", "--set", "network.n=6",
+                     "--set", "params.a=1", "--set", "params.b=0.1",
+                     "--set", "phase.q_grid=-1", "--out", str(tmp_path),
+                     "phase-diagram"]) == 0
+        rows = _data_rows(_read(tmp_path / "phase_diagram.csv"))
+        assert rows[1:] == ["-1,nan,none,nan,0"]
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # far outside the model's regime: the clearing solve breaks down,
+        # and the message names the step
         args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
                 "--set", "network.seed=6", "--set", "params.gamma=0.25",
                 "--set", "params.sigma=1e-2", "--set", "run.steps=300",
                 "--set", "run.burn_in=50", "--set", "run.seed=0",
                 "--out", str(tmp_path), "simulate"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(args)
-        assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert re.search(r"step \d+", err)

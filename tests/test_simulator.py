@@ -12,7 +12,6 @@ from netecon.network import build_plain_network, build_random_exponential_networ
 from netecon.simulator import (
     ClearingContext,
     ClearingError,
-    NegativeWealthWarning,
     NoiseProcess,
     Simulator,
     _clearing_jacobian,
@@ -189,20 +188,21 @@ class TestHouseholdWealth:
             spending = PARAMS.c * np.sum(state.lam * state.x_next)
             assert state.M + spending == pytest.approx(float(np.sum(state.x * state.p)))
 
-    def test_warns_on_nonpositive(self):
+    def test_returns_nonpositive_wealth_without_warning(self):
         # gamma = 0.3 is far past gamma_c = 1/9 on the plain network: from a
         # 1e-6 kick the oscillation grows until wealth turns non-positive at
-        # step 36
+        # step 36; the step returns that state and warns nothing (simulate is
+        # where the run stops)
         sim = Simulator(build_plain_network(8), ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.3))
         state = sim.equilibrium_state()
         state.x_next = state.x_next * np.exp(1e-6 * np.random.default_rng(0).uniform(-1, 1, 8))
         with warnings.catch_warnings():
-            warnings.simplefilter("error", NegativeWealthWarning)
-            for _ in range(35):
+            warnings.simplefilter("error")
+            for _ in range(36):
+                assert state.M > 0
                 state = sim.step(state, np.zeros(8))
-        with pytest.warns(NegativeWealthWarning):
-            state = sim.step(state, np.zeros(8))
         assert state.t == 36 and state.M <= 0
+        assert state.max_residual < 1e-10
 
 
 def _equilibrium_context(net, params, eq):
@@ -405,11 +405,15 @@ class TestStep:
         sim = Simulator(net, params)
         s0 = sim.equilibrium_state()
         s1 = sim.step(s0, np.zeros(9))
-        for name in ("x", "p", "z", "lam", "x_next", "ell"):
+        for name in ("x", "p", "lam", "x_next", "ell"):
             assert np.max(np.abs(getattr(s1, name) - getattr(s0, name))) < 1e-10, name
         assert abs(s1.h - s0.h) < 1e-10
         assert abs(s1.M - s0.M) < 1e-10
-        assert abs(s1.beta - s0.beta) < 1e-10
+        # the discount factor the kernel forms at the cleared point (z is
+        # exp(0) = 1 by construction of the zero shock)
+        log_beta = _clearing_parts(sim.context_for(s0, np.zeros(9)), np.log(s1.p),
+                                   np.log(s1.h))["log_beta"]
+        assert abs(log_beta - np.log(beta0)) < 1e-10
         assert np.max(np.abs(s1.psi - s0.psi)) < 1e-10
 
     def test_perturbation_decays_below_critical(self):
@@ -446,21 +450,17 @@ class TestStep:
     def test_states_always_clear_markets(self):
         # strongly chaotic regime: sector outputs spread over e^3, every
         # accepted state still clears to solver tolerance (wealth may dip
-        # non-positive at extreme excursions, which only warns)
-        import warnings
-
+        # non-positive at extreme excursions; the step still returns it)
         net = build_random_exponential_network(8, 6)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.2, sigma=3e-3)
         sim = Simulator(net, params)
         state = sim.equilibrium_state()
         rng = np.random.default_rng(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NegativeWealthWarning)
-            for _ in range(150):
-                state = sim.step(state, 3e-3 * rng.standard_normal(8))
-                assert state.max_residual < 1e-10
-                assert abs(state.ell.sum() - 1.0) < 1e-10
-                assert state.h > 0 and np.all(state.p > 0) and np.all(state.x > 0)
+        for _ in range(150):
+            state = sim.step(state, 3e-3 * rng.standard_normal(8))
+            assert state.max_residual < 1e-10
+            assert abs(state.ell.sum() - 1.0) < 1e-10
+            assert state.h > 0 and np.all(state.p > 0) and np.all(state.x > 0)
 
     def test_step_allocates_no_n_squared_array(self):
         # the Newton iteration assembles its Jacobian in the engine's
@@ -482,21 +482,16 @@ class TestStep:
     def test_breakdown_fails_loudly_with_time_index(self):
         # shocks far beyond the model's regime eventually push household
         # wealth negative; the solver must raise, not return a bad state
-        import warnings
-
-        from netecon.simulator import ClearingError
-
         net = build_random_exponential_network(8, 6)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.25, sigma=1e-2)
         sim = Simulator(net, params)
         state = sim.equilibrium_state()
         rng = np.random.default_rng(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ClearingError) as info:
-                for _ in range(200):
-                    state = sim.step(state, 1e-2 * rng.standard_normal(8))
+        with pytest.raises(ClearingError) as info:
+            for _ in range(200):
+                state = sim.step(state, 1e-2 * rng.standard_normal(8))
         assert info.value.t is not None and info.value.t > 0
+        assert str(info.value).startswith(f"step {info.value.t}: ")
         assert np.isfinite(info.value.residual)
 
 
@@ -621,19 +616,18 @@ class TestSimulate:
         state = sim.equilibrium_state()
         kick = np.random.default_rng(12345).uniform(-1.0, 1.0, 64) * 1e-6
         state.x_next = state.x_next * np.exp(kick)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NegativeWealthWarning)
-            for _ in range(200):
-                state = sim.step(state, np.zeros(64))
-                if state.M <= 0:
-                    break
+        for _ in range(200):
+            state = sim.step(state, np.zeros(64))
+            if state.M <= 0:
+                break
         assert state.M <= 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ClearingError, match="household wealth") as info:
                 sim.simulate(NoiseProcess(0.0, 12345), steps=1200)
         assert info.value.t == state.t
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert str(info.value).startswith(f"step {state.t}: household wealth ")
+        assert not caught
 
     def test_gauge_shift_changes_nothing_real(self):
         # same run with the price-level gauge offset: real quantities agree,

@@ -401,6 +401,17 @@ class TestCriticalSearch:
         assert point.gamma_c == pytest.approx(
             critical_gamma_closed_form(1.0, 0.0, params.a, params.b), abs=1e-12)
 
+    def test_singular_gamma_zero_step(self):
+        # a = 1: no labor, so the wage row of the gamma = 0 step vanishes and
+        # F0 is singular; the pencil is solved without inverting it, and the
+        # search agrees with the exhaustive scan (no crossing in (0, 1])
+        conf = load_config(None, ["network.kind=random_exp", "network.n=6",
+                                  "params.a=1", "params.b=0.1"])
+        net, base = build_network(conf), replace(conf.params, q=-1.0, q0=None)
+        assert _flip_gamma(net, base, solve_equilibrium(net, base)) is None
+        reference = scan_critical_gamma(net, conf.params, -1.0)
+        assert _same_crossing(critical_gamma(net, conf.params, -1.0), reference)
+
     def test_flip_gamma_closed_form(self):
         # plain network, q = 0: the s = 0 modes reach -1 at gamma = 0.2
         net, params = build_plain_network(16), replace(PARAMS, q=0.0, q0=None)
