@@ -26,6 +26,7 @@ from .simulator import (
     ClearingContext,
     ClearingError,
     EconomyState,
+    Ensemble,
     NoiseProcess,
     Simulator,
     Trajectory,

@@ -3,7 +3,8 @@
 Level and first-difference volatility, average absolute pairwise
 correlations, dominant-period detection via the periodogram, the amplitude
 envelope, the linearized volatility prediction and a reproducible
-parameter-sweep runner.  The observables themselves (the flat-log aggregate
+parameter-sweep runner, which steps the cells of one network size as
+``Ensemble``s.  The observables themselves (the flat-log aggregate
 ``mean_xi``, real output at equilibrium prices ``output_real`` and real
 consumption) are recorded by ``Simulator.simulate`` on the
 ``Trajectory``.
@@ -19,7 +20,7 @@ from scipy.signal import periodogram
 
 from . import config as cfg
 from .csvio import write_csv
-from .simulator import NUMERICAL_FAILURES, NoiseProcess, Simulator, Trajectory
+from .simulator import NUMERICAL_FAILURES, Ensemble, NoiseProcess, Simulator, Trajectory
 
 __all__ = [
     "PeriodEstimate",
@@ -154,13 +155,20 @@ def linearized_volatility(net, params, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One swept value: the statistic over its replicas that ran through, and
+    ``failures``, the (cell seed, error) of each replica that broke down."""
+
     value: float
     statistic: float
     std_err: float
     replicas: int
     seeds: tuple[int, ...]
-    failed: int = 0
+    failures: tuple[tuple[int, Exception], ...] = ()
     extras: dict = field(default_factory=dict)
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
 
 
 @dataclass(eq=False)
@@ -196,24 +204,35 @@ _CELL_STATISTICS = {
 }
 
 
-def _run_cell(args) -> dict | None:
-    """One (axis value, replica) simulation; returns the statistics of
-    ``_CELL_STATISTICS``, or None when the model or the numerics break down.
-    Any other error (configuration, programming) propagates."""
-    base, axis, value, seed = args
-    conf = cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
+# the most sweep cells one ensemble steps.  Every member keeps its whole
+# trajectory (steps x n values of xi) until the ensemble's statistics are
+# taken, so memory grows with the ensemble; a member-step at 8 members costs
+# 35-51% of a lone step at n = 10-64, and at 16 members 18-50%.
+ENSEMBLE_CELLS = 8
+
+
+def _run_cells(cells) -> list[dict | Exception]:
+    """Sweep cells of one network size, (base config, axis, value, seed) each,
+    stepped as one ensemble.  Returns per cell the statistics of
+    ``_CELL_STATISTICS``, or the failure (one of ``NUMERICAL_FAILURES``) that
+    stopped its simulation.  A member's own breakdown (a ClearingError)
+    fails its cell alone; any other numerical failure in the ensemble fails
+    all its cells.  Any other error (configuration, programming)
+    propagates."""
+    confs = [cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
+             for base, axis, value, seed in cells]
+    run = confs[0].run
     try:
-        sim = Simulator(cfg.build_network(conf), conf.params)
-        traj = sim.simulate(
-            NoiseProcess(sigma=conf.params.sigma, seed=seed),
-            steps=conf.run.steps,
-            burn_in=conf.run.burn_in,
-            initial_kick=conf.run.initial_kick,
-            config_hash=cfg.config_hash(conf),
+        net = cfg.build_network(confs[0])
+        outcomes = Ensemble([Simulator(net, conf.params) for conf in confs]).simulate(
+            [NoiseProcess(sigma=conf.params.sigma, seed=conf.run.seed) for conf in confs],
+            steps=run.steps, burn_in=run.burn_in, initial_kick=run.initial_kick,
         )
-    except NUMERICAL_FAILURES:
-        return None
-    return {name: stat(traj, traj.burn_in) for name, stat in _CELL_STATISTICS.items()}
+    except NUMERICAL_FAILURES as exc:
+        return [exc] * len(confs)
+    return [traj if isinstance(traj, Exception)
+            else {name: stat(traj, traj.burn_in) for name, stat in _CELL_STATISTICS.items()}
+            for traj in outcomes]
 
 
 def run_sweep(base_config, axis: str, values, replicas: int, seeds,
@@ -222,9 +241,14 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
 
     ``seeds`` lists one base seed per replica; the cell seed mixes the base
     seed with the value index, so the whole sweep is reproducible from
-    (config, seeds).  Cells whose simulation breaks down (one of
-    ``NUMERICAL_FAILURES``) are counted in ``failed``; any other error
-    propagates.  ``statistic`` names one of ``_CELL_STATISTICS``.
+    (config, seeds).  The cells of one network size run as ensembles of at
+    most ``ENSEMBLE_CELLS`` members, split as evenly as that allows; with
+    ``jobs`` > 1 a process pool runs the ensembles, each size split into a
+    multiple of ``jobs`` of them.  A cell's simulation is the same in every
+    ensemble, so the result does not depend on ``jobs``.  Cells whose
+    simulation breaks down (one of ``NUMERICAL_FAILURES``) are kept with
+    their error in the point's ``failures``; any other error propagates.
+    ``statistic`` names one of ``_CELL_STATISTICS``.
     """
     values = list(values)
     seeds = list(seeds)
@@ -233,34 +257,50 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
     if statistic not in _CELL_STATISTICS:
         raise ValueError(f"unknown sweep statistic {statistic!r} "
                          f"({', '.join(_CELL_STATISTICS)})")
+    jobs = max(jobs, 1)
     tasks = []
     for i, value in enumerate(values):
         for base_seed in seeds:
             tasks.append((base_config, axis, float(value), _cell_seed(base_seed, i)))
 
+    by_size: dict[int, list[int]] = {}
+    for index, (_, _, value, _) in enumerate(tasks):
+        size = cfg.apply_axis(base_config, axis, value).network.n
+        by_size.setdefault(size, []).append(index)
+    groups = []
+    for members in by_size.values():
+        ensembles = -(-len(members) // ENSEMBLE_CELLS)
+        ensembles = min(-(-ensembles // jobs) * jobs, len(members))
+        groups += [part.tolist() for part in np.array_split(members, ensembles)]
+    batches = [[tasks[i] for i in group] for group in groups]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+            results = list(pool.map(_run_cells, batches))
     else:
-        outcomes = list(map(_run_cell, tasks))
+        results = list(map(_run_cells, batches))
+    outcomes: list = [None] * len(tasks)
+    for group, result in zip(groups, results):
+        for index, outcome in zip(group, result):
+            outcomes[index] = outcome
 
     points = []
     for i, value in enumerate(values):
         cell = outcomes[i * replicas:(i + 1) * replicas]
         cell_seeds = tuple(_cell_seed(s, i) for s in seeds)
-        good = [c for c in cell if c is not None]
-        failed = len(cell) - len(good)
+        good = [c for c in cell if isinstance(c, dict)]
+        failures = tuple((seed, c) for seed, c in zip(cell_seeds, cell)
+                         if not isinstance(c, dict))
         if not good:
             points.append(SweepPoint(value=float(value), statistic=float("nan"),
                                      std_err=float("nan"), replicas=replicas,
-                                     seeds=cell_seeds, failed=failed))
+                                     seeds=cell_seeds, failures=failures))
             continue
         stats = np.array([c[statistic] for c in good])
         std_err = float(stats.std(ddof=1) / np.sqrt(len(stats))) if len(stats) > 1 else float("nan")
         extras = {k: float(np.mean([c[k] for c in good])) for k in good[0] if k != statistic}
         points.append(SweepPoint(value=float(value), statistic=float(stats.mean()),
                                  std_err=std_err, replicas=replicas,
-                                 seeds=cell_seeds, failed=failed, extras=extras))
+                                 seeds=cell_seeds, failures=failures, extras=extras))
     return SweepResult(axis=axis, points=points)

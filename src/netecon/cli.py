@@ -85,13 +85,19 @@ def cmd_phase_diagram(conf: cfg.ExperimentConfig, q_grid=None) -> list[str]:
 
 
 def cmd_sweep(conf: cfg.ExperimentConfig, axis: str | None = None) -> list[str]:
-    """Replicated parameter sweep; also emits mean output / consumption columns."""
+    """Replicated parameter sweep; also emits mean output / consumption columns.
+    Each cell that broke down is named on stderr with its seed, step and
+    reason; the CSV counts it in failed_count."""
     axis = axis or conf.sweep_axis
     seeds = [conf.run.seed + r for r in range(conf.run.replicas)]
     result = analytics.run_sweep(
         conf, axis, conf.sweep_values, conf.run.replicas, seeds,
         statistic=conf.sweep_statistic, jobs=conf.jobs,
     )
+    for point in result.points:
+        for seed, failure in point.failures:
+            print(f"failed cell {axis}={point.value!r} seed={seed}: {failure}",
+                  file=sys.stderr)
     path = _out_path(conf, f"sweep_{axis}.csv")
     result.to_csv(path, config_hash=cfg.config_hash(conf))
     return [path]

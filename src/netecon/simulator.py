@@ -17,6 +17,13 @@ solution, household wealth included, non-positive or not (``simulate`` ends
 a run there); the factor demands ``ell`` and ``psi`` are derived from the
 state on access and never stored.
 
+Economies of one network that differ only in the adjustment speed gamma and
+in their shocks step in lockstep as an ``Ensemble``: the kernel and the Newton
+solve carry a leading member axis, and every per-member operation is written
+in a form whose bits do not depend on the other members (row reductions,
+stacked matrix products and solves).  A member's run is therefore the run it
+has alone; ``Simulator`` is the ensemble of one.
+
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
 the sum of log-prices is held at its equilibrium value.  With q = q0 the gauge
@@ -25,8 +32,8 @@ is irrelevant for all real quantities.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +45,7 @@ __all__ = [
     "ClearingContext",
     "ClearingError",
     "EconomyState",
+    "Ensemble",
     "NUMERICAL_FAILURES",
     "NoiseProcess",
     "Simulator",
@@ -66,6 +74,10 @@ class ClearingError(RuntimeError):
         message = super().__str__()
         return message if self.t is None else f"step {self.t}: {message}"
 
+    def __reduce__(self):
+        # a sweep worker process sends the error back with its step and record
+        return type(self), (self.args[0], self.t, self.residual, self.iterations)
+
 
 # the errors that mean the model or the numerics broke down (np.linalg's
 # LinAlgError subclasses ValueError: catch these before ValueError)
@@ -82,7 +94,11 @@ class ClearingContext:
 
     x_sold is the predetermined production sold this step, p_lag the previous
     prices feeding the price forecast, z the current productivities, and
-    gauge_target the pinned value of sum(log p).
+    gauge_target the pinned value of sum(log p).  gamma is the adjustment
+    speed, ``params.gamma`` when not given.  For several economies of one
+    network, x_sold, p_lag and z carry a leading member axis, and gamma is
+    either shared or a column with one value per member; the other
+    parameters are shared.
     """
 
     net: IONetwork
@@ -91,15 +107,32 @@ class ClearingContext:
     p_lag: np.ndarray
     z: np.ndarray
     gauge_target: float
+    gamma: float | np.ndarray | None = None
 
-    @property
+    def __post_init__(self) -> None:
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", self.params.gamma)
+
+    @cached_property
     def log_p_lag(self) -> np.ndarray:
         return np.log(self.p_lag)
 
+    @cached_property
+    def log_z(self) -> np.ndarray:
+        return np.log(self.z)
 
-def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> dict:
+    def members(self, rows: np.ndarray) -> ClearingContext:
+        """The context of the members ``rows`` (indices on the member axis)."""
+        gamma = self.gamma[rows] if np.ndim(self.gamma) else self.gamma
+        return ClearingContext(self.net, self.params, self.x_sold[rows], self.p_lag[rows],
+                               self.z[rows], self.gauge_target, gamma)
+
+
+def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h) -> dict:
     """Evaluate the per-step rules of the firms at a trial point (log p, log h).
 
+    log_p has the shape of ``ctx.x_sold`` and log_h one value per member (a
+    scalar for one economy); per-member values of the parts keep that shape.
     With dlp = log p - log p_lag and c = b(1-a):
 
         forecast      log E[p] = log p + q dlp
@@ -114,7 +147,7 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
     The clearing residuals are goods (v_nominal minus the household demand
     M / n and the intermediate demand c W' spend), wage (h - a b sum(spend))
     and gauge (sum(log p) minus its target).  Wealth itself is formed only
-    at the solution, by ``Simulator.step``.
+    at the solution, by the step.
 
     Derivatives (used by ``_clearing_jacobian``).  With L = log beta +
     log E[p], dL/dlog p = A = (1+q) I - (q0/n) 11', and
@@ -147,24 +180,32 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
     Returns raw arrays; overflow produces non-finite entries that the Newton
     damping treats as a rejected trial.
     """
-    pr, n = ctx.params, ctx.net.n
-    a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, pr.gamma
-    # sum() / n rather than mean(): the same bits without mean()'s call overhead
+    pr, w, n = ctx.params, ctx.net.w, ctx.net.n
+    a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, ctx.gamma
+    log_h = np.asarray(log_h)
+    # row sums and stacked matrix-vector products give each member the bits
+    # it has alone; sum() / n rather than mean(): the same bits without
+    # mean()'s call overhead
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dlp = log_p - ctx.log_p_lag
-        log_beta = np.log(pr.beta0) - q0 * (dlp.sum() / n)
+        log_beta = np.log(pr.beta0) - q0 * (dlp.sum(axis=-1) / n)
         log_ep = log_p + q * dlp
+        log_discounted = log_beta[..., None] + log_ep
         log_xstar = (
-            np.log(ctx.z) + b * (log_beta + log_ep) - a * b * log_h - pr.c * (ctx.net.w @ log_p)
+            ctx.log_z + b * log_discounted - a * b * log_h[..., None]
+            - pr.c * np.matmul(w, log_p[..., None])[..., 0]
         ) / (1.0 - b)
         xstar = np.exp(log_xstar)
         x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
-        lam = np.exp(log_beta + log_ep) * (x_next / xstar) ** ((1.0 - b) / b)
+        lam = np.exp(log_discounted) * (x_next / xstar) ** ((1.0 - b) / b)
         spend = lam * x_next
+        total_spend = spend.sum(axis=-1)
         v_nominal = ctx.x_sold * np.exp(log_p)
-        goods = (v_nominal - v_nominal.sum() / n) - pr.c * (spend @ ctx.net.w - spend.sum() / n)
-        wage = np.exp(log_h) - a * b * spend.sum()
-        gauge = log_p.sum() - ctx.gauge_target
+        goods = ((v_nominal - v_nominal.sum(axis=-1)[..., None] / n)
+                 - pr.c * (np.matmul(spend[..., None, :], w)[..., 0, :]
+                           - total_spend[..., None] / n))
+        wage = np.exp(log_h) - a * b * total_spend
+        gauge = log_p.sum(axis=-1) - ctx.gauge_target
     return {
         "log_beta": log_beta,
         "log_ep": log_ep,
@@ -180,56 +221,63 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h: float) -> di
 
 
 def _residual_vector(parts: dict) -> np.ndarray:
-    """Square residual: n-1 goods equations, the wage equation, the gauge."""
-    return np.concatenate([parts["goods"][:-1], [parts["wage"], parts["gauge"]]])
+    """Square residual, per member: n-1 goods equations, the wage equation,
+    the gauge."""
+    return np.concatenate([parts["goods"][..., :-1], parts["wage"][..., None],
+                           parts["gauge"][..., None]], axis=-1)
 
 
-def _jacobian_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers for ``_clearing_jacobian``: the (n+1)^2 Jacobian, the n^2
-    d spend / dlog p and the (n-1) x n goods block in log p, contiguous so
-    that the elementwise passes over it run as one flat loop.  ``np.empty``
-    touches no page until they are written."""
-    return np.empty((n + 1, n + 1)), np.empty((n, n)), np.empty((n - 1, n))
+def _jacobian_workspace(n: int, members: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers for ``_clearing_jacobian`` for up to ``members`` economies:
+    per member the (n+1)^2 Jacobian, the n^2 d spend / dlog p and the
+    (n-1) x n goods block in log p, contiguous so that the elementwise passes
+    over them run as one flat loop.  ``np.empty`` touches no page until they
+    are written."""
+    return (np.empty((members, n + 1, n + 1)), np.empty((members, n, n)),
+            np.empty((members, n - 1, n)))
 
 
 def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict,
                        work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Exact (n+1) x (n+1) Jacobian of ``_residual_vector`` in u = (log p, log h).
+    """Exact (n+1) x (n+1) Jacobian of ``_residual_vector`` in u = (log p, log h),
+    one per row of a 2-D u.
 
     ``parts`` are those ``_clearing_parts`` returned at u; the formulas are
     in its docstring.  The one O(n^3) term is W' (d spend / dlog p).
 
-    The Jacobian is assembled in place in ``work``, the buffers of
-    ``_jacobian_workspace``, and the Jacobian buffer is returned.  Every
-    entry is written anew, so a reused workspace carries nothing over from
-    an earlier call, and no n^2 array is allocated.  A caller that keeps the
-    result passes fresh buffers.
+    The Jacobians are assembled in place in ``work``, the buffers of
+    ``_jacobian_workspace``: in its leading len(u) slots for a 2-D u, in the
+    first for one economy.  Those slots are returned.  Every entry is written
+    anew, so a reused workspace carries nothing over from an earlier call,
+    and no n^2 array is allocated.  A caller that keeps the result passes
+    fresh buffers.
     """
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, c = pr.a, pr.b, pr.c
     spend, v = parts["spend"], parts["v_nominal"]
-    jac, d_spend, goods = work
+    jac, d_spend, goods = [buf[:len(u)] if u.ndim > 1 else buf[0] for buf in work]
     with np.errstate(over="ignore", invalid="ignore"):
-        k = (pr.gamma * parts["xstar"] / parts["x_next"] - 1.0 + b) / b
+        k = (ctx.gamma * parts["xstar"] / parts["x_next"] - 1.0 + b) / b
         alpha = spend * (1.0 + k * (b / (1.0 - b)))
         mu = spend * k * (c / (1.0 - b))
-        np.multiply(-mu[:, None], w, out=d_spend)
-        d_spend -= (pr.q0 / n) * alpha[:, None]
-        d_spend.flat[:: n + 1] += (1.0 + pr.q) * alpha
+        np.multiply(-mu[..., None], w, out=d_spend)
+        d_spend -= (pr.q0 / n) * alpha[..., None]
+        # diagonals are written through flat views of the contiguous slots
+        d_spend.reshape(-1, n * n)[:, :: n + 1] += (1.0 + pr.q) * alpha
         d_spend_h = (-a * b / (1.0 - b)) * k * spend
-        col = d_spend.sum(axis=0)
+        col = d_spend.sum(axis=-2)
         np.matmul(w[:, :-1].T, d_spend, out=goods)
-        goods -= col / n
+        goods -= col[..., None, :] / n
         goods *= -c
-        goods -= v / n
-        jac[:-2, :-1] = goods
-        diag = np.arange(n - 1)
-        jac[diag, diag] += v[:-1]
-        jac[:-2, -1] = -c * (d_spend_h @ w[:, :-1] - d_spend_h.sum() / n)
-        jac[-2, :-1] = -a * b * col
-        jac[-2, -1] = np.exp(u[n]) - a * b * d_spend_h.sum()
-    jac[-1, :-1] = 1.0
-    jac[-1, -1] = 0.0
+        goods -= v[..., None, :] / n
+        jac[..., :-2, :-1] = goods
+        jac.reshape(-1, (n + 1) ** 2)[:, :(n - 1) * (n + 2):n + 2] += v[..., :-1]
+        jac[..., :-2, -1] = -c * (np.matmul(d_spend_h[..., None, :], w[:, :-1])[..., 0, :]
+                                  - d_spend_h.sum(axis=-1)[..., None] / n)
+        jac[..., -2, :-1] = -a * b * col
+        jac[..., -2, -1] = np.exp(u[..., n]) - a * b * d_spend_h.sum(axis=-1)
+    jac[..., -1, :-1] = 1.0
+    jac[..., -1, -1] = 0.0
     return jac
 
 
@@ -243,7 +291,7 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndar
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, c, q, q0 = pr.a, pr.b, pr.c, pr.q, pr.q0
     spend, v = parts["spend"], parts["v_nominal"]
-    g = pr.gamma * parts["xstar"] / parts["x_next"]
+    g = ctx.gamma * parts["xstar"] / parts["x_next"]
     k = (g - 1.0 + b) / b
     diag = np.arange(n)
     # I - A is lag_off off the diagonal and lag_diag on it.  Every block is
@@ -300,70 +348,143 @@ def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.n
     return _residual_vector(_clearing_parts(ctx, log_p, np.log(h)))
 
 
+# the parts the Newton solve keeps at each member's accepted point: those the
+# Jacobian and the cleared state read
+_SOLUTION_PARTS = ("xstar", "x_next", "lam", "spend", "v_nominal")
+
+
+def _residual_at(ctx: ClearingContext, u: np.ndarray) -> tuple[np.ndarray, dict]:
+    n = ctx.net.n
+    parts = _clearing_parts(ctx, u[..., :n], u[..., n])
+    return _residual_vector(parts), parts
+
+
+def _max_error(res: np.ndarray) -> np.ndarray:
+    """Max-norm of each member's residual, inf where an entry is not finite
+    (the max propagates NaN, and an infinite entry is the max)."""
+    err = np.abs(res).max(axis=-1)
+    err[np.isnan(err)] = np.inf
+    return err
+
+
 def _solve_clearing(
     ctx: ClearingContext,
-    log_p0: np.ndarray,
-    log_h0: float,
+    u: np.ndarray,
     tol: float,
     work: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, float, dict, int, float]:
-    """Damped Newton on u = (log p, log h) with the exact Jacobian per iteration.
+    active: list[int] | None = None,
+) -> tuple[np.ndarray, dict, list[int], np.ndarray, list[int], dict]:
+    """Damped Newton on u = (log p, log h), one row per member, with the exact
+    Jacobian per iteration.
 
-    The Jacobian is assembled in ``work`` (see ``_clearing_jacobian``).
-    Returns (log_p, log_h, parts-at-solution, iterations, max residual).
-    Raises ClearingError on non-convergence; never returns a non-clearing
-    point.
+    Each member iterates as it would alone, with its own residual, step
+    length and iteration count.  Every member keeps its row: one that has
+    converged or failed takes no further step, and only the rows still
+    iterating get a Jacobian and a Newton direction.  Only the members listed
+    in ``active`` (all by default) are solved; the others keep their row of
+    u.  The Jacobians are assembled in ``work`` (see ``_clearing_jacobian``),
+    and u is overwritten.  Returns (u, the ``_SOLUTION_PARTS`` at u,
+    iterations, max residuals, damping halvings, ClearingError by failed
+    member); every solved member without a failure clears to ``tol``.
     """
-    n = ctx.net.n
-    u = np.concatenate([log_p0, [log_h0]])
+    count = len(u)
+    res, all_parts = _residual_at(ctx, u)
+    parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
+    err = _max_error(res)
+    # the per-member bookkeeping is in Python lists: a member's scalars cost
+    # less there than in one-element arrays
+    errs = err.tolist()
+    going = list(range(count)) if active is None else list(active)
+    iterations, halvings = [0] * count, [0] * count
+    failures: dict[int, ClearingError] = {}
 
-    def residual_at(u_vec: np.ndarray) -> tuple[np.ndarray, dict]:
-        parts = _clearing_parts(ctx, u_vec[:n], u_vec[n])
-        return _residual_vector(parts), parts
+    def fail(members: list[int], message: str, iteration: int) -> None:
+        for r in members:
+            failures[r] = ClearingError(message.format(err=errs[r]), residual=errs[r],
+                                        iterations=iteration)
+        going[:] = [r for r in going if r not in failures]
 
-    res, parts = residual_at(u)
-    err = float(np.max(np.abs(res))) if np.all(np.isfinite(res)) else np.inf
+    # an accepted step lowers a finite error, so only the start can be non-finite
+    fail([r for r in going if not errs[r] < np.inf],
+         "non-finite clearing residual at the starting point", 0)
     for iteration in range(NEWTON_MAX_ITER):
-        if err < tol:
-            return u[:n], float(u[n]), parts, iteration, err
-        if not np.isfinite(err):
-            raise ClearingError("non-finite clearing residual at the starting point",
-                                residual=err, iterations=iteration)
-        jac = _clearing_jacobian(ctx, u, parts, work)
-        if not np.all(np.isfinite(jac)):
-            raise ClearingError("non-finite clearing Jacobian", residual=err,
-                                iterations=iteration)
+        for r in going:
+            if errs[r] < tol:
+                iterations[r] = iteration
+        going[:] = [r for r in going if not errs[r] < tol]
+        if not going:
+            break
+        rows, every = list(going), len(going) == count
+        jac = _clearing_jacobian(
+            ctx if every else ctx.members(rows), u if every else u[rows],
+            parts if every else {key: value[rows] for key, value in parts.items()}, work)
+        # one pass with no temporary: a sum is finite when every entry is
+        # (a sum of finite entries that overflows costs only the exact check)
+        if not np.isfinite(jac.sum()):
+            finite = np.isfinite(jac).all(axis=(-2, -1))
+            fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
+                 "non-finite clearing Jacobian", iteration)
+            jac[~finite] = np.eye(jac.shape[-1])
+        rhs = -(res if every else res[rows])
         try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError as exc:
-            raise ClearingError("singular clearing Jacobian", residual=err,
-                                iterations=iteration) from exc
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # some member's Jacobian is singular: find it and take it out
+            singular = []
+            for j, matrix in enumerate(jac):
+                try:
+                    np.linalg.solve(matrix, rhs[j])
+                except np.linalg.LinAlgError:
+                    singular.append(j)
+            fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
+            jac[singular] = np.eye(jac.shape[-1])
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        if not going:
+            break
+        if every:
+            delta = step
+        else:
+            # the members out of the solve stay where they are
+            delta = np.zeros_like(u)
+            delta[rows] = step
 
-        scale = 1.0
+        # the members still searching have all halved their step equally
+        # often, so one scale serves them all
+        scale, search = 1.0, list(going)
         for _ in range(NEWTON_MAX_HALVINGS):
             trial = u + scale * delta
-            trial_res, trial_parts = residual_at(trial)
-            trial_err = (
-                float(np.max(np.abs(trial_res)))
-                if np.all(np.isfinite(trial_res))
-                else np.inf
-            )
-            if trial_err < err:
-                u, res, parts, err = trial, trial_res, trial_parts, trial_err
+            trial_res, trial_parts = _residual_at(ctx, trial)
+            trial_err = _max_error(trial_res)
+            trial_errs = trial_err.tolist()
+            won = [r for r in search if trial_errs[r] < errs[r]]
+            if scale == 1.0 and len(won) == len(going):
+                # every member in the solve takes its full step, and the
+                # others, with a zero direction, are at their own point (a
+                # member that failed in this iteration takes a point unused)
+                u, res, err, errs = trial, trial_res, trial_err, trial_errs
+                parts = {key: trial_parts[key] for key in _SOLUTION_PARTS}
                 break
+            if won:
+                u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
+                for key in _SOLUTION_PARTS:
+                    parts[key][won] = trial_parts[key][won]
+                for r in won:
+                    errs[r] = trial_errs[r]
+                search = [r for r in search if r not in won]
+                if not search:
+                    break
+            for r in search:
+                halvings[r] += 1
             scale *= 0.5
         else:
-            raise ClearingError(
-                f"clearing solve stalled at residual {err:.3e} (damping floor)",
-                residual=err, iterations=iteration,
-            )
-    if err < tol:
-        return u[:n], float(u[n]), parts, NEWTON_MAX_ITER, err
-    raise ClearingError(
-        f"clearing solve did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(residual {err:.3e})",
-        residual=err, iterations=NEWTON_MAX_ITER,
-    )
+            fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)", iteration)
+    else:
+        for r in going:
+            if errs[r] < tol:
+                iterations[r] = NEWTON_MAX_ITER
+        fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
+             f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
+    return u, parts, iterations, err, halvings, failures
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +501,9 @@ class EconomyState:
     which may be non-positive once the economy has broken down.  The factor
     demands ``ell`` (labor) and ``psi`` (the dense n x n intermediate inputs)
     are derived from these fields and the network on each access; no step
-    computes them.
+    computes them.  The solver counters describe the clearing solve that
+    produced the state: its Newton iterations and step-length halvings, and
+    whether it had to restart from the flat price vector.
     """
 
     t: int
@@ -394,6 +517,8 @@ class EconomyState:
     params: ModelParams
     newton_iters: int = 0
     max_residual: float = 0.0
+    damping_halvings: int = 0
+    flat_restarts: int = 0
 
     @property
     def ell(self) -> np.ndarray:
@@ -431,7 +556,9 @@ class Trajectory:
     xi holds the per-sector log-deviations of sold quantities from
     equilibrium, one row per recorded step.  mean_xi is their flat average
     (the aggregate used for volatility work) and output_real the real output
-    at equilibrium prices, sum_i V_eq[i] exp(xi[i]).
+    at equilibrium prices, sum_i V_eq[i] exp(xi[i]).  newton_iters,
+    damping_halvings and flat_restarts are the solver counters of each step
+    (see ``EconomyState``); the CSV carries only the first.
     """
 
     t: np.ndarray
@@ -442,6 +569,8 @@ class Trajectory:
     wage: np.ndarray
     price_level: np.ndarray
     newton_iters: np.ndarray
+    damping_halvings: np.ndarray
+    flat_restarts: np.ndarray
     max_residual: np.ndarray
     burn_in: int
     config_hash: str
@@ -450,6 +579,170 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def _step_members(sim: Simulator, params: list[ModelParams], states: list[EconomyState],
+                  shocks: np.ndarray, work) -> list[EconomyState | ClearingError]:
+    """One period for every member: state i, under ``params[i]`` and log
+    productivities ``shocks[i]``, clears all markets.
+
+    ``sim`` supplies the network, the shared parameters, the gauge and the
+    tolerance; the members' params differ at most in gamma.  Each returned
+    entry is the member's cleared state or, where no state clears, its
+    ClearingError naming the step.
+    """
+    n = sim.net.n
+    gammas = [member.gamma for member in params]
+    ctx = ClearingContext(
+        net=sim.net,
+        params=sim.params,
+        x_sold=np.array([state.x_next for state in states]),
+        p_lag=np.array([state.p for state in states]),
+        z=np.exp(shocks),
+        gauge_target=sim.gauge_target,
+        # one gamma for all stays a scalar, as in a single economy's context
+        gamma=gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None],
+    )
+    u = np.concatenate([ctx.log_p_lag, np.log([[state.h] for state in states])], axis=1)
+    u, parts, iters, err, halvings, failures = _solve_clearing(ctx, u, sim.tol, work)
+    restarts = [0] * len(states)
+    if failures:
+        # deep in the chaotic phase the warm start can sit in a bad basin;
+        # retry the failed members once from the flat gauge-consistent price
+        # vector (the others keep their solution)
+        retry = sorted(failures)
+        u[retry] = np.append(np.full(n, sim.gauge_target / n), np.log(sim.equilibrium.h_eq))
+        u, parts, iters_flat, err, halvings_flat, failures = _solve_clearing(
+            ctx, u, sim.tol, work, active=retry)
+        for i in retry:
+            iters[i], halvings[i], restarts[i] = iters_flat[i], halvings_flat[i], 1
+    p = np.exp(u[:, :n])
+    # wealth: nominal sales minus intermediate-input spending
+    m = parts["v_nominal"].sum(axis=-1) - sim.params.c * parts["spend"].sum(axis=-1)
+    cleared: list[EconomyState | ClearingError] = []
+    for i, (state, h, wealth, it, e, halved, restarted) in enumerate(zip(
+            states, np.exp(u[:, n]).tolist(), m.tolist(), iters, err.tolist(), halvings,
+            restarts)):
+        if i in failures:
+            failures[i].t = state.t + 1
+            cleared.append(failures[i])
+            continue
+        cleared.append(EconomyState(
+            t=state.t + 1,
+            x=ctx.x_sold[i],
+            p=p[i],
+            lam=parts["lam"][i],
+            x_next=parts["x_next"][i],
+            h=h,
+            M=wealth,
+            net=sim.net,
+            params=params[i],
+            newton_iters=it,
+            max_residual=e,
+            damping_halvings=halved,
+            flat_restarts=restarted,
+        ))
+    return cleared
+
+
+# the per-step observables a run records, in the order a non-finite one is named
+_OBSERVABLES = ("output_real", "mean_xi", "consumption_real", "wage", "price_level",
+                "max_residual")
+_COUNTERS = ("newton_iters", "damping_halvings", "flat_restarts")
+
+
+def _run(sims: list[Simulator], noises: list[NoiseProcess], steps: int, burn_in: int,
+         initial_kick: float, step, config_hash: str) -> list[Trajectory | ClearingError]:
+    """The time loop: ``steps`` periods of every member from its kicked
+    equilibrium, member i driven by ``noises[i]``.
+
+    ``step(states, shocks)`` advances the live members' states one period and
+    returns, per member, the new state or the ClearingError that stopped it.
+    A member also stops where household wealth is non-positive or an
+    observable is non-finite; the others run on.  Returns per member its
+    Trajectory, stamped with ``config_hash``, or its ClearingError.  An
+    exception that ``step`` raises ends the loop for every member.
+    """
+    if not steps > burn_in >= 0:
+        raise ValueError("need steps > burn_in >= 0")
+    sim = sims[0]
+    eq, n, count = sim.equilibrium, sim.net.n, len(sims)
+    rngs = [np.random.default_rng(noise.seed) for noise in noises]
+    states = []
+    for member, rng in zip(sims, rngs):
+        state = member.equilibrium_state()
+        # the uniform draw always happens so the shock stream does not depend
+        # on whether a kick was requested
+        kick = rng.uniform(-1.0, 1.0, n) * initial_kick
+        state.x_next = state.x_next * np.exp(kick)
+        states.append(state)
+    sigma = np.array([[noise.sigma] for noise in noises])
+
+    log_x_eq = np.log(eq.x_eq)
+    inv_n = 1.0 / n
+    output_eq = float(np.sum(eq.V_eq))
+    m_eq = output_eq - sim.params.c * sim.params.beta0 * output_eq
+    consumption_eq = float(m_eq * inv_n * np.sum(1.0 / eq.p_eq))
+
+    observed = np.empty((len(_OBSERVABLES), count, steps))
+    counted = np.empty((len(_COUNTERS), count, steps), dtype=int)
+    xi_all = np.empty((count, steps, n))
+    outcomes: list[Trajectory | ClearingError | None] = [None] * count
+    live = np.arange(count)
+    for k in range(steps):
+        shocks = sigma[live] * np.array([rngs[i].standard_normal(n) for i in live])
+        states = step(states, shocks)
+        # the economy has broken down once wealth is gone
+        if not all(isinstance(new, EconomyState) and new.M > 0 for new in states):
+            for i, new in zip(live.tolist(), states):
+                if isinstance(new, ClearingError):
+                    outcomes[i] = new
+                elif not new.M > 0:
+                    outcomes[i] = ClearingError(f"household wealth {new.M:.3e} is not positive",
+                                                t=new.t, residual=new.max_residual)
+            states = [new for i, new in zip(live.tolist(), states) if outcomes[i] is None]
+            live = np.array([i for i in live.tolist() if outcomes[i] is None], dtype=int)
+            if not live.size:
+                break
+        rows = slice(None) if live.size == count else live
+        x = np.array([state.x for state in states])
+        p = np.array([state.p for state in states])
+        xi = np.log(x) - log_x_eq
+        xi_all[rows, k] = xi
+        values = observed[:, rows, k]
+        values[0] = (eq.V_eq * np.exp(xi)).sum(axis=-1)
+        values[1] = xi.sum(axis=-1) / n
+        values[2] = np.array([state.M for state in states]) * inv_n * (1.0 / p).sum(axis=-1)
+        values[3] = [state.h for state in states]
+        values[4] = np.exp(np.log(p).sum(axis=-1) / n)
+        values[5] = [state.max_residual for state in states]
+        observed[:, rows, k] = values
+        counted[:, rows, k] = [[getattr(state, name) for state in states] for name in _COUNTERS]
+        # an observable overflows: stop there (mean_xi is non-finite whenever
+        # some sector's xi is)
+        finite = np.isfinite(values)
+        if not finite.all():
+            for j in np.flatnonzero(~finite.all(axis=0)):
+                bad = [name for name, ok in zip(_OBSERVABLES, finite[:, j]) if not ok]
+                outcomes[live[j]] = ClearingError(f"non-finite {', '.join(bad)}",
+                                                  t=states[j].t,
+                                                  residual=states[j].max_residual)
+            states = [state for state, ok in zip(states, finite.all(axis=0)) if ok]
+            live = live[finite.all(axis=0)]
+            if not live.size:
+                break
+    for i in live:
+        outcomes[i] = Trajectory(
+            t=np.arange(1, steps + 1),
+            xi=xi_all[i],
+            **dict(zip(_OBSERVABLES, observed[:, i])),
+            **dict(zip(_COUNTERS, counted[:, i])),
+            burn_in=burn_in,
+            config_hash=config_hash,
+            output_eq=output_eq,
+            consumption_eq=consumption_eq,
+        )
+    return outcomes
 
 
 class Simulator:
@@ -498,41 +791,13 @@ class Simulator:
         )
 
     def step(self, state: EconomyState, shock: np.ndarray) -> EconomyState:
-        """Advance one period: draw-in the shock, clear all markets, rebuild state."""
-        ctx = self.context_for(state, shock)
-        try:
-            log_p, log_h, parts, iters, err = _solve_clearing(
-                ctx, np.log(state.p), np.log(state.h), self.tol, self._work
-            )
-        except ClearingError:
-            # deep in the chaotic phase the warm start can sit in a bad basin;
-            # retry once from the flat gauge-consistent price vector
-            try:
-                log_p, log_h, parts, iters, err = _solve_clearing(
-                    ctx,
-                    np.full(self.net.n, self.gauge_target / self.net.n),
-                    np.log(self.equilibrium.h_eq),
-                    self.tol,
-                    self._work,
-                )
-            except ClearingError as exc:
-                exc.t = state.t + 1
-                raise
-        # wealth: nominal sales minus intermediate-input spending
-        m = float(np.sum(parts["v_nominal"])) - self.params.c * float(np.sum(parts["spend"]))
-        return EconomyState(
-            t=state.t + 1,
-            x=ctx.x_sold,
-            p=np.exp(log_p),
-            lam=parts["lam"],
-            x_next=parts["x_next"],
-            h=float(np.exp(log_h)),
-            M=m,
-            net=self.net,
-            params=self.params,
-            newton_iters=iters,
-            max_residual=err,
-        )
+        """Advance one period: draw-in the shock, clear all markets, rebuild
+        state.  Raises ClearingError, naming the step, where no state clears."""
+        (new,) = _step_members(self, [self.params], [state],
+                               np.asarray(shock, dtype=float)[None], self._work)
+        if isinstance(new, ClearingError):
+            raise new
+        return new
 
     def simulate(
         self,
@@ -552,69 +817,58 @@ class Simulator:
         stops with ClearingError, naming the step, where no state clears,
         household wealth is non-positive or an observable is non-finite.
         """
-        if not steps > burn_in >= 0:
-            raise ValueError("need steps > burn_in >= 0")
-        rng = np.random.default_rng(noise.seed)
-        state = self.equilibrium_state()
-        # the uniform draw always happens so the shock stream does not depend
-        # on whether a kick was requested
-        kick = rng.uniform(-1.0, 1.0, self.net.n) * initial_kick
-        state.x_next = state.x_next * np.exp(kick)
+        (outcome,) = _run([self], [noise], steps, burn_in, initial_kick,
+                          lambda states, shocks: [self.step(states[0], shocks[0])],
+                          config_hash)
+        if isinstance(outcome, ClearingError):
+            raise outcome
+        return outcome
 
-        eq = self.equilibrium
-        n = self.net.n
-        log_x_eq = np.log(eq.x_eq)
-        inv_n = 1.0 / n
-        output_eq = float(np.sum(eq.V_eq))
-        m_eq = output_eq - self.params.c * self.params.beta0 * output_eq
-        consumption_eq = float(m_eq * inv_n * np.sum(1.0 / eq.p_eq))
 
-        cols = {
-            name: np.empty(steps)
-            for name in (
-                "output_real", "mean_xi", "consumption_real", "wage",
-                "price_level", "max_residual",
-            )
-        }
-        iters = np.empty(steps, dtype=int)
-        xi_all = np.empty((steps, n))
-        for k in range(steps):
-            shock = noise.sigma * rng.standard_normal(n)
-            state = self.step(state, shock)
-            # the economy has broken down once wealth is gone or an
-            # observable overflows: stop at that step
-            if not state.M > 0:
-                raise ClearingError(f"household wealth {state.M:.3e} is not positive",
-                                    t=state.t, residual=state.max_residual)
-            xi = np.log(state.x) - log_x_eq
-            xi_all[k] = xi
-            cols["output_real"][k] = float(np.sum(eq.V_eq * np.exp(xi)))
-            cols["mean_xi"][k] = float(xi.sum()) / n
-            cols["consumption_real"][k] = state.M * inv_n * float(np.sum(1.0 / state.p))
-            cols["wage"][k] = state.h
-            cols["price_level"][k] = float(np.exp(float(np.sum(np.log(state.p))) / n))
-            iters[k] = state.newton_iters
-            cols["max_residual"][k] = state.max_residual
-            # mean_xi is non-finite whenever some sector's xi is
-            bad = [name for name, col in cols.items() if not math.isfinite(col[k])]
-            if bad:
-                raise ClearingError(f"non-finite {', '.join(bad)}", t=state.t,
-                                    residual=state.max_residual)
-        return Trajectory(
-            t=np.arange(1, steps + 1),
-            xi=xi_all,
-            output_real=cols["output_real"],
-            mean_xi=cols["mean_xi"],
-            consumption_real=cols["consumption_real"],
-            wage=cols["wage"],
-            price_level=cols["price_level"],
-            newton_iters=iters,
-            max_residual=cols["max_residual"],
-            burn_in=burn_in,
-            config_hash=config_hash,
-            output_eq=output_eq,
-            consumption_eq=consumption_eq,
-        )
+class Ensemble:
+    """Economies of one network stepped in lockstep, one clearing Newton
+    solve per period over every live member.
+
+    The members are Simulators that share the network, the tolerance, the
+    gauge and every parameter but gamma and sigma.  A member's run is bit
+    for bit the run its Simulator has alone, and a member that breaks down
+    leaves the ensemble with its ClearingError while the others run on.  The
+    ensemble owns one Jacobian workspace for all members, so, like a
+    Simulator, it is stepped from one thread at a time.
+    """
+
+    def __init__(self, sims):
+        self.sims = list(sims)
+        if not self.sims:
+            raise ValueError("an ensemble needs at least one member")
+        first = self.sims[0]
+        for sim in self.sims[1:]:
+            same_net = sim.net is first.net or np.array_equal(sim.net.w, first.net.w)
+            shared = replace(sim.params, gamma=first.params.gamma, sigma=first.params.sigma)
+            if not (same_net and shared == first.params and sim.tol == first.tol
+                    and sim.gauge_target == first.gauge_target):
+                raise ValueError("ensemble members must share the network, the tolerance, "
+                                 "the gauge and every parameter but gamma and sigma")
+        self._work = _jacobian_workspace(first.net.n, len(self.sims))
+
+    def step(self, states: list[EconomyState],
+             shocks: np.ndarray) -> list[EconomyState | ClearingError]:
+        """One period for member states of this ensemble (each under its own
+        params), ``shocks[i]`` the log productivities of states[i].  Returns
+        per state the cleared state or its ClearingError naming the step."""
+        return _step_members(self.sims[0], [state.params for state in states], states,
+                             np.asarray(shocks, dtype=float), self._work)
+
+    def simulate(self, noises, steps: int, burn_in: int = 0,
+                 initial_kick: float = 1e-6) -> list[Trajectory | ClearingError]:
+        """``Simulator.simulate`` for every member at once, member i driven by
+        ``noises[i]``.  Returns per member its (unstamped) Trajectory, or the
+        ClearingError that stopped it.  Only a ClearingError stops one
+        member; any other exception raised in a step ends the whole run."""
+        noises = list(noises)
+        if len(noises) != len(self.sims):
+            raise ValueError("need one noise process per member")
+        return _run(self.sims, noises, steps, burn_in, initial_kick, self.step, "")
 
 
 def trajectory_to_csv(traj: Trajectory, path, per_sector: bool = False) -> None:

@@ -17,7 +17,7 @@ from netecon.analytics import (
     volatility,
 )
 from netecon.cli import main as cli_main
-from netecon.simulator import NoiseProcess, Simulator, _clearing_parts
+from netecon.simulator import Ensemble, NoiseProcess, Simulator, _clearing_parts
 
 A, B = 0.5, 0.9
 
@@ -34,13 +34,27 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 _RUNS: dict = {}
 
 
+def run_plain_group(cells, seed=11, steps=4500, burn=1500):
+    """Trajectories of the plain network for (n, gamma, sigma) cells; the
+    ones not cached yet run as one ensemble per n, bit for bit the runs each
+    has alone."""
+    keys = [(n, gamma, sigma, seed, steps, burn) for n, gamma, sigma in cells]
+    missing = [key for key in dict.fromkeys(keys) if key not in _RUNS]
+    for n in sorted({key[0] for key in missing}):
+        group = [key for key in missing if key[0] == n]
+        net = ne.build_plain_network(n)
+        sims = [Simulator(net, ne.ModelParams(a=A, b=B, q=-1.0, gamma=gamma, sigma=sigma))
+                for _, gamma, sigma, *_ in group]
+        noises = [NoiseProcess(sigma, seed) for _, _, sigma, *_ in group]
+        for key, traj in zip(group, Ensemble(sims).simulate(noises, steps=steps, burn_in=burn)):
+            if isinstance(traj, Exception):
+                raise traj
+            _RUNS[key] = traj
+    return [_RUNS[key] for key in keys]
+
+
 def run_plain(n, gamma, sigma, seed=11, steps=4500, burn=1500):
-    key = (n, gamma, sigma, seed, steps, burn)
-    if key not in _RUNS:
-        params = ne.ModelParams(a=A, b=B, q=-1.0, gamma=gamma, sigma=sigma)
-        sim = Simulator(ne.build_plain_network(n), params)
-        _RUNS[key] = sim.simulate(NoiseProcess(sigma, seed), steps=steps, burn_in=burn)
-    return _RUNS[key]
+    return run_plain_group([(n, gamma, sigma)], seed, steps, burn)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +94,10 @@ def test_criterion_2_critical_values_and_simulated_knee():
                 and abs(cp1.gamma_c - 1.0 / 9.0) < 1e-6 and cp1.kind == "complex_pair")
 
     # simulated knee: sigma-proportionality breaks down at the threshold
+    gammas, sigmas = (0.105, 0.115, 0.125), (1e-3, 1e-4)
+    run_plain_group([(64, g, s) for g in gammas for s in sigmas], steps=3000, burn=1000)
     ratios = {}
-    for gamma in (0.105, 0.115, 0.125):
+    for gamma in gammas:
         v3 = volatility(run_plain(64, gamma, 1e-3, steps=3000, burn=1000).mean_xi, 1000)
         v4 = volatility(run_plain(64, gamma, 1e-4, steps=3000, burn=1000).mean_xi, 1000)
         ratios[gamma] = v3 / v4
@@ -138,6 +154,7 @@ def test_criterion_4_linearization_bridge():
 
 def test_criterion_5_endogenous_volatility():
     sigmas = (1e-3, 1e-4, 1e-5)
+    run_plain_group([(64, g, s) for g in (0.15, 0.05) for s in sigmas])
     unstable = np.array([volatility(run_plain(64, 0.15, s).mean_xi, 1500)
                          for s in sigmas])
     spread = unstable.max() / unstable.min()
@@ -152,6 +169,7 @@ def test_criterion_5_endogenous_volatility():
 
 
 def test_criterion_6_size_scaling():
+    run_plain_group([(n, g, 1e-3) for n in (10, 64) for g in (0.05, 0.15)])
     v10_s = volatility(run_plain(10, 0.05, 1e-3).mean_xi, 1500)
     v64_s = volatility(run_plain(64, 0.05, 1e-3).mean_xi, 1500)
     v10_u = volatility(run_plain(10, 0.15, 1e-3).mean_xi, 1500)

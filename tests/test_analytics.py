@@ -216,31 +216,95 @@ class TestRunSweep:
                                                   "run.burn_in=20"])
 
     def test_programming_error_propagates(self, monkeypatch):
-        from netecon.simulator import Simulator
+        from netecon.simulator import Ensemble
 
         def broken(self, *args, **kwargs):
             raise TypeError("bug in the simulation code")
 
-        monkeypatch.setattr(Simulator, "simulate", broken)
+        monkeypatch.setattr(Ensemble, "step", broken)
         with pytest.raises(TypeError, match="bug"):
             run_sweep(self._small_conf(), "gamma", [0.1], replicas=1, seeds=[1], jobs=1)
 
+    def test_other_numerical_failure_fails_the_ensembles_cells(self, monkeypatch):
+        # an error of the ensemble's step as a whole, not of one member's
+        # solve, fails every cell the ensemble steps, and the sweep goes on
+        from netecon.simulator import Ensemble
+
+        def overflows(self, *args, **kwargs):
+            raise FloatingPointError("overflow in the step")
+
+        monkeypatch.setattr(Ensemble, "step", overflows)
+        (point,) = run_sweep(self._small_conf(), "gamma", [0.1], replicas=2, seeds=[1, 2],
+                             jobs=1).points
+        assert point.failed == 2 and np.isnan(point.statistic)
+        assert all(isinstance(failure, FloatingPointError) for _, failure in point.failures)
+
+    @staticmethod
+    def _break_high_gamma_at_step_7(monkeypatch):
+        # the ensemble's step reports a breakdown for the members above
+        # gamma = 0.2 at step 7, as it reports a member whose solve fails
+        from netecon.simulator import ClearingError, Ensemble
+
+        original = Ensemble.step
+
+        def breaks_at_high_gamma(self, states, shocks):
+            return [ClearingError("wealth non-positive", t=new.t)
+                    if new.t == 7 and new.params.gamma > 0.2 else new
+                    for new in original(self, states, shocks)]
+
+        monkeypatch.setattr(Ensemble, "step", breaks_at_high_gamma)
+
     def test_breakdown_counted_as_failed(self, monkeypatch):
-        from netecon.simulator import ClearingError, Simulator
-
-        original = Simulator.simulate
-
-        def breaks_at_high_gamma(self, *args, **kwargs):
-            if self.params.gamma > 0.2:
-                raise ClearingError("wealth non-positive", t=7)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Simulator, "simulate", breaks_at_high_gamma)
+        self._break_high_gamma_at_step_7(monkeypatch)
         result = run_sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2,
                            seeds=[1, 2], jobs=1)
         ok, broken = result.points
         assert ok.failed == 0 and np.isfinite(ok.statistic)
         assert broken.failed == 2 and np.isnan(broken.statistic)
+
+    def test_failure_reasons_are_kept_per_cell(self, monkeypatch):
+        self._break_high_gamma_at_step_7(monkeypatch)
+        ok, broken = run_sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2,
+                               seeds=[1, 2], jobs=1).points
+        assert ok.failures == ()
+        assert [seed for seed, _ in broken.failures] == list(broken.seeds)
+        for _, failure in broken.failures:
+            assert failure.t == 7 and str(failure) == "step 7: wealth non-positive"
+
+    def test_csv_does_not_depend_on_jobs_or_ensemble_size(self, tmp_path, monkeypatch):
+        # the pool and the cap on ensemble members split the cells into
+        # smaller ensembles; every cell's run, and so the file, stays the same
+        from netecon import analytics
+        from netecon.config import config_hash, parse_overrides
+
+        sizes = []
+
+        class Recorded(analytics.Ensemble):
+            def __init__(self, sims):
+                super().__init__(sims)
+                sizes.append(len(self.sims))
+
+        monkeypatch.setattr(analytics, "Ensemble", Recorded)
+        conf = parse_overrides(default_config(), ["network.n=6", "run.steps=300",
+                                                  "run.burn_in=100", "params.sigma=1e-3"])
+        texts, failures = [], []
+        for jobs, cells in ((1, 8), (2, 8), (1, 4)):
+            monkeypatch.setattr(analytics, "ENSEMBLE_CELLS", cells)
+            path = tmp_path / f"jobs{jobs}_cells{cells}" / "sweep_gamma.csv"
+            path.parent.mkdir()
+            result = run_sweep(conf, "gamma", [0.08, 0.14, 0.3], replicas=2, seeds=[1, 2],
+                               jobs=jobs)
+            result.to_csv(path, config_hash=config_hash(conf))
+            texts.append(path.read_bytes())
+            # a worker process sends each failure back with its step
+            failures.append([(seed, failure.t, str(failure))
+                             for point in result.points for seed, failure in point.failures])
+        assert texts[0] == texts[1] == texts[2]
+        assert b"\n0.29999999999999999,nan," in texts[0]  # the gamma = 0.3 cells break down
+        assert len(failures[0]) == 2 and failures[0] == failures[1] == failures[2]
+        # in this process: all six cells as one ensemble, then two of three
+        # (the pool's ensembles are made in its workers)
+        assert sizes == [6, 3, 3]
 
     def test_configuration_error_propagates(self):
         # b = 1 has no equilibrium: an error of the configuration, not a

@@ -219,6 +219,19 @@ class TestCommands:
         assert "mean_output" in header and "mean_consumption" in header
         assert len(_data_rows(text)) == 3
 
+    def test_sweep_names_each_failed_cell_on_stderr(self, tmp_path, capsys):
+        # plain n=8 at gamma = 0.3 loses its wealth within a few dozen steps:
+        # the CSV counts the cell, stderr names it with its seed, step and reason
+        args = ["--set", "network.n=8", "--set", "run.steps=300", "--set", "run.burn_in=100",
+                "--set", "sweep.values=0.08,0.3", "--out", str(tmp_path),
+                "sweep", "--axis", "gamma"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        rows = _data_rows(_read(tmp_path / "sweep_gamma.csv"))
+        assert [row.split(",")[4] for row in rows[1:]] == ["0", "1"]
+        assert re.fullmatch(r"failed cell gamma=0\.3 seed=\d+: step \d+: "
+                            r"household wealth \S+ is not positive\n", err)
+
     def test_reduced_models(self, tmp_path):
         base = ["--set", "network.n=6", "--set", "run.steps=2000",
                 "--set", "run.burn_in=200", "--out", str(tmp_path)]

@@ -10,8 +10,10 @@ from dense_known_jacobian import dense_known_jacobian
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import build_plain_network, build_random_exponential_network
 from netecon.simulator import (
+    NEWTON_TOL,
     ClearingContext,
     ClearingError,
+    Ensemble,
     NoiseProcess,
     Simulator,
     _clearing_jacobian,
@@ -717,3 +719,175 @@ class TestLinearRegimeBridge:
                                    for j in range(3 * n)])
         scale = np.max(np.abs(s_map))
         assert np.max(np.abs(numeric - np.hstack([s_map, b_map]))) < 1e-7 * scale
+
+
+def _same_run(got, want):
+    """An ensemble member's outcome is its solo run's, bit for bit."""
+    if isinstance(want, ClearingError):
+        assert isinstance(got, ClearingError)
+        assert (str(got), got.t, got.residual, got.iterations) == \
+            (str(want), want.t, want.residual, want.iterations)
+        return
+    assert isinstance(got, type(want))
+    for name in ("xi", "newton_iters", "max_residual", "damping_halvings", "flat_restarts",
+                 "output_real", "consumption_real", "wage", "price_level"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def _solo(net, params, noise, steps, burn_in=10):
+    try:
+        return Simulator(net, params).simulate(noise, steps=steps, burn_in=burn_in)
+    except ClearingError as exc:
+        return exc
+
+
+class TestEnsemble:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        net_seed=st.integers(0, 1000),
+        q=st.sampled_from([-1.0, -0.5, 0.3]),
+        members=st.lists(st.tuples(st.floats(0.05, 0.45), st.sampled_from([0.0, 1e-3, 1e-2]),
+                                   st.integers(0, 1000)), min_size=1, max_size=5),
+    )
+    def test_members_run_as_they_run_alone(self, n, net_seed, q, members):
+        # per-member gamma, sigma and seed: every member's xi, Newton
+        # iterations and residuals (or its failure) are its solo run's bits
+        net = build_random_exponential_network(n, net_seed)
+        params = [ModelParams(a=0.5, b=0.9, q=q, gamma=gamma, sigma=sigma)
+                  for gamma, sigma, _ in members]
+        noises = [NoiseProcess(sigma, seed) for _, sigma, seed in members]
+        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=60,
+                                                                      burn_in=10)
+        for outcome, p, noise in zip(got, params, noises):
+            _same_run(outcome, _solo(net, p, noise, steps=60))
+
+    def test_every_member_state_clears(self):
+        # the public residual, re-evaluated at each member's returned state,
+        # is within the Newton tolerance, in the chaotic phase too
+        net = build_random_exponential_network(8, 6)
+        gammas = (0.08, 0.12, 0.2, 0.2)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in gammas]
+        ensemble = Ensemble(sims)
+        states = [sim.equilibrium_state() for sim in sims]
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            shocks = 3e-3 * rng.standard_normal((len(sims), 8))
+            new = ensemble.step(states, shocks)
+            for sim, state, shock, cleared in zip(sims, states, shocks, new):
+                assert not isinstance(cleared, ClearingError)
+                res = clearing_residual(np.log(cleared.p), cleared.h,
+                                        sim.context_for(state, shock))
+                assert np.max(np.abs(res)) <= NEWTON_TOL
+                assert cleared.max_residual < NEWTON_TOL
+            states = new
+
+    def test_a_member_that_breaks_down_fails_alone(self):
+        # random_exp n=8, q=-0.5: gamma = 0.6 with sigma = 3e-2 stalls in the
+        # clearing solve a few steps in; gamma = 0.1 with damped Newton steps
+        # and gamma = 0.05 run through, as they do alone
+        net = build_random_exponential_network(8, 7)
+        cases = [(0.05, 1e-3), (0.6, 3e-2), (0.1, 1e-3)]
+        params = [ModelParams(a=0.5, b=0.9, q=-0.5, gamma=g, sigma=s) for g, s in cases]
+        noises = [NoiseProcess(s, 3) for _, s in cases]
+        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=200,
+                                                                      burn_in=10)
+        assert isinstance(got[1], ClearingError)
+        assert 0 < got[1].t < 200 and str(got[1]).startswith(f"step {got[1].t}: clearing")
+        assert not isinstance(got[0], ClearingError) and not isinstance(got[2], ClearingError)
+        for outcome, p, noise in zip(got, params, noises):
+            _same_run(outcome, _solo(net, p, noise, steps=200))
+
+    @pytest.mark.parametrize("broken, message", [(0.0, "singular clearing Jacobian"),
+                                                 (np.nan, "non-finite clearing Jacobian")])
+    def test_a_solver_failure_stays_with_its_member(self, monkeypatch, broken, message):
+        # every Jacobian of the gamma = 0.2 member is made singular or
+        # non-finite: that member fails the step, warm and flat start alike,
+        # and the others clear as they do alone
+        import netecon.simulator as simulator
+
+        net = build_random_exponential_network(6, 3)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in (0.1, 0.2, 0.3)]
+        states = [sim.equilibrium_state() for sim in sims]
+        shocks = 1e-3 * np.random.default_rng(1).standard_normal((3, 6))
+        alone = [sim.step(state, shock) for sim, state, shock in zip(sims, states, shocks)]
+        original = simulator._clearing_jacobian
+
+        def breaks_one_member(ctx, u, parts, work):
+            jac = original(ctx, u, parts, work)
+            jac[np.ravel(ctx.gamma) == 0.2] = broken
+            return jac
+
+        monkeypatch.setattr(simulator, "_clearing_jacobian", breaks_one_member)
+        got = Ensemble(sims).step(states, shocks)
+        assert isinstance(got[1], ClearingError) and str(got[1]) == f"step 1: {message}"
+        for new, solo in zip(got[::2], alone[::2]):
+            assert (new.newton_iters, new.flat_restarts) == (solo.newton_iters, 0)
+            np.testing.assert_array_equal(new.p, solo.p)
+            np.testing.assert_array_equal(new.x_next, solo.x_next)
+
+    def test_wealth_breakdown_stops_only_that_member(self):
+        # plain n=8, no shocks: gamma = 0.3 loses its wealth at step 35, the
+        # members below gamma_c = 1/9 and just above it run on
+        net = build_plain_network(8)
+        gammas = (0.08, 0.3, 0.14)
+        params = [ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g) for g in gammas]
+        noises = [NoiseProcess(0.0, 3)] * 3
+        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=300,
+                                                                      burn_in=10)
+        assert isinstance(got[1], ClearingError) and "household wealth" in str(got[1])
+        for outcome, p, noise in zip(got, params, noises):
+            _same_run(outcome, _solo(net, p, noise, steps=300))
+
+    def test_flat_restart_is_per_member_and_counted(self):
+        # a wage far off the equilibrium makes the warm start overflow: that
+        # member alone restarts from the flat price vector, and says so
+        net = build_random_exponential_network(6, 2)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in (0.1, 0.2)]
+        states = [sim.equilibrium_state() for sim in sims]
+        states[1].h = 1e300
+        new = Ensemble(sims).step(states, np.zeros((2, 6)))
+        assert [state.flat_restarts for state in new] == [0, 1]
+        assert all(state.max_residual < NEWTON_TOL for state in new)
+        assert new[0].newton_iters == 0
+        alone = sims[1].step(states[1], np.zeros(6))
+        assert alone.flat_restarts == 1 and alone.newton_iters == new[1].newton_iters
+        np.testing.assert_array_equal(alone.p, new[1].p)
+
+    def test_step_allocates_no_n_squared_array(self):
+        # the members' Jacobians are assembled in the ensemble's workspace
+        n = 256
+        net = build_random_exponential_network(n, 1)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g))
+                for g in (0.12, 0.13, 0.14)]
+        ensemble = Ensemble(sims)
+        rng = np.random.default_rng(0)
+        states = ensemble.step([sim.equilibrium_state() for sim in sims],
+                               1e-3 * rng.standard_normal((3, n)))
+        tracemalloc.start()
+        try:
+            states = ensemble.step(states, 1e-3 * rng.standard_normal((3, n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(state.newton_iters >= 1 for state in states)
+        assert peak < n * n * 8
+
+    def test_damping_halvings_are_recorded(self):
+        # q = 0.6 on random_exp n=8: full Newton steps overshoot and are halved
+        net = build_random_exponential_network(8, 7)
+        params = ModelParams(a=0.5, b=0.9, q=0.6, gamma=0.1, sigma=1e-3)
+        traj = Simulator(net, params).simulate(NoiseProcess(1e-3, 3), steps=200, burn_in=10)
+        assert traj.damping_halvings.sum() > 0
+        assert traj.damping_halvings.shape == traj.flat_restarts.shape == (200,)
+
+    def test_members_must_share_all_but_gamma_and_sigma(self):
+        net = build_plain_network(4)
+        base = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.1)
+        Ensemble([Simulator(net, base), Simulator(net, replace(base, gamma=0.2, sigma=1e-3))])
+        for other in (Simulator(net, replace(base, q=-0.5)),
+                      Simulator(build_plain_network(5), base)):
+            with pytest.raises(ValueError, match="share"):
+                Ensemble([Simulator(net, base), other])
+        with pytest.raises(ValueError, match="one noise process per member"):
+            Ensemble([Simulator(net, base)]).simulate([], steps=10)
