@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the ten reference CLI commands, each into its own subdirectory of DIR,
+# Run the twelve reference CLI commands, each into its own subdirectory of DIR,
 # and print the sha256 of every file they write (and of the stability
 # verdicts printed on stdout).  Comparing the listing of two checkouts shows
 # whether a change kept every CLI output byte-identical.
@@ -36,6 +36,10 @@ run phase_diagram --set network.kind=random_exp --set network.n=8 \
     --set phase.q_grid=-1,0 phase-diagram
 run sweep --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
     --set sweep.values=0.08,0.14 --set run.replicas=2 sweep --axis gamma
+run sweep_sigma --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
+    --set sweep.axis=sigma --set sweep.values=1e-4,1e-3 --set run.replicas=2 sweep
+run sweep_n --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
+    --set sweep.axis=n --set sweep.values=6,8 --set run.replicas=2 sweep
 run reduced_long_plosser --set reduced.n_values=5,10 --set run.steps=2000 \
     reduced long_plosser
 run reduced_adiabatic --set network.n=8 reduced adiabatic

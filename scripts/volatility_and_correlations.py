@@ -31,11 +31,11 @@ def main() -> None:
             "params.q=-1", "params.sigma=1e-3",
             f"run.steps={args.steps}", f"run.burn_in={args.burn_in}",
             f"run.replicas={args.replicas}", "run.seed=1000",
-            f"sweep.values={GAMMAS}", f"sweep.statistic={statistic}",
+            "sweep.axis=gamma", f"sweep.values={GAMMAS}", f"sweep.statistic={statistic}",
             f"jobs={args.jobs}", f"output.dir={args.out}",
         ] + overrides)
         path = os.path.join(args.out, name)
-        os.replace(cmd_sweep(conf, "gamma")[0], path)
+        os.replace(cmd_sweep(conf)[0], path)
         print(path)
 
     for n in (10, 64):

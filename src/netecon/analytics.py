@@ -212,61 +212,57 @@ ENSEMBLE_CELLS = 8
 
 
 def _run_cells(cells) -> list[dict | Exception]:
-    """Sweep cells of one network size, (base config, axis, value, seed) each,
+    """Sweep cells of one network size, (cell config, cell seed) each,
     stepped as one ensemble.  Returns per cell the statistics of
     ``_CELL_STATISTICS``, or the failure (one of ``NUMERICAL_FAILURES``) that
     stopped its simulation.  A member's own breakdown (a ClearingError)
     fails its cell alone; any other numerical failure in the ensemble fails
     all its cells.  Any other error (configuration, programming)
     propagates."""
-    confs = [cfg.replace_run(cfg.apply_axis(base, axis, value), seed=seed)
-             for base, axis, value, seed in cells]
-    run = confs[0].run
+    first = cells[0][0]
+    run = first.run
     try:
-        net = cfg.build_network(confs[0])
-        outcomes = Ensemble([Simulator(net, conf.params) for conf in confs]).simulate(
-            [NoiseProcess(sigma=conf.params.sigma, seed=conf.run.seed) for conf in confs],
+        sim = Simulator(cfg.build_network(first), first.params)
+        outcomes = Ensemble(sim, [conf.params.gamma for conf, _ in cells]).simulate(
+            [NoiseProcess(sigma=conf.params.sigma, seed=seed) for conf, seed in cells],
             steps=run.steps, burn_in=run.burn_in, initial_kick=run.initial_kick,
         )
     except NUMERICAL_FAILURES as exc:
-        return [exc] * len(confs)
+        return [exc] * len(cells)
     return [traj if isinstance(traj, Exception)
             else {name: stat(traj, traj.burn_in) for name, stat in _CELL_STATISTICS.items()}
             for traj in outcomes]
 
 
-def run_sweep(base_config, axis: str, values, replicas: int, seeds,
-              statistic: str = "volatility", jobs: int = 1) -> SweepResult:
-    """Replicated simulations along one parameter axis.
+def run_sweep(conf) -> SweepResult:
+    """Replicated simulations along the axis ``sweep.axis`` of ``conf``.
 
-    ``seeds`` lists one base seed per replica; the cell seed mixes the base
-    seed with the value index, so the whole sweep is reproducible from
-    (config, seeds).  The cells of one network size run as ensembles of at
-    most ``ENSEMBLE_CELLS`` members, split as evenly as that allows; with
-    ``jobs`` > 1 a process pool runs the ensembles, each size split into a
-    multiple of ``jobs`` of them.  A cell's simulation is the same in every
-    ensemble, so the result does not depend on ``jobs``.  Cells whose
-    simulation breaks down (one of ``NUMERICAL_FAILURES``) are kept with
-    their error in the point's ``failures``; any other error propagates.
-    ``statistic`` names one of ``_CELL_STATISTICS``.
+    Each of ``sweep.values`` runs ``run.replicas`` cells; replica r has base
+    seed ``run.seed`` + r, and the cell seed mixes the base seed with the
+    value index, so the whole sweep is reproducible from the config.  The
+    cells of one network size run as ensembles of at most ``ENSEMBLE_CELLS``
+    members, split as evenly as that allows; with ``jobs`` > 1 a process
+    pool runs the ensembles, each size split into a multiple of ``jobs`` of
+    them.  A cell's simulation is the same in every ensemble, so the result
+    does not depend on ``jobs``.  Cells whose simulation breaks down (one of
+    ``NUMERICAL_FAILURES``) are kept with their error in the point's
+    ``failures``; any other error propagates.  ``sweep.statistic`` names one
+    of ``_CELL_STATISTICS``.
     """
-    values = list(values)
-    seeds = list(seeds)
-    if len(seeds) != replicas:
-        raise ValueError("need exactly one base seed per replica")
+    axis, statistic, replicas = conf.sweep_axis, conf.sweep_statistic, conf.run.replicas
     if statistic not in _CELL_STATISTICS:
         raise ValueError(f"unknown sweep statistic {statistic!r} "
                          f"({', '.join(_CELL_STATISTICS)})")
-    jobs = max(jobs, 1)
-    tasks = []
-    for i, value in enumerate(values):
-        for base_seed in seeds:
-            tasks.append((base_config, axis, float(value), _cell_seed(base_seed, i)))
+    jobs = max(conf.jobs, 1)
+    values = [float(value) for value in conf.sweep_values]
+    seeds = [tuple(_cell_seed(conf.run.seed + r, i) for r in range(replicas))
+             for i in range(len(values))]
+    tasks = [(cfg.apply_axis(conf, axis, value), seed)
+             for value, cell_seeds in zip(values, seeds) for seed in cell_seeds]
 
     by_size: dict[int, list[int]] = {}
-    for index, (_, _, value, _) in enumerate(tasks):
-        size = cfg.apply_axis(base_config, axis, value).network.n
-        by_size.setdefault(size, []).append(index)
+    for index, (cell, _) in enumerate(tasks):
+        by_size.setdefault(cell.network.n, []).append(index)
     groups = []
     for members in by_size.values():
         ensembles = -(-len(members) // ENSEMBLE_CELLS)
@@ -286,21 +282,20 @@ def run_sweep(base_config, axis: str, values, replicas: int, seeds,
             outcomes[index] = outcome
 
     points = []
-    for i, value in enumerate(values):
+    for i, (value, cell_seeds) in enumerate(zip(values, seeds)):
         cell = outcomes[i * replicas:(i + 1) * replicas]
-        cell_seeds = tuple(_cell_seed(s, i) for s in seeds)
         good = [c for c in cell if isinstance(c, dict)]
         failures = tuple((seed, c) for seed, c in zip(cell_seeds, cell)
                          if not isinstance(c, dict))
         if not good:
-            points.append(SweepPoint(value=float(value), statistic=float("nan"),
+            points.append(SweepPoint(value=value, statistic=float("nan"),
                                      std_err=float("nan"), replicas=replicas,
                                      seeds=cell_seeds, failures=failures))
             continue
         stats = np.array([c[statistic] for c in good])
         std_err = float(stats.std(ddof=1) / np.sqrt(len(stats))) if len(stats) > 1 else float("nan")
         extras = {k: float(np.mean([c[k] for c in good])) for k in good[0] if k != statistic}
-        points.append(SweepPoint(value=float(value), statistic=float(stats.mean()),
+        points.append(SweepPoint(value=value, statistic=float(stats.mean()),
                                  std_err=std_err, replicas=replicas,
                                  seeds=cell_seeds, failures=failures, extras=extras))
     return SweepResult(axis=axis, points=points)

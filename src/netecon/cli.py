@@ -75,30 +75,25 @@ def cmd_stability(conf: cfg.ExperimentConfig) -> list[str]:
     return [path]
 
 
-def cmd_phase_diagram(conf: cfg.ExperimentConfig, q_grid=None) -> list[str]:
+def cmd_phase_diagram(conf: cfg.ExperimentConfig) -> list[str]:
     """Critical line gamma_c(q) over the configured q grid."""
-    grid = conf.phase_q_grid if q_grid is None else q_grid
-    line = trace_critical_line(cfg.build_network(conf), conf.params, grid, jobs=conf.jobs)
+    line = trace_critical_line(cfg.build_network(conf), conf.params, conf.phase_q_grid,
+                               jobs=conf.jobs)
     path = _out_path(conf, "phase_diagram.csv")
     critical_line_to_csv(line, path, config_hash=cfg.config_hash(conf))
     return [path]
 
 
-def cmd_sweep(conf: cfg.ExperimentConfig, axis: str | None = None) -> list[str]:
+def cmd_sweep(conf: cfg.ExperimentConfig) -> list[str]:
     """Replicated parameter sweep; also emits mean output / consumption columns.
     Each cell that broke down is named on stderr with its seed, step and
     reason; the CSV counts it in failed_count."""
-    axis = axis or conf.sweep_axis
-    seeds = [conf.run.seed + r for r in range(conf.run.replicas)]
-    result = analytics.run_sweep(
-        conf, axis, conf.sweep_values, conf.run.replicas, seeds,
-        statistic=conf.sweep_statistic, jobs=conf.jobs,
-    )
+    result = analytics.run_sweep(conf)
     for point in result.points:
         for seed, failure in point.failures:
-            print(f"failed cell {axis}={point.value!r} seed={seed}: {failure}",
+            print(f"failed cell {result.axis}={point.value!r} seed={seed}: {failure}",
                   file=sys.stderr)
-    path = _out_path(conf, f"sweep_{axis}.csv")
+    path = _out_path(conf, f"sweep_{result.axis}.csv")
     result.to_csv(path, config_hash=cfg.config_hash(conf))
     return [path]
 
@@ -185,7 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("equilibrium", "simulate", "stability", "phase-diagram"):
         _add_common_flags(sub.add_parser(name))
     sweep = sub.add_parser("sweep")
-    sweep.add_argument("--axis", default=None, choices=["gamma", "sigma", "n"])
+    sweep.add_argument("--axis", default=argparse.SUPPRESS, choices=["gamma", "sigma", "n"],
+                       help="swept parameter (sets sweep.axis)")
     _add_common_flags(sweep)
     reduced = sub.add_parser("reduced")
     reduced.add_argument("model", choices=["long_plosser", "adiabatic",
@@ -196,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # common flags that set a configuration key; applied after --set, so they win
 _FLAG_KEYS = {"out": "output.dir", "jobs": "jobs", "seed": "run.seed",
-              "per_sector": "output.per_sector"}
+              "per_sector": "output.per_sector", "axis": "sweep.axis"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "phase-diagram":
             paths = cmd_phase_diagram(conf)
         elif args.command == "sweep":
-            paths = cmd_sweep(conf, axis=args.axis)
+            paths = cmd_sweep(conf)
         elif args.command == "reduced":
             paths = cmd_reduced(conf, args.model)
         else:  # unreachable, argparse enforces choices

@@ -10,7 +10,7 @@ identical configurations reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "default_config",
     "load_config",
     "parse_overrides",
-    "replace_run",
     "set_key",
 ]
 
@@ -246,7 +245,3 @@ def apply_axis(conf: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     if axis == "n":
         return set_key(conf, "network.n", int(round(value)))
     raise ConfigError(f"unknown sweep axis {axis!r} (gamma, sigma or n)")
-
-
-def replace_run(conf: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(conf, run=replace(conf.run, **kwargs))

@@ -651,10 +651,15 @@ _OBSERVABLES = ("output_real", "mean_xi", "consumption_real", "wage", "price_lev
 _COUNTERS = ("newton_iters", "damping_halvings", "flat_restarts")
 
 
-def _run(sims: list[Simulator], noises: list[NoiseProcess], steps: int, burn_in: int,
-         initial_kick: float, step, config_hash: str) -> list[Trajectory | ClearingError]:
+def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], steps: int,
+         burn_in: int, initial_kick: float, step,
+         config_hash: str) -> list[Trajectory | ClearingError]:
     """The time loop: ``steps`` periods of every member from its kicked
-    equilibrium, member i driven by ``noises[i]``.
+    equilibrium, member i under ``params[i]`` and driven by ``noises[i]``.
+
+    ``sim`` supplies the equilibrium every member starts from; the members'
+    params differ from its own at most in gamma, which the equilibrium does
+    not depend on.
 
     ``step(states, shocks)`` advances the live members' states one period and
     returns, per member, the new state or the ClearingError that stopped it.
@@ -665,12 +670,12 @@ def _run(sims: list[Simulator], noises: list[NoiseProcess], steps: int, burn_in:
     """
     if not steps > burn_in >= 0:
         raise ValueError("need steps > burn_in >= 0")
-    sim = sims[0]
-    eq, n, count = sim.equilibrium, sim.net.n, len(sims)
+    eq, n, count = sim.equilibrium, sim.net.n, len(params)
     rngs = [np.random.default_rng(noise.seed) for noise in noises]
     states = []
-    for member, rng in zip(sims, rngs):
-        state = member.equilibrium_state()
+    for member, rng in zip(params, rngs):
+        state = sim.equilibrium_state()
+        state.params = member
         # the uniform draw always happens so the shock stream does not depend
         # on whether a kick was requested
         kick = rng.uniform(-1.0, 1.0, n) * initial_kick
@@ -817,7 +822,7 @@ class Simulator:
         stops with ClearingError, naming the step, where no state clears,
         household wealth is non-positive or an observable is non-finite.
         """
-        (outcome,) = _run([self], [noise], steps, burn_in, initial_kick,
+        (outcome,) = _run(self, [self.params], [noise], steps, burn_in, initial_kick,
                           lambda states, shocks: [self.step(states[0], shocks[0])],
                           config_hash)
         if isinstance(outcome, ClearingError):
@@ -829,34 +834,29 @@ class Ensemble:
     """Economies of one network stepped in lockstep, one clearing Newton
     solve per period over every live member.
 
-    The members are Simulators that share the network, the tolerance, the
-    gauge and every parameter but gamma and sigma.  A member's run is bit
-    for bit the run its Simulator has alone, and a member that breaks down
+    ``sim`` supplies the network, the equilibrium, the gauge, the tolerance
+    and every parameter but gamma; member i runs under
+    ``replace(sim.params, gamma=gammas[i])``, and its shocks (sigma, seed)
+    are its noise process.  A member's run is bit for bit the run a
+    Simulator with its params has alone, and a member that breaks down
     leaves the ensemble with its ClearingError while the others run on.  The
     ensemble owns one Jacobian workspace for all members, so, like a
     Simulator, it is stepped from one thread at a time.
     """
 
-    def __init__(self, sims):
-        self.sims = list(sims)
-        if not self.sims:
+    def __init__(self, sim: Simulator, gammas):
+        self.sim = sim
+        self.params = [replace(sim.params, gamma=gamma) for gamma in gammas]
+        if not self.params:
             raise ValueError("an ensemble needs at least one member")
-        first = self.sims[0]
-        for sim in self.sims[1:]:
-            same_net = sim.net is first.net or np.array_equal(sim.net.w, first.net.w)
-            shared = replace(sim.params, gamma=first.params.gamma, sigma=first.params.sigma)
-            if not (same_net and shared == first.params and sim.tol == first.tol
-                    and sim.gauge_target == first.gauge_target):
-                raise ValueError("ensemble members must share the network, the tolerance, "
-                                 "the gauge and every parameter but gamma and sigma")
-        self._work = _jacobian_workspace(first.net.n, len(self.sims))
+        self._work = _jacobian_workspace(sim.net.n, len(self.params))
 
     def step(self, states: list[EconomyState],
              shocks: np.ndarray) -> list[EconomyState | ClearingError]:
         """One period for member states of this ensemble (each under its own
         params), ``shocks[i]`` the log productivities of states[i].  Returns
         per state the cleared state or its ClearingError naming the step."""
-        return _step_members(self.sims[0], [state.params for state in states], states,
+        return _step_members(self.sim, [state.params for state in states], states,
                              np.asarray(shocks, dtype=float), self._work)
 
     def simulate(self, noises, steps: int, burn_in: int = 0,
@@ -866,9 +866,9 @@ class Ensemble:
         ClearingError that stopped it.  Only a ClearingError stops one
         member; any other exception raised in a step ends the whole run."""
         noises = list(noises)
-        if len(noises) != len(self.sims):
+        if len(noises) != len(self.params):
             raise ValueError("need one noise process per member")
-        return _run(self.sims, noises, steps, burn_in, initial_kick, self.step, "")
+        return _run(self.sim, self.params, noises, steps, burn_in, initial_kick, self.step, "")
 
 
 def trajectory_to_csv(traj: Trajectory, path, per_sector: bool = False) -> None:

@@ -43,10 +43,10 @@ def run_plain_group(cells, seed=11, steps=4500, burn=1500):
     for n in sorted({key[0] for key in missing}):
         group = [key for key in missing if key[0] == n]
         net = ne.build_plain_network(n)
-        sims = [Simulator(net, ne.ModelParams(a=A, b=B, q=-1.0, gamma=gamma, sigma=sigma))
-                for _, gamma, sigma, *_ in group]
+        sim = Simulator(net, ne.ModelParams(a=A, b=B, q=-1.0))
+        ensemble = Ensemble(sim, [gamma for _, gamma, *_ in group])
         noises = [NoiseProcess(sigma, seed) for _, _, sigma, *_ in group]
-        for key, traj in zip(group, Ensemble(sims).simulate(noises, steps=steps, burn_in=burn)):
+        for key, traj in zip(group, ensemble.simulate(noises, steps=steps, burn_in=burn)):
             if isinstance(traj, Exception):
                 raise traj
             _RUNS[key] = traj

@@ -10,7 +10,7 @@ from netecon.analytics import (
     volatility,
     volatility_diff,
 )
-from netecon.config import default_config, replace_run
+from netecon.config import default_config, parse_overrides
 from netecon.equilibrium import ModelParams
 from netecon.network import build_plain_network
 from netecon.simulator import NoiseProcess, Simulator
@@ -82,7 +82,8 @@ class TestVolatility:
 
 class TestCorrelation:
     def _traj_with_xi(self, xi):
-        traj = _small_traj(n=xi.shape[1], steps=xi.shape[0] + 60)
+        # avg_abs_correlation reads xi alone: a short run carries it
+        traj = _small_traj(n=xi.shape[1], steps=60)
         traj.xi = xi
         return traj
 
@@ -178,14 +179,19 @@ class TestEnvelope:
             amplitude_envelope(np.ones(10), window=1)
 
 
+def _sweep(conf, axis, values, replicas, seed, **keys):
+    """run_sweep of ``conf`` along ``axis``: replica r has base seed seed + r;
+    ``keys`` sets further top-level keys (``jobs``)."""
+    sets = [f"sweep.axis={axis}", "sweep.values=" + ",".join(map(repr, values)),
+            f"run.replicas={replicas}", f"run.seed={seed}"]
+    return run_sweep(parse_overrides(conf, sets + [f"{k}={v}" for k, v in keys.items()]))
+
+
 class TestRunSweep:
     def test_gamma_sweep_detects_instability(self):
-        conf = default_config()
-        from netecon.config import parse_overrides
-
-        conf = parse_overrides(conf, ["network.n=8", "run.steps=1200",
-                                      "run.burn_in=400", "params.sigma=1e-3"])
-        result = run_sweep(conf, "gamma", [0.05, 0.15], replicas=2, seeds=[1, 2])
+        conf = parse_overrides(default_config(), ["network.n=8", "run.steps=1200",
+                                                  "run.burn_in=400", "params.sigma=1e-3"])
+        result = _sweep(conf, "gamma", [0.05, 0.15], replicas=2, seed=1)
         assert result.axis == "gamma"
         assert len(result.points) == 2
         stable, unstable = result.points
@@ -196,22 +202,13 @@ class TestRunSweep:
         assert "mean_consumption" in stable.extras
 
     def test_deterministic_given_seeds(self):
-        conf = default_config()
-        from netecon.config import parse_overrides
-
-        conf = parse_overrides(conf, ["network.n=6", "run.steps=600",
-                                      "run.burn_in=150"])
-        r1 = run_sweep(conf, "sigma", [1e-3], replicas=1, seeds=[9])
-        r2 = run_sweep(conf, "sigma", [1e-3], replicas=1, seeds=[9])
+        conf = parse_overrides(default_config(), ["network.n=6", "run.steps=600",
+                                                  "run.burn_in=150"])
+        r1 = _sweep(conf, "sigma", [1e-3], replicas=1, seed=9)
+        r2 = _sweep(conf, "sigma", [1e-3], replicas=1, seed=9)
         assert r1.points[0].statistic == r2.points[0].statistic
 
-    def test_seed_count_validated(self):
-        with pytest.raises(ValueError):
-            run_sweep(default_config(), "gamma", [0.1], replicas=2, seeds=[1])
-
     def _small_conf(self):
-        from netecon.config import parse_overrides
-
         return parse_overrides(default_config(), ["network.n=4", "run.steps=150",
                                                   "run.burn_in=20"])
 
@@ -223,7 +220,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(Ensemble, "step", broken)
         with pytest.raises(TypeError, match="bug"):
-            run_sweep(self._small_conf(), "gamma", [0.1], replicas=1, seeds=[1], jobs=1)
+            _sweep(self._small_conf(), "gamma", [0.1], replicas=1, seed=1, jobs=1)
 
     def test_other_numerical_failure_fails_the_ensembles_cells(self, monkeypatch):
         # an error of the ensemble's step as a whole, not of one member's
@@ -234,8 +231,8 @@ class TestRunSweep:
             raise FloatingPointError("overflow in the step")
 
         monkeypatch.setattr(Ensemble, "step", overflows)
-        (point,) = run_sweep(self._small_conf(), "gamma", [0.1], replicas=2, seeds=[1, 2],
-                             jobs=1).points
+        (point,) = _sweep(self._small_conf(), "gamma", [0.1], replicas=2, seed=1,
+                          jobs=1).points
         assert point.failed == 2 and np.isnan(point.statistic)
         assert all(isinstance(failure, FloatingPointError) for _, failure in point.failures)
 
@@ -256,16 +253,15 @@ class TestRunSweep:
 
     def test_breakdown_counted_as_failed(self, monkeypatch):
         self._break_high_gamma_at_step_7(monkeypatch)
-        result = run_sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2,
-                           seeds=[1, 2], jobs=1)
+        result = _sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2, seed=1, jobs=1)
         ok, broken = result.points
         assert ok.failed == 0 and np.isfinite(ok.statistic)
         assert broken.failed == 2 and np.isnan(broken.statistic)
 
     def test_failure_reasons_are_kept_per_cell(self, monkeypatch):
         self._break_high_gamma_at_step_7(monkeypatch)
-        ok, broken = run_sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2,
-                               seeds=[1, 2], jobs=1).points
+        ok, broken = _sweep(self._small_conf(), "gamma", [0.1, 0.3], replicas=2, seed=1,
+                            jobs=1).points
         assert ok.failures == ()
         assert [seed for seed, _ in broken.failures] == list(broken.seeds)
         for _, failure in broken.failures:
@@ -275,14 +271,14 @@ class TestRunSweep:
         # the pool and the cap on ensemble members split the cells into
         # smaller ensembles; every cell's run, and so the file, stays the same
         from netecon import analytics
-        from netecon.config import config_hash, parse_overrides
+        from netecon.config import config_hash
 
         sizes = []
 
         class Recorded(analytics.Ensemble):
-            def __init__(self, sims):
-                super().__init__(sims)
-                sizes.append(len(self.sims))
+            def __init__(self, sim, gammas):
+                super().__init__(sim, gammas)
+                sizes.append(len(self.params))
 
         monkeypatch.setattr(analytics, "Ensemble", Recorded)
         conf = parse_overrides(default_config(), ["network.n=6", "run.steps=300",
@@ -292,8 +288,7 @@ class TestRunSweep:
             monkeypatch.setattr(analytics, "ENSEMBLE_CELLS", cells)
             path = tmp_path / f"jobs{jobs}_cells{cells}" / "sweep_gamma.csv"
             path.parent.mkdir()
-            result = run_sweep(conf, "gamma", [0.08, 0.14, 0.3], replicas=2, seeds=[1, 2],
-                               jobs=jobs)
+            result = _sweep(conf, "gamma", [0.08, 0.14, 0.3], replicas=2, seed=1, jobs=jobs)
             result.to_csv(path, config_hash=config_hash(conf))
             texts.append(path.read_bytes())
             # a worker process sends each failure back with its step
@@ -309,8 +304,6 @@ class TestRunSweep:
     def test_configuration_error_propagates(self):
         # b = 1 has no equilibrium: an error of the configuration, not a
         # failed cell
-        from netecon.config import parse_overrides
-
         conf = parse_overrides(self._small_conf(), ["params.b=1.0"])
         with pytest.raises(ValueError, match="b < 1"):
-            run_sweep(conf, "gamma", [0.1], replicas=1, seeds=[1])
+            _sweep(conf, "gamma", [0.1], replicas=1, seed=1)

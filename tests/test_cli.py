@@ -232,6 +232,24 @@ class TestCommands:
         assert re.fullmatch(r"failed cell gamma=0\.3 seed=\d+: step \d+: "
                             r"household wealth \S+ is not positive\n", err)
 
+    def test_axis_flag_is_the_sweep_axis_key(self, tmp_path):
+        # --axis sets sweep.axis: it writes the file --set sweep.axis writes,
+        # stamp included, and the stamp tells the axes apart
+        base = ["--set", "network.n=4", "--set", "run.steps=150", "--set", "run.burn_in=20",
+                "--set", "sweep.values=1e-4,1e-3", "--set", "run.replicas=2"]
+        runs = {"flag_sigma": ["sweep", "--axis", "sigma"],
+                "key_sigma": ["--set", "sweep.axis=sigma", "sweep"],
+                "flag_gamma": ["sweep", "--axis", "gamma"]}
+        texts = {}
+        for name, command in runs.items():
+            assert main(base + ["--out", str(tmp_path / name)] + command) == 0
+            (path,) = (tmp_path / name).glob("*.csv")
+            texts[name] = (path.name, _read(path))
+        assert texts["flag_sigma"] == texts["key_sigma"]
+        assert texts["flag_sigma"][0] == "sweep_sigma.csv"
+        stamp = {name: text.splitlines()[0] for name, (_, text) in texts.items()}
+        assert stamp["flag_gamma"] != stamp["flag_sigma"]
+
     def test_reduced_models(self, tmp_path):
         base = ["--set", "network.n=6", "--set", "run.steps=2000",
                 "--set", "run.burn_in=200", "--out", str(tmp_path)]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dense_known_jacobian import dense_known_jacobian
 from netecon.equilibrium import ModelParams, solve_equilibrium
@@ -23,6 +23,7 @@ from netecon.simulator import (
     _residual_vector,
     clearing_residual,
 )
+from netecon.stability import analyze_stability
 
 PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
 
@@ -757,8 +758,8 @@ class TestEnsemble:
         params = [ModelParams(a=0.5, b=0.9, q=q, gamma=gamma, sigma=sigma)
                   for gamma, sigma, _ in members]
         noises = [NoiseProcess(sigma, seed) for _, sigma, seed in members]
-        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=60,
-                                                                      burn_in=10)
+        got = Ensemble(Simulator(net, params[0]), [p.gamma for p in params]).simulate(
+            noises, steps=60, burn_in=10)
         for outcome, p, noise in zip(got, params, noises):
             _same_run(outcome, _solo(net, p, noise, steps=60))
 
@@ -768,7 +769,7 @@ class TestEnsemble:
         net = build_random_exponential_network(8, 6)
         gammas = (0.08, 0.12, 0.2, 0.2)
         sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in gammas]
-        ensemble = Ensemble(sims)
+        ensemble = Ensemble(sims[0], gammas)
         states = [sim.equilibrium_state() for sim in sims]
         rng = np.random.default_rng(0)
         for _ in range(150):
@@ -790,8 +791,8 @@ class TestEnsemble:
         cases = [(0.05, 1e-3), (0.6, 3e-2), (0.1, 1e-3)]
         params = [ModelParams(a=0.5, b=0.9, q=-0.5, gamma=g, sigma=s) for g, s in cases]
         noises = [NoiseProcess(s, 3) for _, s in cases]
-        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=200,
-                                                                      burn_in=10)
+        got = Ensemble(Simulator(net, params[0]), [p.gamma for p in params]).simulate(
+            noises, steps=200, burn_in=10)
         assert isinstance(got[1], ClearingError)
         assert 0 < got[1].t < 200 and str(got[1]).startswith(f"step {got[1].t}: clearing")
         assert not isinstance(got[0], ClearingError) and not isinstance(got[2], ClearingError)
@@ -807,7 +808,8 @@ class TestEnsemble:
         import netecon.simulator as simulator
 
         net = build_random_exponential_network(6, 3)
-        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in (0.1, 0.2, 0.3)]
+        gammas = (0.1, 0.2, 0.3)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in gammas]
         states = [sim.equilibrium_state() for sim in sims]
         shocks = 1e-3 * np.random.default_rng(1).standard_normal((3, 6))
         alone = [sim.step(state, shock) for sim, state, shock in zip(sims, states, shocks)]
@@ -819,7 +821,7 @@ class TestEnsemble:
             return jac
 
         monkeypatch.setattr(simulator, "_clearing_jacobian", breaks_one_member)
-        got = Ensemble(sims).step(states, shocks)
+        got = Ensemble(sims[0], gammas).step(states, shocks)
         assert isinstance(got[1], ClearingError) and str(got[1]) == f"step 1: {message}"
         for new, solo in zip(got[::2], alone[::2]):
             assert (new.newton_iters, new.flat_restarts) == (solo.newton_iters, 0)
@@ -833,8 +835,8 @@ class TestEnsemble:
         gammas = (0.08, 0.3, 0.14)
         params = [ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g) for g in gammas]
         noises = [NoiseProcess(0.0, 3)] * 3
-        got = Ensemble([Simulator(net, p) for p in params]).simulate(noises, steps=300,
-                                                                      burn_in=10)
+        got = Ensemble(Simulator(net, params[0]), gammas).simulate(noises, steps=300,
+                                                                   burn_in=10)
         assert isinstance(got[1], ClearingError) and "household wealth" in str(got[1])
         for outcome, p, noise in zip(got, params, noises):
             _same_run(outcome, _solo(net, p, noise, steps=300))
@@ -843,10 +845,11 @@ class TestEnsemble:
         # a wage far off the equilibrium makes the warm start overflow: that
         # member alone restarts from the flat price vector, and says so
         net = build_random_exponential_network(6, 2)
-        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in (0.1, 0.2)]
+        gammas = (0.1, 0.2)
+        sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in gammas]
         states = [sim.equilibrium_state() for sim in sims]
         states[1].h = 1e300
-        new = Ensemble(sims).step(states, np.zeros((2, 6)))
+        new = Ensemble(sims[0], gammas).step(states, np.zeros((2, 6)))
         assert [state.flat_restarts for state in new] == [0, 1]
         assert all(state.max_residual < NEWTON_TOL for state in new)
         assert new[0].newton_iters == 0
@@ -860,7 +863,7 @@ class TestEnsemble:
         net = build_random_exponential_network(n, 1)
         sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g))
                 for g in (0.12, 0.13, 0.14)]
-        ensemble = Ensemble(sims)
+        ensemble = Ensemble(sims[0], (0.12, 0.13, 0.14))
         rng = np.random.default_rng(0)
         states = ensemble.step([sim.equilibrium_state() for sim in sims],
                                1e-3 * rng.standard_normal((3, n)))
@@ -881,13 +884,45 @@ class TestEnsemble:
         assert traj.damping_halvings.sum() > 0
         assert traj.damping_halvings.shape == traj.flat_restarts.shape == (200,)
 
-    def test_members_must_share_all_but_gamma_and_sigma(self):
-        net = build_plain_network(4)
-        base = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.1)
-        Ensemble([Simulator(net, base), Simulator(net, replace(base, gamma=0.2, sigma=1e-3))])
-        for other in (Simulator(net, replace(base, q=-0.5)),
-                      Simulator(build_plain_network(5), base)):
-            with pytest.raises(ValueError, match="share"):
-                Ensemble([Simulator(net, base), other])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        net_seed=st.integers(0, 1000),
+        q=st.floats(-1.0, 0.5),
+        gammas=st.lists(st.floats(0.01, 0.2), min_size=2, max_size=4),
+    )
+    def test_stable_equilibrium_is_a_fixed_point(self, n, net_seed, q, gammas):
+        # random_exp at sigma = 0 and stable (q, gamma): one step from the
+        # equilibrium returns its x, p and h, alone and as ensemble members,
+        # and the public clearing residual there is within the Newton tolerance
+        net = build_random_exponential_network(n, net_seed)
+        params = [ModelParams(a=0.5, b=0.9, q=q, gamma=g) for g in gammas]
+        assume(all(analyze_stability(net, p).stable for p in params))
+        sims = [Simulator(net, p) for p in params]
+        eq, zero = sims[0].equilibrium, np.zeros(n)
+
+        def at_equilibrium(state, new, sim):
+            np.testing.assert_allclose(new.x_next, eq.x_eq, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(new.p, eq.p_eq, rtol=1e-12, atol=0)
+            assert new.h == pytest.approx(eq.h_eq, rel=1e-12, abs=0)
+            res = clearing_residual(np.log(new.p), new.h, sim.context_for(state, zero))
+            assert np.max(np.abs(res)) <= NEWTON_TOL
+
+        for sim in sims:
+            state = sim.equilibrium_state()
+            at_equilibrium(state, sim.step(state, zero), sim)
+        states = [sim.equilibrium_state() for sim in sims]
+        got = Ensemble(sims[0], gammas).step(states, np.zeros((len(gammas), n)))
+        for state, new, sim in zip(states, got, sims):
+            at_equilibrium(state, new, sim)
+
+    def test_member_inputs_are_checked(self):
+        sim = Simulator(build_plain_network(4), ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.1))
+        assert [p.gamma for p in Ensemble(sim, (0.1, 0.2)).params] == [0.1, 0.2]
+        with pytest.raises(ValueError, match="at least one member"):
+            Ensemble(sim, [])
+        for gamma in (0.0, 1.5):
+            with pytest.raises(ValueError, match="gamma must lie in"):
+                Ensemble(sim, (0.1, gamma))
         with pytest.raises(ValueError, match="one noise process per member"):
-            Ensemble([Simulator(net, base)]).simulate([], steps=10)
+            Ensemble(sim, (0.1,)).simulate([], steps=10)
