@@ -239,9 +239,15 @@ def build_network(conf: ExperimentConfig) -> IONetwork:
 
 
 def apply_axis(conf: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    """New config with one swept parameter changed."""
+    """New config with one swept parameter changed.  An n value must be an
+    integer, and n can be swept only on a network built from its size."""
     if axis in ("gamma", "sigma"):
         return set_key(conf, f"params.{axis}", value)
     if axis == "n":
-        return set_key(conf, "network.n", int(round(value)))
+        if conf.network.kind == "file":
+            raise ConfigError("the n axis needs a network built from network.n; "
+                              "network.kind = file fixes n by its matrix")
+        if not float(value).is_integer():
+            raise ConfigError(f"n-axis value {value!r} is not an integer")
+        return set_key(conf, "network.n", int(value))
     raise ConfigError(f"unknown sweep axis {axis!r} (gamma, sigma or n)")

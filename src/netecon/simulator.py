@@ -24,6 +24,18 @@ in a form whose bits do not depend on the other members (row reductions,
 stacked matrix products and solves).  A member's run is therefore the run it
 has alone; ``Simulator`` is the ensemble of one.
 
+From ``CHORD_MIN_N`` firms on, where the O(n^3) Jacobian and its LU are the
+whole cost of a step, each member keeps the LU factorization of its last
+clearing Jacobian from iteration to iteration and from step to step, and
+takes chord steps with it; the Jacobian is rebuilt and refactored only when
+a chord step does not cut the residual by ``CHORD_CONTRACTION``
+(``_solve_clearing``).  Below it the solve, and every bit of its output, is
+the exact damped Newton iteration.  A member's factorization sits in its own
+slot of its engine's workspace, so it does not depend on the other members,
+and ``simulate`` starts every run without one, so a run's bits depend only
+on its inputs.  Above the constant a trajectory differs from the exact
+iteration's at rounding level: every state still clears to ``NEWTON_TOL``.
+
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
 the sum of log-prices is held at its equilibrium value.  With q = q0 the gauge
@@ -36,6 +48,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .csvio import write_csv
 from .equilibrium import ModelParams, solve_equilibrium
@@ -57,6 +70,12 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 25
+# from this many firms on, the clearing solve reuses each member's LU
+# factorization of its Jacobian (chord steps); below it, it solves with a
+# fresh Jacobian at every iteration
+CHORD_MIN_N = 96
+# a chord step is kept only when it cuts the max residual by this factor
+CHORD_CONTRACTION = 0.5
 
 
 class ClearingError(RuntimeError):
@@ -122,7 +141,8 @@ class ClearingContext:
         return np.log(self.z)
 
     def members(self, rows: np.ndarray) -> ClearingContext:
-        """The context of the members ``rows`` (indices on the member axis)."""
+        """The context of the members ``rows`` (indices or a slice on the member
+        axis)."""
         gamma = self.gamma[rows] if np.ndim(self.gamma) else self.gamma
         return ClearingContext(self.net, self.params, self.x_sold[rows], self.p_lag[rows],
                                self.z[rows], self.gauge_target, gamma)
@@ -235,6 +255,22 @@ def _jacobian_workspace(n: int, members: int = 1) -> tuple[np.ndarray, np.ndarra
     are written."""
     return (np.empty((members, n + 1, n + 1)), np.empty((members, n, n)),
             np.empty((members, n - 1, n)))
+
+
+class _Workspace:
+    """What an engine's clearing solves reuse, for up to ``members`` economies
+    (member slots): the ``_jacobian_workspace`` buffers and, per slot, the
+    LU factorization of that member's clearing Jacobian held for chord steps
+    (None when it holds none).  A held factorization lives in its member's
+    Jacobian slot, factored in place, so holding one allocates nothing."""
+
+    def __init__(self, n: int, members: int = 1):
+        self.jacobian = _jacobian_workspace(n, members)
+        self.factors: list[tuple[np.ndarray, np.ndarray] | None] = [None] * members
+
+    def discard(self) -> None:
+        """Forget every held factorization: a run starts from none."""
+        self.factors = [None] * len(self.factors)
 
 
 def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict,
@@ -371,23 +407,42 @@ def _solve_clearing(
     ctx: ClearingContext,
     u: np.ndarray,
     tol: float,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: _Workspace,
+    slots: list[int],
     active: list[int] | None = None,
-) -> tuple[np.ndarray, dict, list[int], np.ndarray, list[int], dict]:
+) -> tuple[np.ndarray, dict, list[int], np.ndarray, list[int], list[int], dict]:
     """Damped Newton on u = (log p, log h), one row per member, with the exact
-    Jacobian per iteration.
+    Jacobian; from ``CHORD_MIN_N`` firms on, with chord steps in between.
 
     Each member iterates as it would alone, with its own residual, step
-    length and iteration count.  Every member keeps its row: one that has
-    converged or failed takes no further step, and only the rows still
-    iterating get a Jacobian and a Newton direction.  Only the members listed
-    in ``active`` (all by default) are solved; the others keep their row of
-    u.  The Jacobians are assembled in ``work`` (see ``_clearing_jacobian``),
-    and u is overwritten.  Returns (u, the ``_SOLUTION_PARTS`` at u,
-    iterations, max residuals, damping halvings, ClearingError by failed
+    length, iteration count and factorization.  Every member keeps its row:
+    one that has converged or failed takes no further step.  Only the
+    members listed in ``active`` (all by default) are solved; the others
+    keep their row of u.  Row r is the member in slot ``slots[r]`` of
+    ``work``; u is overwritten.
+
+    Below ``CHORD_MIN_N`` every iteration is a damped Newton step with a
+    fresh Jacobian for each member still iterating, solved by one stacked
+    ``np.linalg.solve``.  From ``CHORD_MIN_N`` on, a member that holds an LU
+    factorization of an earlier Jacobian (``work.factors``, kept from
+    iteration to iteration and from step to step) first takes a full chord
+    step with it, one O(n^2) back-substitution; the step is kept if it cuts
+    the member's max residual by ``CHORD_CONTRACTION``.  Otherwise, or
+    without a factorization, the member takes the damped Newton step from
+    the same point, and the factorization of that fresh Jacobian, made in
+    place in the member's Jacobian slot, replaces the held one.  Either way
+    the pass counts as one iteration, and a member converges only at a true
+    residual below ``tol``.  A failed member's factorization is discarded,
+    and the others' do not depend on it, so a member's solve is the one it
+    has alone.  ``CHORD_MIN_N`` is the measured crossover (README,
+    "Numerical conventions"): from there on, about ten chord iterations and
+    well under one factorization per step beat about four exact iterations.
+
+    Returns (u, the ``_SOLUTION_PARTS`` at u, iterations, max residuals,
+    damping halvings, Jacobian factorizations, ClearingError by failed
     member); every solved member without a failure clears to ``tol``.
     """
-    count = len(u)
+    count, chord = len(u), ctx.net.n >= CHORD_MIN_N
     res, all_parts = _residual_at(ctx, u)
     parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
     err = _max_error(res)
@@ -395,14 +450,22 @@ def _solve_clearing(
     # less there than in one-element arrays
     errs = err.tolist()
     going = list(range(count)) if active is None else list(active)
-    iterations, halvings = [0] * count, [0] * count
+    iterations, halvings, factored = [0] * count, [0] * count, [0] * count
     failures: dict[int, ClearingError] = {}
 
     def fail(members: list[int], message: str, iteration: int) -> None:
         for r in members:
             failures[r] = ClearingError(message.format(err=errs[r]), residual=errs[r],
                                         iterations=iteration)
+            work.factors[slots[r]] = None
         going[:] = [r for r in going if r not in failures]
+
+    def take(won: list[int], trial, trial_res, trial_err, trial_errs, trial_parts) -> None:
+        u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
+        for key in _SOLUTION_PARTS:
+            parts[key][won] = trial_parts[key][won]
+        for r in won:
+            errs[r] = trial_errs[r]
 
     # an accepted step lowers a finite error, so only the start can be non-finite
     fail([r for r in going if not errs[r] < np.inf],
@@ -414,62 +477,98 @@ def _solve_clearing(
         going[:] = [r for r in going if not errs[r] < tol]
         if not going:
             break
-        rows, every = list(going), len(going) == count
-        jac = _clearing_jacobian(
-            ctx if every else ctx.members(rows), u if every else u[rows],
-            parts if every else {key: value[rows] for key, value in parts.items()}, work)
-        # one pass with no temporary: a sum is finite when every entry is
-        # (a sum of finite entries that overflows costs only the exact check)
-        if not np.isfinite(jac.sum()):
-            finite = np.isfinite(jac).all(axis=(-2, -1))
-            fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
-                 "non-finite clearing Jacobian", iteration)
-            jac[~finite] = np.eye(jac.shape[-1])
-        rhs = -(res if every else res[rows])
-        try:
-            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # some member's Jacobian is singular: find it and take it out
-            singular = []
-            for j, matrix in enumerate(jac):
-                try:
-                    np.linalg.solve(matrix, rhs[j])
-                except np.linalg.LinAlgError:
-                    singular.append(j)
-            fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
-            jac[singular] = np.eye(jac.shape[-1])
-            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        if not going:
-            break
+        rows = list(going)
+        held = [r for r in rows if work.factors[slots[r]] is not None] if chord else []
+        if held:
+            # chord steps with the held factorizations (LU of J', solved
+            # transposed), kept where they contract
+            delta = np.zeros_like(u)
+            for r in held:
+                lu, piv = work.factors[slots[r]]
+                delta[r] = dgetrs(lu, piv, -res[r], trans=1)[0]
+            trial = u + delta
+            trial_res, trial_parts = _residual_at(ctx, trial)
+            trial_err = _max_error(trial_res)
+            trial_errs = trial_err.tolist()
+            won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
+            take(won, trial, trial_res, trial_err, trial_errs, trial_parts)
+            rows = [r for r in rows if r not in won]
+            if not rows:
+                continue
+        every = len(rows) == count
+        for r in rows:
+            factored[r] += 1
+        if chord:
+            # one member at a time, each in its own Jacobian slot, which its
+            # factorization then overwrites
+            step = np.zeros((len(rows), u.shape[1]))
+            for j, r in enumerate(rows):
+                one, slot = slice(r, r + 1), slots[r]
+                jac = _clearing_jacobian(
+                    ctx.members(one), u[one], {key: value[one] for key, value in parts.items()},
+                    tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
+                if not np.isfinite(jac.sum()):
+                    fail([r], "non-finite clearing Jacobian", iteration)
+                    continue
+                lu, piv, info = dgetrf(jac.T, overwrite_a=1)
+                if info > 0:
+                    fail([r], "singular clearing Jacobian", iteration)
+                    continue
+                work.factors[slot] = lu, piv
+                step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
+        else:
+            jac = _clearing_jacobian(
+                ctx if every else ctx.members(rows), u if every else u[rows],
+                parts if every else {key: value[rows] for key, value in parts.items()},
+                work.jacobian)
+            # one pass with no temporary: a sum is finite when every entry is
+            # (a sum of finite entries that overflows costs only the exact check)
+            if not np.isfinite(jac.sum()):
+                finite = np.isfinite(jac).all(axis=(-2, -1))
+                fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
+                     "non-finite clearing Jacobian", iteration)
+                jac[~finite] = np.eye(jac.shape[-1])
+            rhs = -(res if every else res[rows])
+            try:
+                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # some member's Jacobian is singular: find it and take it out
+                singular = []
+                for j, matrix in enumerate(jac):
+                    try:
+                        np.linalg.solve(matrix, rhs[j])
+                    except np.linalg.LinAlgError:
+                        singular.append(j)
+                fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
+                jac[singular] = np.eye(jac.shape[-1])
+                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        # the members still searching have all halved their step equally
+        # often, so one scale serves them all
+        search = [r for r in rows if r not in failures]
+        if not search:
+            continue
         if every:
             delta = step
         else:
-            # the members out of the solve stay where they are
+            # the members out of the search stay where they are
             delta = np.zeros_like(u)
             delta[rows] = step
-
-        # the members still searching have all halved their step equally
-        # often, so one scale serves them all
-        scale, search = 1.0, list(going)
+        scale, everyone = 1.0, len(search)
         for _ in range(NEWTON_MAX_HALVINGS):
             trial = u + scale * delta
             trial_res, trial_parts = _residual_at(ctx, trial)
             trial_err = _max_error(trial_res)
             trial_errs = trial_err.tolist()
             won = [r for r in search if trial_errs[r] < errs[r]]
-            if scale == 1.0 and len(won) == len(going):
-                # every member in the solve takes its full step, and the
+            if scale == 1.0 and len(won) == everyone:
+                # every member in the search takes its full step, and the
                 # others, with a zero direction, are at their own point (a
                 # member that failed in this iteration takes a point unused)
                 u, res, err, errs = trial, trial_res, trial_err, trial_errs
                 parts = {key: trial_parts[key] for key in _SOLUTION_PARTS}
                 break
             if won:
-                u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
-                for key in _SOLUTION_PARTS:
-                    parts[key][won] = trial_parts[key][won]
-                for r in won:
-                    errs[r] = trial_errs[r]
+                take(won, trial, trial_res, trial_err, trial_errs, trial_parts)
                 search = [r for r in search if r not in won]
                 if not search:
                     break
@@ -484,7 +583,7 @@ def _solve_clearing(
                 iterations[r] = NEWTON_MAX_ITER
         fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
              f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
-    return u, parts, iterations, err, halvings, failures
+    return u, parts, iterations, err, halvings, factored, failures
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +601,9 @@ class EconomyState:
     demands ``ell`` (labor) and ``psi`` (the dense n x n intermediate inputs)
     are derived from these fields and the network on each access; no step
     computes them.  The solver counters describe the clearing solve that
-    produced the state: its Newton iterations and step-length halvings, and
-    whether it had to restart from the flat price vector.
+    produced the state: its iterations (chord or Newton), step-length
+    halvings and Jacobian factorizations, and whether it had to restart from
+    the flat price vector.
     """
 
     t: int
@@ -518,6 +618,7 @@ class EconomyState:
     newton_iters: int = 0
     max_residual: float = 0.0
     damping_halvings: int = 0
+    factorizations: int = 0
     flat_restarts: int = 0
 
     @property
@@ -557,8 +658,9 @@ class Trajectory:
     equilibrium, one row per recorded step.  mean_xi is their flat average
     (the aggregate used for volatility work) and output_real the real output
     at equilibrium prices, sum_i V_eq[i] exp(xi[i]).  newton_iters,
-    damping_halvings and flat_restarts are the solver counters of each step
-    (see ``EconomyState``); the CSV carries only the first.
+    damping_halvings, factorizations and flat_restarts are the solver
+    counters of each step (see ``EconomyState``); the CSV carries only the
+    first.
     """
 
     t: np.ndarray
@@ -570,6 +672,7 @@ class Trajectory:
     price_level: np.ndarray
     newton_iters: np.ndarray
     damping_halvings: np.ndarray
+    factorizations: np.ndarray
     flat_restarts: np.ndarray
     max_residual: np.ndarray
     burn_in: int
@@ -582,9 +685,11 @@ class Trajectory:
 
 
 def _step_members(sim: Simulator, params: list[ModelParams], states: list[EconomyState],
-                  shocks: np.ndarray, work) -> list[EconomyState | ClearingError]:
+                  shocks: np.ndarray, work: _Workspace,
+                  slots: list[int]) -> list[EconomyState | ClearingError]:
     """One period for every member: state i, under ``params[i]`` and log
-    productivities ``shocks[i]``, clears all markets.
+    productivities ``shocks[i]``, clears all markets in slot ``slots[i]`` of
+    ``work``.
 
     ``sim`` supplies the network, the shared parameters, the gauge and the
     tolerance; the members' params differ at most in gamma.  Each returned
@@ -604,7 +709,8 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
         gamma=gammas[0] if len(set(gammas)) == 1 else np.array(gammas)[:, None],
     )
     u = np.concatenate([ctx.log_p_lag, np.log([[state.h] for state in states])], axis=1)
-    u, parts, iters, err, halvings, failures = _solve_clearing(ctx, u, sim.tol, work)
+    u, parts, iters, err, halvings, factored, failures = _solve_clearing(
+        ctx, u, sim.tol, work, slots)
     restarts = [0] * len(states)
     if failures:
         # deep in the chaotic phase the warm start can sit in a bad basin;
@@ -612,17 +718,18 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
         # vector (the others keep their solution)
         retry = sorted(failures)
         u[retry] = np.append(np.full(n, sim.gauge_target / n), np.log(sim.equilibrium.h_eq))
-        u, parts, iters_flat, err, halvings_flat, failures = _solve_clearing(
-            ctx, u, sim.tol, work, active=retry)
+        u, parts, iters_flat, err, halvings_flat, factored_flat, failures = _solve_clearing(
+            ctx, u, sim.tol, work, slots, active=retry)
         for i in retry:
-            iters[i], halvings[i], restarts[i] = iters_flat[i], halvings_flat[i], 1
+            iters[i], halvings[i], factored[i] = iters_flat[i], halvings_flat[i], factored_flat[i]
+            restarts[i] = 1
     p = np.exp(u[:, :n])
     # wealth: nominal sales minus intermediate-input spending
     m = parts["v_nominal"].sum(axis=-1) - sim.params.c * parts["spend"].sum(axis=-1)
     cleared: list[EconomyState | ClearingError] = []
-    for i, (state, h, wealth, it, e, halved, restarted) in enumerate(zip(
+    for i, (state, h, wealth, it, e, halved, factors, restarted) in enumerate(zip(
             states, np.exp(u[:, n]).tolist(), m.tolist(), iters, err.tolist(), halvings,
-            restarts)):
+            factored, restarts)):
         if i in failures:
             failures[i].t = state.t + 1
             cleared.append(failures[i])
@@ -640,6 +747,7 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
             newton_iters=it,
             max_residual=e,
             damping_halvings=halved,
+            factorizations=factors,
             flat_restarts=restarted,
         ))
     return cleared
@@ -648,7 +756,7 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
 # the per-step observables a run records, in the order a non-finite one is named
 _OBSERVABLES = ("output_real", "mean_xi", "consumption_real", "wage", "price_level",
                 "max_residual")
-_COUNTERS = ("newton_iters", "damping_halvings", "flat_restarts")
+_COUNTERS = ("newton_iters", "damping_halvings", "factorizations", "flat_restarts")
 
 
 def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], steps: int,
@@ -661,8 +769,9 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
     params differ from its own at most in gamma, which the equilibrium does
     not depend on.
 
-    ``step(states, shocks)`` advances the live members' states one period and
-    returns, per member, the new state or the ClearingError that stopped it.
+    ``step(states, shocks, members)`` advances the states of the live
+    ``members`` (indices into ``params``) one period and returns, per member,
+    the new state or the ClearingError that stopped it.
     A member also stops where household wealth is non-positive or an
     observable is non-finite; the others run on.  Returns per member its
     Trajectory, stamped with ``config_hash``, or its ClearingError.  An
@@ -696,7 +805,7 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
     live = np.arange(count)
     for k in range(steps):
         shocks = sigma[live] * np.array([rngs[i].standard_normal(n) for i in live])
-        states = step(states, shocks)
+        states = step(states, shocks, live.tolist())
         # the economy has broken down once wealth is gone
         if not all(isinstance(new, EconomyState) and new.M > 0 for new in states):
             for i, new in zip(live.tolist(), states):
@@ -754,9 +863,12 @@ class Simulator:
     """Step engine bound to one (network, params) configuration.
 
     Solves and caches the equilibrium once.  Each engine owns the workspace
-    its clearing Newton solve assembles the Jacobian in, and the RNG is owned
-    by the caller: one engine per concurrent worker is safe, one engine
-    stepped from two threads at once is not.
+    its clearing Newton solve assembles the Jacobian in, and from
+    ``CHORD_MIN_N`` firms on the factorization its chord steps reuse, which
+    carries over from one ``step`` call to the next; ``simulate`` starts
+    from none, so a run depends only on its inputs.  The RNG is owned by the
+    caller: one engine per concurrent worker is safe, one engine stepped
+    from two threads at once is not.
     """
 
     def __init__(self, net: IONetwork, params: ModelParams, tol: float = NEWTON_TOL):
@@ -765,7 +877,7 @@ class Simulator:
         self.equilibrium = solve_equilibrium(net, params)
         self.gauge_target = float(np.sum(np.log(self.equilibrium.p_eq)))
         self.tol = tol
-        self._work = _jacobian_workspace(net.n)
+        self._work = _Workspace(net.n)
 
     def equilibrium_state(self) -> EconomyState:
         """The stationary state corresponding to the solved equilibrium."""
@@ -799,7 +911,7 @@ class Simulator:
         """Advance one period: draw-in the shock, clear all markets, rebuild
         state.  Raises ClearingError, naming the step, where no state clears."""
         (new,) = _step_members(self, [self.params], [state],
-                               np.asarray(shock, dtype=float)[None], self._work)
+                               np.asarray(shock, dtype=float)[None], self._work, [0])
         if isinstance(new, ClearingError):
             raise new
         return new
@@ -822,8 +934,9 @@ class Simulator:
         stops with ClearingError, naming the step, where no state clears,
         household wealth is non-positive or an observable is non-finite.
         """
+        self._work.discard()
         (outcome,) = _run(self, [self.params], [noise], steps, burn_in, initial_kick,
-                          lambda states, shocks: [self.step(states[0], shocks[0])],
+                          lambda states, shocks, members: [self.step(states[0], shocks[0])],
                           config_hash)
         if isinstance(outcome, ClearingError):
             raise outcome
@@ -840,8 +953,10 @@ class Ensemble:
     are its noise process.  A member's run is bit for bit the run a
     Simulator with its params has alone, and a member that breaks down
     leaves the ensemble with its ClearingError while the others run on.  The
-    ensemble owns one Jacobian workspace for all members, so, like a
-    Simulator, it is stepped from one thread at a time.
+    ensemble owns one workspace with a slot per member, where the member's
+    Jacobian is assembled and, from ``CHORD_MIN_N`` firms on, its
+    factorization is held, so, like a Simulator, it is stepped from one
+    thread at a time.
     """
 
     def __init__(self, sim: Simulator, gammas):
@@ -849,15 +964,18 @@ class Ensemble:
         self.params = [replace(sim.params, gamma=gamma) for gamma in gammas]
         if not self.params:
             raise ValueError("an ensemble needs at least one member")
-        self._work = _jacobian_workspace(sim.net.n, len(self.params))
+        self._work = _Workspace(sim.net.n, len(self.params))
 
-    def step(self, states: list[EconomyState],
-             shocks: np.ndarray) -> list[EconomyState | ClearingError]:
+    def step(self, states: list[EconomyState], shocks: np.ndarray,
+             members: list[int] | None = None) -> list[EconomyState | ClearingError]:
         """One period for member states of this ensemble (each under its own
-        params), ``shocks[i]`` the log productivities of states[i].  Returns
-        per state the cleared state or its ClearingError naming the step."""
+        params), ``shocks[i]`` the log productivities of states[i], which is
+        the state of member ``members[i]`` (of member i by default): its slot
+        holds that member's factorization from step to step.  Returns per
+        state the cleared state or its ClearingError naming the step."""
         return _step_members(self.sim, [state.params for state in states], states,
-                             np.asarray(shocks, dtype=float), self._work)
+                             np.asarray(shocks, dtype=float), self._work,
+                             list(range(len(states))) if members is None else members)
 
     def simulate(self, noises, steps: int, burn_in: int = 0,
                  initial_kick: float = 1e-6) -> list[Trajectory | ClearingError]:
@@ -868,6 +986,7 @@ class Ensemble:
         noises = list(noises)
         if len(noises) != len(self.params):
             raise ValueError("need one noise process per member")
+        self._work.discard()
         return _run(self.sim, self.params, noises, steps, burn_in, initial_kick, self.step, "")
 
 

@@ -244,10 +244,10 @@ class TestRunSweep:
 
         original = Ensemble.step
 
-        def breaks_at_high_gamma(self, states, shocks):
+        def breaks_at_high_gamma(self, states, shocks, members=None):
             return [ClearingError("wealth non-positive", t=new.t)
                     if new.t == 7 and new.params.gamma > 0.2 else new
-                    for new in original(self, states, shocks)]
+                    for new in original(self, states, shocks, members)]
 
         monkeypatch.setattr(Ensemble, "step", breaks_at_high_gamma)
 

@@ -63,8 +63,12 @@ run.steps = 100
         assert apply_axis(conf, "gamma", 0.07).params.gamma == 0.07
         assert apply_axis(conf, "sigma", 1e-4).params.sigma == 1e-4
         assert apply_axis(conf, "n", 12).network.n == 12
+        assert apply_axis(conf, "n", 12.0).network.n == 12
         with pytest.raises(ConfigError):
             apply_axis(conf, "q", 0.0)
+        for value in (5.6, 6.4, float("nan")):
+            with pytest.raises(ConfigError, match="not an integer"):
+                apply_axis(conf, "n", value)
 
     def test_hash_sensitive_to_values(self):
         conf = default_config()
@@ -324,6 +328,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'foo'" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind, values, message", [
+        ("file", "4,6", "network.kind = file"),
+        ("plain", "5.6,6.4", "not an integer"),
+    ])
+    def test_n_axis_that_cannot_be_run_is_rejected_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, kind, values, message):
+        # an n-axis sweep of a file network would run the file's size under
+        # every label, and a fractional n a rounded one: neither is run
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sweep cell ran")
+
+        net_csv = tmp_path / "wiring.csv"
+        net_csv.write_text("0.6,0.2,0.2\n0.25,0.5,0.25\n0.1,0.3,0.6\n")
+        out = tmp_path / "out"
+        monkeypatch.setattr("netecon.analytics.Simulator", no_simulation)
+        assert main(["--set", f"network.kind={kind}", "--set", f"network.path={net_csv}",
+                     "--set", "params.gamma=0.05", "--set", "run.steps=300",
+                     "--set", "run.burn_in=100", "--set", f"sweep.values={values}",
+                     "--out", str(out), "sweep", "--axis", "n"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not out.exists()
 
     def test_missing_network_file_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

@@ -10,6 +10,7 @@ from dense_known_jacobian import dense_known_jacobian
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import build_plain_network, build_random_exponential_network
 from netecon.simulator import (
+    CHORD_MIN_N,
     NEWTON_TOL,
     ClearingContext,
     ClearingError,
@@ -22,6 +23,7 @@ from netecon.simulator import (
     _jacobian_workspace,
     _residual_vector,
     clearing_residual,
+    trajectory_to_csv,
 )
 from netecon.stability import analyze_stability
 
@@ -730,8 +732,8 @@ def _same_run(got, want):
             (str(want), want.t, want.residual, want.iterations)
         return
     assert isinstance(got, type(want))
-    for name in ("xi", "newton_iters", "max_residual", "damping_halvings", "flat_restarts",
-                 "output_real", "consumption_real", "wage", "price_level"):
+    for name in ("xi", "newton_iters", "max_residual", "damping_halvings", "factorizations",
+                 "flat_restarts", "output_real", "consumption_real", "wage", "price_level"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
@@ -926,3 +928,76 @@ class TestEnsemble:
                 Ensemble(sim, (0.1, gamma))
         with pytest.raises(ValueError, match="one noise process per member"):
             Ensemble(sim, (0.1,)).simulate([], steps=10)
+
+
+class TestChordClearing:
+    # random_exp at the smallest size whose clearing solve takes chord steps,
+    # q = -1, gamma = 0.13 (unstable phase), sigma = 1e-3
+    PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13, sigma=1e-3)
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return build_random_exponential_network(CHORD_MIN_N, 1)
+
+    def test_every_state_clears_with_few_factorizations(self, net):
+        # the public residual, re-evaluated at every returned state, is within
+        # the Newton tolerance, while the Jacobian is factored on few steps
+        n = net.n
+        sim = Simulator(net, self.PARAMS)
+        state = sim.equilibrium_state()
+        rng = np.random.default_rng(0)
+        iters, factorizations = [], []
+        for _ in range(40):
+            shock = 1e-3 * rng.standard_normal(n)
+            new = sim.step(state, shock)
+            res = clearing_residual(np.log(new.p), new.h, sim.context_for(state, shock))
+            assert np.max(np.abs(res)) <= NEWTON_TOL
+            assert new.max_residual < NEWTON_TOL
+            iters.append(new.newton_iters)
+            factorizations.append(new.factorizations)
+            state = new
+        assert np.mean(factorizations) < 0.5
+        assert sum(iters) > 5 * sum(factorizations)
+
+    def test_simulate_twice_on_one_engine_is_byte_identical(self, net, tmp_path):
+        # every run starts without a factorization: the second run on an
+        # engine that holds one from the first writes the first's bytes
+        sim = Simulator(net, self.PARAMS)
+        texts, runs = [], []
+        for k in range(2):
+            traj = sim.simulate(NoiseProcess(1e-3, 5), steps=40, burn_in=10, config_hash="x")
+            trajectory_to_csv(traj, tmp_path / f"{k}.csv", per_sector=True)
+            texts.append((tmp_path / f"{k}.csv").read_bytes())
+            runs.append(traj)
+        assert texts[0] == texts[1]
+        _same_run(runs[1], runs[0])
+        assert runs[0].factorizations.mean() < 0.5
+
+    def test_members_run_as_they_run_alone_after_one_breaks_down(self, net):
+        # gamma = 0.3 with sigma = 1e-2 loses its wealth a dozen steps in; the
+        # others keep their own factorization slots and their solo bits
+        cases = [(0.13, 1e-3), (0.3, 1e-2), (0.12, 1e-3)]
+        params = [replace(self.PARAMS, gamma=g, sigma=s) for g, s in cases]
+        noises = [NoiseProcess(s, 3) for _, s in cases]
+        got = Ensemble(Simulator(net, params[0]), [p.gamma for p in params]).simulate(
+            noises, steps=40, burn_in=10)
+        assert isinstance(got[1], ClearingError) and 0 < got[1].t < 30
+        assert not isinstance(got[0], ClearingError) and not isinstance(got[2], ClearingError)
+        for outcome, p, noise in zip(got, params, noises):
+            _same_run(outcome, _solo(net, p, noise, steps=40))
+
+    def test_stable_equilibrium_is_a_fixed_point(self, net):
+        # sigma = 0 at a stable (q, gamma): from the equilibrium, an engine that
+        # holds a factorization from earlier steps returns the equilibrium
+        params = replace(self.PARAMS, gamma=0.05, sigma=0.0)
+        assert analyze_stability(net, params).stable
+        sim = Simulator(net, params)
+        eq, zero = sim.equilibrium, np.zeros(net.n)
+        state, rng = sim.equilibrium_state(), np.random.default_rng(1)
+        for _ in range(3):
+            state = sim.step(state, 1e-3 * rng.standard_normal(net.n))
+        assert sim._work.factors[0] is not None
+        new = sim.step(sim.equilibrium_state(), zero)
+        np.testing.assert_allclose(new.x_next, eq.x_eq, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(new.p, eq.p_eq, rtol=1e-12, atol=0)
+        assert new.h == pytest.approx(eq.h_eq, rel=1e-12, abs=0)
