@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the twelve reference CLI commands, each into its own subdirectory of DIR,
+# Run the thirteen reference CLI commands, each into its own subdirectory of DIR,
 # and print the sha256 of every file they write (and of the stability
 # verdicts printed on stdout).  Comparing the listing of two checkouts shows
 # whether a change kept every CLI output byte-identical.
@@ -29,6 +29,10 @@ run() {
 run equilibrium --set network.kind=random_exp --set network.n=16 equilibrium
 run simulate --set network.kind=random_exp --set network.n=16 --set run.steps=300 \
     --set run.burn_in=100 --set params.sigma=1e-3 --set params.gamma=0.13 \
+    --per-sector simulate
+# n = 256 clears with chord steps (n >= simulator.CHORD_MIN_N)
+run simulate_chord --set network.kind=random_exp --set network.n=256 --set run.steps=40 \
+    --set run.burn_in=10 --set params.sigma=1e-3 --set params.gamma=0.13 \
     --per-sector simulate
 run stability_plain --set network.n=8 --set params.q=0 --set params.gamma=0.19 stability
 run stability_rexp --set network.kind=random_exp --set network.n=8 stability

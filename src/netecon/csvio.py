@@ -24,8 +24,30 @@ def format_value(value) -> str:
     return format(float(value), ".17g")
 
 
+def _row_template(kinds: tuple) -> str | None:
+    """The ``%`` template that writes a row of values of these types as
+    ``format_value`` writes them, or None when some type has no conversion."""
+    conversions = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            conversions.append("%.17g")
+        elif issubclass(kind, str):
+            conversions.append("%s")
+        elif issubclass(kind, (int, np.integer)):
+            conversions.append("%d")
+        else:
+            return None
+    return ",".join(conversions) + "\n"
+
+
 def write_csv(path, header, rows, config_hash: str = "", comments=()) -> None:
-    """Write the hash line, the comment lines, the header and the rows."""
+    """Write the hash line, the comment lines, the header and the rows.
+
+    Each row is written by one ``%`` template, made once per sequence of
+    value types; a row with a value of another type is written value by
+    value with ``format_value``.  Either way the text is ``format_value``'s.
+    """
+    templates: dict[tuple, str | None] = {}
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
@@ -33,4 +55,9 @@ def write_csv(path, header, rows, config_hash: str = "", comments=()) -> None:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = _row_template(kinds)
+            template = templates[kinds]
+            fh.write(template % row if template else ",".join(map(format_value, row)) + "\n")

@@ -197,35 +197,42 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h) -> dict:
     d v_nominal / dy by the formulas above at fixed h; the gauge does not
     depend on y.
 
-    Returns raw arrays; overflow produces non-finite entries that the Newton
-    damping treats as a rejected trial.
+    Returns raw arrays, computed with numpy's overflow, invalid and
+    divide-by-zero warnings off: overflow produces non-finite entries that
+    the Newton damping treats as a rejected trial.
     """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _parts_at(ctx, log_p, log_h)
+
+
+def _parts_at(ctx: ClearingContext, log_p: np.ndarray, log_h) -> dict:
+    """``_clearing_parts`` in the caller's numpy error state: the Newton
+    solve sets it once per solve, not once per evaluation."""
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, ctx.gamma
     log_h = np.asarray(log_h)
     # row sums and stacked matrix-vector products give each member the bits
     # it has alone; sum() / n rather than mean(): the same bits without
     # mean()'s call overhead
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dlp = log_p - ctx.log_p_lag
-        log_beta = np.log(pr.beta0) - q0 * (dlp.sum(axis=-1) / n)
-        log_ep = log_p + q * dlp
-        log_discounted = log_beta[..., None] + log_ep
-        log_xstar = (
-            ctx.log_z + b * log_discounted - a * b * log_h[..., None]
-            - pr.c * np.matmul(w, log_p[..., None])[..., 0]
-        ) / (1.0 - b)
-        xstar = np.exp(log_xstar)
-        x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
-        lam = np.exp(log_discounted) * (x_next / xstar) ** ((1.0 - b) / b)
-        spend = lam * x_next
-        total_spend = spend.sum(axis=-1)
-        v_nominal = ctx.x_sold * np.exp(log_p)
-        goods = ((v_nominal - v_nominal.sum(axis=-1)[..., None] / n)
-                 - pr.c * (np.matmul(spend[..., None, :], w)[..., 0, :]
-                           - total_spend[..., None] / n))
-        wage = np.exp(log_h) - a * b * total_spend
-        gauge = log_p.sum(axis=-1) - ctx.gauge_target
+    dlp = log_p - ctx.log_p_lag
+    log_beta = np.log(pr.beta0) - q0 * (dlp.sum(axis=-1) / n)
+    log_ep = log_p + q * dlp
+    log_discounted = log_beta[..., None] + log_ep
+    log_xstar = (
+        ctx.log_z + b * log_discounted - a * b * log_h[..., None]
+        - pr.c * np.matmul(w, log_p[..., None])[..., 0]
+    ) / (1.0 - b)
+    xstar = np.exp(log_xstar)
+    x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
+    lam = np.exp(log_discounted) * (x_next / xstar) ** ((1.0 - b) / b)
+    spend = lam * x_next
+    total_spend = spend.sum(axis=-1)
+    v_nominal = ctx.x_sold * np.exp(log_p)
+    goods = ((v_nominal - v_nominal.sum(axis=-1)[..., None] / n)
+             - pr.c * (np.matmul(spend[..., None, :], w)[..., 0, :]
+                       - total_spend[..., None] / n))
+    wage = np.exp(log_h) - a * b * total_spend
+    gauge = log_p.sum(axis=-1) - ctx.gauge_target
     return {
         "log_beta": log_beta,
         "log_ep": log_ep,
@@ -391,7 +398,7 @@ _SOLUTION_PARTS = ("xstar", "x_next", "lam", "spend", "v_nominal")
 
 def _residual_at(ctx: ClearingContext, u: np.ndarray) -> tuple[np.ndarray, dict]:
     n = ctx.net.n
-    parts = _clearing_parts(ctx, u[..., :n], u[..., n])
+    parts = _parts_at(ctx, u[..., :n], u[..., n])
     return _residual_vector(parts), parts
 
 
@@ -419,7 +426,7 @@ def _solve_clearing(
     one that has converged or failed takes no further step.  Only the
     members listed in ``active`` (all by default) are solved; the others
     keep their row of u.  Row r is the member in slot ``slots[r]`` of
-    ``work``; u is overwritten.
+    ``work``; the u passed in may be overwritten.
 
     Below ``CHORD_MIN_N`` every iteration is a damped Newton step with a
     fresh Jacobian for each member still iterating, solved by one stacked
@@ -434,7 +441,7 @@ def _solve_clearing(
     the pass counts as one iteration, and a member converges only at a true
     residual below ``tol``.  A failed member's factorization is discarded,
     and the others' do not depend on it, so a member's solve is the one it
-    has alone.  ``CHORD_MIN_N`` is the measured crossover (README,
+    has alone.  ``CHORD_MIN_N`` is a measured crossover (README,
     "Numerical conventions"): from there on, about ten chord iterations and
     well under one factorization per step beat about four exact iterations.
 
@@ -443,12 +450,6 @@ def _solve_clearing(
     member); every solved member without a failure clears to ``tol``.
     """
     count, chord = len(u), ctx.net.n >= CHORD_MIN_N
-    res, all_parts = _residual_at(ctx, u)
-    parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
-    err = _max_error(res)
-    # the per-member bookkeeping is in Python lists: a member's scalars cost
-    # less there than in one-element arrays
-    errs = err.tolist()
     going = list(range(count)) if active is None else list(active)
     iterations, halvings, factored = [0] * count, [0] * count, [0] * count
     failures: dict[int, ClearingError] = {}
@@ -460,129 +461,146 @@ def _solve_clearing(
             work.factors[slots[r]] = None
         going[:] = [r for r in going if r not in failures]
 
-    def take(won: list[int], trial, trial_res, trial_err, trial_errs, trial_parts) -> None:
+    def take(won: list[int], everyone: int, trial, trial_res, trial_err, trial_errs,
+             trial_parts) -> None:
+        # the members ``won`` move to their rows of the trial.  When they are
+        # all ``everyone`` members with a step in it, every other row of the
+        # trial is its member's own point (a zero step), so the trial arrays
+        # are taken as they are; otherwise the winners' rows are copied
+        nonlocal u, res, err, errs, parts
+        if len(won) == everyone:
+            u, res, err, errs = trial, trial_res, trial_err, trial_errs
+            parts = {key: trial_parts[key] for key in _SOLUTION_PARTS}
+            return
         u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
         for key in _SOLUTION_PARTS:
             parts[key][won] = trial_parts[key][won]
         for r in won:
             errs[r] = trial_errs[r]
 
-    # an accepted step lowers a finite error, so only the start can be non-finite
-    fail([r for r in going if not errs[r] < np.inf],
-         "non-finite clearing residual at the starting point", 0)
-    for iteration in range(NEWTON_MAX_ITER):
-        for r in going:
-            if errs[r] < tol:
-                iterations[r] = iteration
-        going[:] = [r for r in going if not errs[r] < tol]
-        if not going:
-            break
-        rows = list(going)
-        held = [r for r in rows if work.factors[slots[r]] is not None] if chord else []
-        if held:
-            # chord steps with the held factorizations (LU of J', solved
-            # transposed), kept where they contract
-            delta = np.zeros_like(u)
-            for r in held:
-                lu, piv = work.factors[slots[r]]
-                delta[r] = dgetrs(lu, piv, -res[r], trans=1)[0]
-            trial = u + delta
-            trial_res, trial_parts = _residual_at(ctx, trial)
-            trial_err = _max_error(trial_res)
-            trial_errs = trial_err.tolist()
-            won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
-            take(won, trial, trial_res, trial_err, trial_errs, trial_parts)
-            rows = [r for r in rows if r not in won]
-            if not rows:
-                continue
-        every = len(rows) == count
-        for r in rows:
-            factored[r] += 1
-        if chord:
-            # one member at a time, each in its own Jacobian slot, which its
-            # factorization then overwrites
-            step = np.zeros((len(rows), u.shape[1]))
-            for j, r in enumerate(rows):
-                one, slot = slice(r, r + 1), slots[r]
-                jac = _clearing_jacobian(
-                    ctx.members(one), u[one], {key: value[one] for key, value in parts.items()},
-                    tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
-                if not np.isfinite(jac.sum()):
-                    fail([r], "non-finite clearing Jacobian", iteration)
-                    continue
-                lu, piv, info = dgetrf(jac.T, overwrite_a=1)
-                if info > 0:
-                    fail([r], "singular clearing Jacobian", iteration)
-                    continue
-                work.factors[slot] = lu, piv
-                step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
-        else:
-            jac = _clearing_jacobian(
-                ctx if every else ctx.members(rows), u if every else u[rows],
-                parts if every else {key: value[rows] for key, value in parts.items()},
-                work.jacobian)
-            # one pass with no temporary: a sum is finite when every entry is
-            # (a sum of finite entries that overflows costs only the exact check)
-            if not np.isfinite(jac.sum()):
-                finite = np.isfinite(jac).all(axis=(-2, -1))
-                fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
-                     "non-finite clearing Jacobian", iteration)
-                jac[~finite] = np.eye(jac.shape[-1])
-            rhs = -(res if every else res[rows])
-            try:
-                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # some member's Jacobian is singular: find it and take it out
-                singular = []
-                for j, matrix in enumerate(jac):
-                    try:
-                        np.linalg.solve(matrix, rhs[j])
-                    except np.linalg.LinAlgError:
-                        singular.append(j)
-                fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
-                jac[singular] = np.eye(jac.shape[-1])
-                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-        # the members still searching have all halved their step equally
-        # often, so one scale serves them all
-        search = [r for r in rows if r not in failures]
-        if not search:
-            continue
-        if every:
-            delta = step
-        else:
-            # the members out of the search stay where they are
-            delta = np.zeros_like(u)
-            delta[rows] = step
-        scale, everyone = 1.0, len(search)
-        for _ in range(NEWTON_MAX_HALVINGS):
-            trial = u + scale * delta
-            trial_res, trial_parts = _residual_at(ctx, trial)
-            trial_err = _max_error(trial_res)
-            trial_errs = trial_err.tolist()
-            won = [r for r in search if trial_errs[r] < errs[r]]
-            if scale == 1.0 and len(won) == everyone:
-                # every member in the search takes its full step, and the
-                # others, with a zero direction, are at their own point (a
-                # member that failed in this iteration takes a point unused)
-                u, res, err, errs = trial, trial_res, trial_err, trial_errs
-                parts = {key: trial_parts[key] for key in _SOLUTION_PARTS}
+    # the kernel's numpy error state (``_clearing_parts``), entered once per
+    # solve rather than once per evaluation.  It also covers the trial
+    # points and the Jacobian: the warnings it silences there are about
+    # non-finite results, which the solve checks for itself
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res, all_parts = _residual_at(ctx, u)
+        parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
+        err = _max_error(res)
+        # the per-member bookkeeping is in Python lists: a member's scalars
+        # cost less there than in one-element arrays
+        errs = err.tolist()
+        # an accepted step lowers a finite error, so only the start can be non-finite
+        fail([r for r in going if not errs[r] < np.inf],
+             "non-finite clearing residual at the starting point", 0)
+        for iteration in range(NEWTON_MAX_ITER):
+            for r in going:
+                if errs[r] < tol:
+                    iterations[r] = iteration
+            going[:] = [r for r in going if not errs[r] < tol]
+            if not going:
                 break
-            if won:
-                take(won, trial, trial_res, trial_err, trial_errs, trial_parts)
-                search = [r for r in search if r not in won]
-                if not search:
-                    break
-            for r in search:
-                halvings[r] += 1
-            scale *= 0.5
+            rows = list(going)
+            held = [r for r in rows if work.factors[slots[r]] is not None] if chord else []
+            if held:
+                # chord steps with the held factorizations (LU of J', solved
+                # transposed), kept where they contract
+                trial = u.copy()
+                for r in held:
+                    lu, piv = work.factors[slots[r]]
+                    trial[r] += dgetrs(lu, piv, -res[r], trans=1)[0]
+                trial_res, trial_parts = _residual_at(ctx, trial)
+                trial_err = _max_error(trial_res)
+                trial_errs = trial_err.tolist()
+                won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
+                take(won, len(held), trial, trial_res, trial_err, trial_errs, trial_parts)
+                rows = [r for r in rows if r not in won]
+                if not rows:
+                    continue
+            every = len(rows) == count
+            for r in rows:
+                factored[r] += 1
+            if chord:
+                # one member at a time, each in its own Jacobian slot, which its
+                # factorization then overwrites
+                step = np.zeros((len(rows), u.shape[1]))
+                for j, r in enumerate(rows):
+                    one, slot = slice(r, r + 1), slots[r]
+                    jac = _clearing_jacobian(
+                        ctx.members(one), u[one],
+                        {key: value[one] for key, value in parts.items()},
+                        tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
+                    if not np.isfinite(jac.sum()):
+                        fail([r], "non-finite clearing Jacobian", iteration)
+                        continue
+                    lu, piv, info = dgetrf(jac.T, overwrite_a=1)
+                    if info > 0:
+                        fail([r], "singular clearing Jacobian", iteration)
+                        continue
+                    work.factors[slot] = lu, piv
+                    step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
+            else:
+                jac = _clearing_jacobian(
+                    ctx if every else ctx.members(rows), u if every else u[rows],
+                    parts if every else {key: value[rows] for key, value in parts.items()},
+                    work.jacobian)
+                # one pass with no temporary: a sum is finite when every entry is
+                # (a sum of finite entries that overflows costs only the exact check)
+                if not np.isfinite(jac.sum()):
+                    finite = np.isfinite(jac).all(axis=(-2, -1))
+                    fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
+                         "non-finite clearing Jacobian", iteration)
+                    jac[~finite] = np.eye(jac.shape[-1])
+                rhs = -(res if every else res[rows])
+                try:
+                    step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+                except np.linalg.LinAlgError:
+                    # some member's Jacobian is singular: find it and take it out
+                    singular = []
+                    for j, matrix in enumerate(jac):
+                        try:
+                            np.linalg.solve(matrix, rhs[j])
+                        except np.linalg.LinAlgError:
+                            singular.append(j)
+                    fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
+                    jac[singular] = np.eye(jac.shape[-1])
+                    step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+            # the members still searching have all halved their step equally
+            # often, so one scale serves them all
+            search = [r for r in rows if r not in failures]
+            if not search:
+                continue
+            if every:
+                delta = step
+            else:
+                # the members out of the search stay where they are
+                delta = np.zeros_like(u)
+                delta[rows] = step
+            scale, everyone = 1.0, len(search)
+            for _ in range(NEWTON_MAX_HALVINGS):
+                trial = u + scale * delta
+                trial_res, trial_parts = _residual_at(ctx, trial)
+                trial_err = _max_error(trial_res)
+                trial_errs = trial_err.tolist()
+                won = [r for r in search if trial_errs[r] < errs[r]]
+                if won:
+                    # (a member that failed in this iteration may take a point
+                    # it does not use)
+                    take(won, everyone, trial, trial_res, trial_err, trial_errs, trial_parts)
+                    search = [r for r in search if r not in won]
+                    if not search:
+                        break
+                for r in search:
+                    halvings[r] += 1
+                scale *= 0.5
+            else:
+                fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)",
+                     iteration)
         else:
-            fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)", iteration)
-    else:
-        for r in going:
-            if errs[r] < tol:
-                iterations[r] = NEWTON_MAX_ITER
-        fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
-             f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
+            for r in going:
+                if errs[r] < tol:
+                    iterations[r] = NEWTON_MAX_ITER
+            fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
+                 f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
     return u, parts, iterations, err, halvings, factored, failures
 
 
@@ -723,12 +741,12 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
         for i in retry:
             iters[i], halvings[i], factored[i] = iters_flat[i], halvings_flat[i], factored_flat[i]
             restarts[i] = 1
-    p = np.exp(u[:, :n])
+    levels = np.exp(u)  # prices and the wage
     # wealth: nominal sales minus intermediate-input spending
     m = parts["v_nominal"].sum(axis=-1) - sim.params.c * parts["spend"].sum(axis=-1)
     cleared: list[EconomyState | ClearingError] = []
     for i, (state, h, wealth, it, e, halved, factors, restarted) in enumerate(zip(
-            states, np.exp(u[:, n]).tolist(), m.tolist(), iters, err.tolist(), halvings,
+            states, levels[:, n].tolist(), m.tolist(), iters, err.tolist(), halvings,
             factored, restarts)):
         if i in failures:
             failures[i].t = state.t + 1
@@ -737,7 +755,7 @@ def _step_members(sim: Simulator, params: list[ModelParams], states: list[Econom
         cleared.append(EconomyState(
             t=state.t + 1,
             x=ctx.x_sold[i],
-            p=p[i],
+            p=levels[i, :n],
             lam=parts["lam"][i],
             x_next=parts["x_next"][i],
             h=h,
@@ -790,7 +808,7 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
         kick = rng.uniform(-1.0, 1.0, n) * initial_kick
         state.x_next = state.x_next * np.exp(kick)
         states.append(state)
-    sigma = np.array([[noise.sigma] for noise in noises])
+    sigmas = [noise.sigma for noise in noises]
 
     log_x_eq = np.log(eq.x_eq)
     inv_n = 1.0 / n
@@ -802,23 +820,25 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
     counted = np.empty((len(_COUNTERS), count, steps), dtype=int)
     xi_all = np.empty((count, steps, n))
     outcomes: list[Trajectory | ClearingError | None] = [None] * count
-    live = np.arange(count)
+    # the live members' indices, in a list: a lone member's costs less there
+    # than in a one-element array
+    live = list(range(count))
     for k in range(steps):
-        shocks = sigma[live] * np.array([rngs[i].standard_normal(n) for i in live])
-        states = step(states, shocks, live.tolist())
+        shocks = np.array([sigmas[i] * rngs[i].standard_normal(n) for i in live])
+        states = step(states, shocks, live)
         # the economy has broken down once wealth is gone
         if not all(isinstance(new, EconomyState) and new.M > 0 for new in states):
-            for i, new in zip(live.tolist(), states):
+            for i, new in zip(live, states):
                 if isinstance(new, ClearingError):
                     outcomes[i] = new
                 elif not new.M > 0:
                     outcomes[i] = ClearingError(f"household wealth {new.M:.3e} is not positive",
                                                 t=new.t, residual=new.max_residual)
-            states = [new for i, new in zip(live.tolist(), states) if outcomes[i] is None]
-            live = np.array([i for i in live.tolist() if outcomes[i] is None], dtype=int)
-            if not live.size:
+            states = [new for i, new in zip(live, states) if outcomes[i] is None]
+            live = [i for i in live if outcomes[i] is None]
+            if not live:
                 break
-        rows = slice(None) if live.size == count else live
+        rows = slice(None) if len(live) == count else live
         x = np.array([state.x for state in states])
         p = np.array([state.p for state in states])
         xi = np.log(x) - log_x_eq
@@ -841,9 +861,10 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
                 outcomes[live[j]] = ClearingError(f"non-finite {', '.join(bad)}",
                                                   t=states[j].t,
                                                   residual=states[j].max_residual)
-            states = [state for state, ok in zip(states, finite.all(axis=0)) if ok]
-            live = live[finite.all(axis=0)]
-            if not live.size:
+            kept = finite.all(axis=0).tolist()
+            states = [state for state, ok in zip(states, kept) if ok]
+            live = [i for i, ok in zip(live, kept) if ok]
+            if not live:
                 break
     for i in live:
         outcomes[i] = Trajectory(

@@ -1001,3 +1001,48 @@ class TestChordClearing:
         np.testing.assert_allclose(new.x_next, eq.x_eq, rtol=1e-12, atol=0)
         np.testing.assert_allclose(new.p, eq.p_eq, rtol=1e-12, atol=0)
         assert new.h == pytest.approx(eq.h_eq, rel=1e-12, abs=0)
+
+    def test_chord_steps_kept_by_both_members_or_by_one(self, net, monkeypatch):
+        # two gammas in lockstep: in some iterations both members keep their
+        # chord step (the trial arrays are taken whole), in others only one
+        # does (its rows are copied); either way each member's states are its
+        # solo run's bits and clear on re-check
+        import netecon.simulator as simulator
+
+        events = []
+        for name, letter in (("dgetrs", "s"), ("_clearing_jacobian", "j"), ("_residual_at", "r")):
+            def spy(*args, _fn=getattr(simulator, name), _letter=letter, **kwargs):
+                events.append(_letter)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(simulator, name, spy)
+        # gamma = 0.2 takes about four times the iterations of gamma = 0.1 and
+        # has its chord steps refused while the other member's are kept
+        params = [replace(self.PARAMS, gamma=g) for g in (0.1, 0.2)]
+        ensemble = Ensemble(Simulator(net, params[0]), [p.gamma for p in params])
+        solos = [Simulator(net, p) for p in params]
+        # a state carries its member's params, gamma included
+        states = [replace(sim.equilibrium_state(), params=sim.params) for sim in solos]
+        alone = list(states)
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            shocks = 1e-3 * rng.standard_normal((2, net.n))
+            new = ensemble.step(states, shocks)
+            # only the ensemble's solve is tallied
+            mark = len(events)
+            alone = [sim.step(state, shock) for sim, state, shock in zip(solos, alone, shocks)]
+            del events[mark:]
+            for got, want, sim, state, shock in zip(new, alone, solos, states, shocks):
+                for name in ("p", "x", "x_next", "lam"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert (got.h, got.M, got.newton_iters, got.factorizations, got.max_residual) \
+                    == (want.h, want.M, want.newton_iters, want.factorizations, want.max_residual)
+                res = clearing_residual(np.log(got.p), got.h, sim.context_for(state, shock))
+                assert np.max(np.abs(res)) <= NEWTON_TOL
+            states = new
+        # a residual evaluation right after two chord solves is a chord trial
+        # of both members; the Jacobians built before the next evaluation
+        # are those of the members whose chord step was refused
+        segments = "".join(events).split("r")
+        refused = [after.count("j") for before, after in zip(segments, segments[1:])
+                   if before == "ss"]
+        assert refused.count(0) > 0 and refused.count(1) > 0
