@@ -24,19 +24,18 @@ def format_value(value) -> str:
     return format(float(value), ".17g")
 
 
-def _row_template(kinds: tuple) -> str | None:
+def _row_template(kinds: tuple) -> str:
     """The ``%`` template that writes a row of values of these types as
-    ``format_value`` writes them, or None when some type has no conversion."""
+    ``format_value`` writes them: ``%.17g`` converts any other type through
+    ``float``, as ``format_value`` does."""
     conversions = []
     for kind in kinds:
-        if issubclass(kind, float):
-            conversions.append("%.17g")
-        elif issubclass(kind, str):
+        if issubclass(kind, str):
             conversions.append("%s")
         elif issubclass(kind, (int, np.integer)):
             conversions.append("%d")
         else:
-            return None
+            conversions.append("%.17g")
     return ",".join(conversions) + "\n"
 
 
@@ -44,10 +43,9 @@ def write_csv(path, header, rows, config_hash: str = "", comments=()) -> None:
     """Write the hash line, the comment lines, the header and the rows.
 
     Each row is written by one ``%`` template, made once per sequence of
-    value types; a row with a value of another type is written value by
-    value with ``format_value``.  Either way the text is ``format_value``'s.
+    value types; the text is ``format_value``'s.
     """
-    templates: dict[tuple, str | None] = {}
+    templates: dict[tuple, str] = {}
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
@@ -59,5 +57,4 @@ def write_csv(path, header, rows, config_hash: str = "", comments=()) -> None:
             kinds = tuple(map(type, row))
             if kinds not in templates:
                 templates[kinds] = _row_template(kinds)
-            template = templates[kinds]
-            fh.write(template % row if template else ",".join(map(format_value, row)) + "\n")
+            fh.write(templates[kinds] % row)

@@ -197,42 +197,35 @@ def _clearing_parts(ctx: ClearingContext, log_p: np.ndarray, log_h) -> dict:
     d v_nominal / dy by the formulas above at fixed h; the gauge does not
     depend on y.
 
-    Returns raw arrays, computed with numpy's overflow, invalid and
-    divide-by-zero warnings off: overflow produces non-finite entries that
-    the Newton damping treats as a rejected trial.
+    Returns raw arrays; overflow produces non-finite entries that the Newton
+    damping treats as a rejected trial.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _parts_at(ctx, log_p, log_h)
-
-
-def _parts_at(ctx: ClearingContext, log_p: np.ndarray, log_h) -> dict:
-    """``_clearing_parts`` in the caller's numpy error state: the Newton
-    solve sets it once per solve, not once per evaluation."""
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, q, q0, gamma = pr.a, pr.b, pr.q, pr.q0, ctx.gamma
     log_h = np.asarray(log_h)
     # row sums and stacked matrix-vector products give each member the bits
     # it has alone; sum() / n rather than mean(): the same bits without
     # mean()'s call overhead
-    dlp = log_p - ctx.log_p_lag
-    log_beta = np.log(pr.beta0) - q0 * (dlp.sum(axis=-1) / n)
-    log_ep = log_p + q * dlp
-    log_discounted = log_beta[..., None] + log_ep
-    log_xstar = (
-        ctx.log_z + b * log_discounted - a * b * log_h[..., None]
-        - pr.c * np.matmul(w, log_p[..., None])[..., 0]
-    ) / (1.0 - b)
-    xstar = np.exp(log_xstar)
-    x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
-    lam = np.exp(log_discounted) * (x_next / xstar) ** ((1.0 - b) / b)
-    spend = lam * x_next
-    total_spend = spend.sum(axis=-1)
-    v_nominal = ctx.x_sold * np.exp(log_p)
-    goods = ((v_nominal - v_nominal.sum(axis=-1)[..., None] / n)
-             - pr.c * (np.matmul(spend[..., None, :], w)[..., 0, :]
-                       - total_spend[..., None] / n))
-    wage = np.exp(log_h) - a * b * total_spend
-    gauge = log_p.sum(axis=-1) - ctx.gauge_target
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dlp = log_p - ctx.log_p_lag
+        log_beta = np.log(pr.beta0) - q0 * (dlp.sum(axis=-1) / n)
+        log_ep = log_p + q * dlp
+        log_discounted = log_beta[..., None] + log_ep
+        log_xstar = (
+            ctx.log_z + b * log_discounted - a * b * log_h[..., None]
+            - pr.c * np.matmul(w, log_p[..., None])[..., 0]
+        ) / (1.0 - b)
+        xstar = np.exp(log_xstar)
+        x_next = (1.0 - gamma) * ctx.x_sold + gamma * xstar
+        lam = np.exp(log_discounted) * (x_next / xstar) ** ((1.0 - b) / b)
+        spend = lam * x_next
+        total_spend = spend.sum(axis=-1)
+        v_nominal = ctx.x_sold * np.exp(log_p)
+        goods = ((v_nominal - v_nominal.sum(axis=-1)[..., None] / n)
+                 - pr.c * (np.matmul(spend[..., None, :], w)[..., 0, :]
+                           - total_spend[..., None] / n))
+        wage = np.exp(log_h) - a * b * total_spend
+        gauge = log_p.sum(axis=-1) - ctx.gauge_target
     return {
         "log_beta": log_beta,
         "log_ep": log_ep,
@@ -398,7 +391,7 @@ _SOLUTION_PARTS = ("xstar", "x_next", "lam", "spend", "v_nominal")
 
 def _residual_at(ctx: ClearingContext, u: np.ndarray) -> tuple[np.ndarray, dict]:
     n = ctx.net.n
-    parts = _parts_at(ctx, u[..., :n], u[..., n])
+    parts = _clearing_parts(ctx, u[..., :n], u[..., n])
     return _residual_vector(parts), parts
 
 
@@ -450,6 +443,12 @@ def _solve_clearing(
     member); every solved member without a failure clears to ``tol``.
     """
     count, chord = len(u), ctx.net.n >= CHORD_MIN_N
+    res, all_parts = _residual_at(ctx, u)
+    parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
+    err = _max_error(res)
+    # the per-member bookkeeping is in Python lists: a member's scalars cost
+    # less there than in one-element arrays
+    errs = err.tolist()
     going = list(range(count)) if active is None else list(active)
     iterations, halvings, factored = [0] * count, [0] * count, [0] * count
     failures: dict[int, ClearingError] = {}
@@ -478,129 +477,116 @@ def _solve_clearing(
         for r in won:
             errs[r] = trial_errs[r]
 
-    # the kernel's numpy error state (``_clearing_parts``), entered once per
-    # solve rather than once per evaluation.  It also covers the trial
-    # points and the Jacobian: the warnings it silences there are about
-    # non-finite results, which the solve checks for itself
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res, all_parts = _residual_at(ctx, u)
-        parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
-        err = _max_error(res)
-        # the per-member bookkeeping is in Python lists: a member's scalars
-        # cost less there than in one-element arrays
-        errs = err.tolist()
-        # an accepted step lowers a finite error, so only the start can be non-finite
-        fail([r for r in going if not errs[r] < np.inf],
-             "non-finite clearing residual at the starting point", 0)
-        for iteration in range(NEWTON_MAX_ITER):
-            for r in going:
-                if errs[r] < tol:
-                    iterations[r] = iteration
-            going[:] = [r for r in going if not errs[r] < tol]
-            if not going:
-                break
-            rows = list(going)
-            held = [r for r in rows if work.factors[slots[r]] is not None] if chord else []
-            if held:
-                # chord steps with the held factorizations (LU of J', solved
-                # transposed), kept where they contract
-                trial = u.copy()
-                for r in held:
-                    lu, piv = work.factors[slots[r]]
-                    trial[r] += dgetrs(lu, piv, -res[r], trans=1)[0]
-                trial_res, trial_parts = _residual_at(ctx, trial)
-                trial_err = _max_error(trial_res)
-                trial_errs = trial_err.tolist()
-                won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
-                take(won, len(held), trial, trial_res, trial_err, trial_errs, trial_parts)
-                rows = [r for r in rows if r not in won]
-                if not rows:
-                    continue
-            every = len(rows) == count
-            for r in rows:
-                factored[r] += 1
-            if chord:
-                # one member at a time, each in its own Jacobian slot, which its
-                # factorization then overwrites
-                step = np.zeros((len(rows), u.shape[1]))
-                for j, r in enumerate(rows):
-                    one, slot = slice(r, r + 1), slots[r]
-                    jac = _clearing_jacobian(
-                        ctx.members(one), u[one],
-                        {key: value[one] for key, value in parts.items()},
-                        tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
-                    if not np.isfinite(jac.sum()):
-                        fail([r], "non-finite clearing Jacobian", iteration)
-                        continue
-                    lu, piv, info = dgetrf(jac.T, overwrite_a=1)
-                    if info > 0:
-                        fail([r], "singular clearing Jacobian", iteration)
-                        continue
-                    work.factors[slot] = lu, piv
-                    step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
-            else:
-                jac = _clearing_jacobian(
-                    ctx if every else ctx.members(rows), u if every else u[rows],
-                    parts if every else {key: value[rows] for key, value in parts.items()},
-                    work.jacobian)
-                # one pass with no temporary: a sum is finite when every entry is
-                # (a sum of finite entries that overflows costs only the exact check)
-                if not np.isfinite(jac.sum()):
-                    finite = np.isfinite(jac).all(axis=(-2, -1))
-                    fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
-                         "non-finite clearing Jacobian", iteration)
-                    jac[~finite] = np.eye(jac.shape[-1])
-                rhs = -(res if every else res[rows])
-                try:
-                    step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    # some member's Jacobian is singular: find it and take it out
-                    singular = []
-                    for j, matrix in enumerate(jac):
-                        try:
-                            np.linalg.solve(matrix, rhs[j])
-                        except np.linalg.LinAlgError:
-                            singular.append(j)
-                    fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
-                    jac[singular] = np.eye(jac.shape[-1])
-                    step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-            # the members still searching have all halved their step equally
-            # often, so one scale serves them all
-            search = [r for r in rows if r not in failures]
-            if not search:
+    # an accepted step lowers a finite error, so only the start can be non-finite
+    fail([r for r in going if not errs[r] < np.inf],
+         "non-finite clearing residual at the starting point", 0)
+    for iteration in range(NEWTON_MAX_ITER):
+        for r in going:
+            if errs[r] < tol:
+                iterations[r] = iteration
+        going[:] = [r for r in going if not errs[r] < tol]
+        if not going:
+            break
+        rows = list(going)
+        held = [r for r in rows if work.factors[slots[r]] is not None] if chord else []
+        if held:
+            # chord steps with the held factorizations (LU of J', solved
+            # transposed), kept where they contract
+            trial = u.copy()
+            for r in held:
+                lu, piv = work.factors[slots[r]]
+                trial[r] += dgetrs(lu, piv, -res[r], trans=1)[0]
+            trial_res, trial_parts = _residual_at(ctx, trial)
+            trial_err = _max_error(trial_res)
+            trial_errs = trial_err.tolist()
+            won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
+            take(won, len(held), trial, trial_res, trial_err, trial_errs, trial_parts)
+            rows = [r for r in rows if r not in won]
+            if not rows:
                 continue
-            if every:
-                delta = step
-            else:
-                # the members out of the search stay where they are
-                delta = np.zeros_like(u)
-                delta[rows] = step
-            scale, everyone = 1.0, len(search)
-            for _ in range(NEWTON_MAX_HALVINGS):
-                trial = u + scale * delta
-                trial_res, trial_parts = _residual_at(ctx, trial)
-                trial_err = _max_error(trial_res)
-                trial_errs = trial_err.tolist()
-                won = [r for r in search if trial_errs[r] < errs[r]]
-                if won:
-                    # (a member that failed in this iteration may take a point
-                    # it does not use)
-                    take(won, everyone, trial, trial_res, trial_err, trial_errs, trial_parts)
-                    search = [r for r in search if r not in won]
-                    if not search:
-                        break
-                for r in search:
-                    halvings[r] += 1
-                scale *= 0.5
-            else:
-                fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)",
-                     iteration)
+        every = len(rows) == count
+        for r in rows:
+            factored[r] += 1
+        if chord:
+            # one member at a time, each in its own Jacobian slot, which its
+            # factorization then overwrites
+            step = np.zeros((len(rows), u.shape[1]))
+            for j, r in enumerate(rows):
+                one, slot = slice(r, r + 1), slots[r]
+                jac = _clearing_jacobian(
+                    ctx.members(one), u[one], {key: value[one] for key, value in parts.items()},
+                    tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
+                if not np.isfinite(jac.sum()):
+                    fail([r], "non-finite clearing Jacobian", iteration)
+                    continue
+                lu, piv, info = dgetrf(jac.T, overwrite_a=1)
+                if info > 0:
+                    fail([r], "singular clearing Jacobian", iteration)
+                    continue
+                work.factors[slot] = lu, piv
+                step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
         else:
-            for r in going:
-                if errs[r] < tol:
-                    iterations[r] = NEWTON_MAX_ITER
-            fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
-                 f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
+            jac = _clearing_jacobian(
+                ctx if every else ctx.members(rows), u if every else u[rows],
+                parts if every else {key: value[rows] for key, value in parts.items()},
+                work.jacobian)
+            # one pass with no temporary: a sum is finite when every entry is
+            # (a sum of finite entries that overflows costs only the exact check)
+            if not np.isfinite(jac.sum()):
+                finite = np.isfinite(jac).all(axis=(-2, -1))
+                fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
+                     "non-finite clearing Jacobian", iteration)
+                jac[~finite] = np.eye(jac.shape[-1])
+            rhs = -(res if every else res[rows])
+            try:
+                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # some member's Jacobian is singular: find it and take it out
+                singular = []
+                for j, matrix in enumerate(jac):
+                    try:
+                        np.linalg.solve(matrix, rhs[j])
+                    except np.linalg.LinAlgError:
+                        singular.append(j)
+                fail([rows[j] for j in singular], "singular clearing Jacobian", iteration)
+                jac[singular] = np.eye(jac.shape[-1])
+                step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        # the members still searching have all halved their step equally
+        # often, so one scale serves them all
+        search = [r for r in rows if r not in failures]
+        if not search:
+            continue
+        if every:
+            delta = step
+        else:
+            # the members out of the search stay where they are
+            delta = np.zeros_like(u)
+            delta[rows] = step
+        scale, everyone = 1.0, len(search)
+        for _ in range(NEWTON_MAX_HALVINGS):
+            trial = u + scale * delta
+            trial_res, trial_parts = _residual_at(ctx, trial)
+            trial_err = _max_error(trial_res)
+            trial_errs = trial_err.tolist()
+            won = [r for r in search if trial_errs[r] < errs[r]]
+            if won:
+                # (a member that failed in this iteration may take a point
+                # it does not use)
+                take(won, everyone, trial, trial_res, trial_err, trial_errs, trial_parts)
+                search = [r for r in search if r not in won]
+                if not search:
+                    break
+            for r in search:
+                halvings[r] += 1
+            scale *= 0.5
+        else:
+            fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)", iteration)
+    else:
+        for r in going:
+            if errs[r] < tol:
+                iterations[r] = NEWTON_MAX_ITER
+        fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
+             f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
     return u, parts, iterations, err, halvings, factored, failures
 
 

@@ -33,7 +33,7 @@ STRINGS = ["", "random_exp", "complex_pair", "a b", np.str_("state_space")]
     # numpy columns zipped, as the trajectory writer passes them
     list(zip(np.arange(1, 5), np.array([0.1, np.nan, -0.0, 1e-300]),
              np.array([3, 4, 3, 5]), np.array([np.inf, -np.inf, 2.5, 1e300]))),
-    # values of other types are written by format_value
+    # values of other types go through float, as in format_value
     [(np.float32(0.1), np.bool_(True), 1), (np.float16(-0.0), 2.0, np.float32(np.nan))],
     # an empty row, and no rows at all
     [()],
