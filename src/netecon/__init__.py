@@ -41,9 +41,6 @@ from .stability import (
     analyze_stability,
     build_linearized,
     critical_gamma,
-    critical_gamma_b1_approx,
-    critical_gamma_closed_form,
-    hopf_angle,
     linear_state_map,
     max_growth_rate_modal,
     mode_quadratic,

@@ -2,12 +2,11 @@
 
 Level and first-difference volatility, average absolute pairwise
 correlations, dominant-period detection via the periodogram, the amplitude
-envelope, the linearized volatility prediction and a reproducible
-parameter-sweep runner, which steps the cells of one network size as
-``Ensemble``s.  The observables themselves (the flat-log aggregate
-``mean_xi``, real output at equilibrium prices ``output_real`` and real
-consumption) are recorded by ``Simulator.simulate`` on the
-``Trajectory``.
+envelope and a reproducible parameter-sweep runner, which steps the cells
+of one network size as ``Ensemble``s.  The observables themselves (the
+flat-log aggregate ``mean_xi``, real output at equilibrium prices
+``output_real`` and real consumption) are recorded by
+``Simulator.simulate`` on the ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "amplitude_envelope",
     "avg_abs_correlation",
     "dominant_period",
-    "linearized_volatility",
     "run_sweep",
     "volatility",
     "volatility_diff",
@@ -124,29 +122,6 @@ def amplitude_envelope(series: np.ndarray, window: int = 6) -> np.ndarray:
     mean = (cum[window:] - cum[:-window]) / window
     mean2 = (cum2[window:] - cum2[:-window]) / window
     return np.sqrt(np.maximum(mean2 - mean**2, 0.0))
-
-
-def linearized_volatility(net, params, sigma: float) -> float:
-    """Stationary flat-log aggregate volatility predicted by the linearized map.
-
-    Solves the discrete Lyapunov equation for the state covariance of
-    state <- S state + B eps and returns the standard deviation of mean(xi).
-    Only defined in the stable phase.
-    """
-    from scipy.linalg import solve_discrete_lyapunov
-
-    from .stability import linear_state_map
-
-    s_map, b_map = linear_state_map(net, params)
-    radius = float(np.max(np.abs(np.linalg.eigvals(s_map))))
-    if radius >= 1.0:
-        raise ValueError(f"linearized map is unstable (spectral radius {radius:.4f})")
-    q = sigma**2 * (b_map @ b_map.T)
-    cov = solve_discrete_lyapunov(s_map, q)
-    n = net.n
-    weights = np.zeros(s_map.shape[0])
-    weights[:n] = 1.0 / n
-    return float(np.sqrt(weights @ cov @ weights))
 
 
 # ---------------------------------------------------------------------------

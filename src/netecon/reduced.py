@@ -1,11 +1,10 @@
 """Reference dynamics the full model is compared against.
 
-Contains the benchmark linear recursion xi_{t+1} = b(1-a) W xi_t + eps_t, its
-adiabatic limit xi = [I - b(1-a)W]^{-1} eps, closed forms for the aggregate
-volatility in the slow and fast shock limits, the transversality blow-up map
-that rational expectations must suppress, and the schematic near-instability
-model whose covariance diverges as 1/eta when the leading eigenvalue
-approaches one.
+Contains the benchmark linear recursion xi_{t+1} = b(1-a) W xi_t + eps_t,
+closed forms for the aggregate volatility in the slow (adiabatic) and fast
+shock limits, the transversality blow-up map that rational expectations must
+suppress, and the schematic near-instability model whose covariance diverges
+as 1/eta when the leading eigenvalue approaches one.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "NearInstabilityModel",
     "NearInstabilityStats",
     "TransversalityReport",
-    "adiabatic_response",
     "build_near_instability_model",
     "long_plosser_simulate",
     "near_instability_stats",
@@ -53,15 +51,6 @@ def long_plosser_simulate(
         xi = c * (w @ xi) + sigma * rng.standard_normal(n)
         out[t] = xi
     return out
-
-
-def adiabatic_response(net: IONetwork, a: float, b: float, eps: np.ndarray) -> np.ndarray:
-    """Quasi-static response xi = [I - b(1-a) W]^{-1} eps to a frozen shock."""
-    c = b * (1.0 - a)
-    if not c < 1.0:
-        raise ValueError("adiabatic response requires b(1-a) < 1")
-    eps = np.asarray(eps, dtype=float)
-    return np.linalg.solve(np.eye(net.n) - c * net.w, eps)
 
 
 def sigma_slow(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
@@ -175,16 +164,20 @@ class NearInstabilityModel:
             raise ValueError(f"spectral radius {radius:.6f} is not below one")
 
 
+# the near-instability model's eigenvalue on every mode but the leading one
+RHO = 0.5
+
+
 def build_near_instability_model(
-    u_plus: np.ndarray, eta: float, sigmas: np.ndarray, rho: float = 0.5
+    u_plus: np.ndarray, eta: float, sigmas: np.ndarray
 ) -> NearInstabilityModel:
-    """A = (1-eta) u u' + rho (I - u u'): one mode near the unit circle, a
-    controlled bulk at rho for everything else."""
+    """A = (1-eta) u u' + RHO (I - u u'): one mode near the unit circle, a
+    controlled bulk at RHO for everything else."""
     u = np.asarray(u_plus, dtype=float)
     u = u / np.linalg.norm(u)
     n = len(u)
     proj = np.outer(u, u)
-    a = (1.0 - eta) * proj + rho * (np.eye(n) - proj)
+    a = (1.0 - eta) * proj + RHO * (np.eye(n) - proj)
     return NearInstabilityModel(A=a, U_plus=u, sigmas=np.asarray(sigmas, dtype=float),
                                 eta=float(eta))
 

@@ -24,17 +24,19 @@ in a form whose bits do not depend on the other members (row reductions,
 stacked matrix products and solves).  A member's run is therefore the run it
 has alone; ``Simulator`` is the ensemble of one.
 
-From ``CHORD_MIN_N`` firms on, where the O(n^3) Jacobian and its LU are the
-whole cost of a step, each member keeps the LU factorization of its last
-clearing Jacobian from iteration to iteration and from step to step, and
-takes chord steps with it; the Jacobian is rebuilt and refactored only when
-a chord step does not cut the residual by ``CHORD_CONTRACTION``
-(``_solve_clearing``).  Below it the solve, and every bit of its output, is
-the exact damped Newton iteration.  A member's factorization sits in its own
-slot of its engine's workspace, so it does not depend on the other members,
-and ``simulate`` starts every run without one, so a run's bits depend only
-on its inputs.  Above the constant a trajectory differs from the exact
-iteration's at rounding level: every state still clears to ``NEWTON_TOL``.
+From ``CHORD_MIN_N`` firms on (the crossover measured in README), where the
+O(n^3) Jacobian and its LU are the whole cost of a step, each member keeps
+the LU factorization of its last clearing Jacobian from iteration to
+iteration and from step to step, and takes chord steps with it, each one
+O(n^2) back-substitution and one residual evaluation; the Jacobian is
+rebuilt and refactored only when a chord step does not cut the residual by
+``CHORD_CONTRACTION`` (``_solve_clearing``).  Below it the solve, and every
+bit of its output, is the exact damped Newton iteration.  A member's
+factorization sits in its own slot of its engine's workspace, so it does
+not depend on the other members, and ``simulate`` starts every run without
+one, so a run's bits depend only on its inputs.  Above the constant a
+trajectory differs from the exact iteration's at rounding level: every
+state still clears to ``NEWTON_TOL``.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -70,9 +72,7 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 25
-# from this many firms on, the clearing solve reuses each member's LU
-# factorization of its Jacobian (chord steps); below it, it solves with a
-# fresh Jacobian at every iteration
+# chord steps from this many firms on (module docstring)
 CHORD_MIN_N = 96
 # a chord step is kept only when it cuts the max residual by this factor
 CHORD_CONTRACTION = 0.5
@@ -258,11 +258,10 @@ def _jacobian_workspace(n: int, members: int = 1) -> tuple[np.ndarray, np.ndarra
 
 
 class _Workspace:
-    """What an engine's clearing solves reuse, for up to ``members`` economies
-    (member slots): the ``_jacobian_workspace`` buffers and, per slot, the
-    LU factorization of that member's clearing Jacobian held for chord steps
-    (None when it holds none).  A held factorization lives in its member's
-    Jacobian slot, factored in place, so holding one allocates nothing."""
+    """What an engine's clearing solves reuse, per member slot: the
+    ``_jacobian_workspace`` buffers and the held LU factorization (chord
+    steps: module docstring; None when none), factored in place in the
+    member's Jacobian slot, so holding one allocates nothing."""
 
     def __init__(self, n: int, members: int = 1):
         self.jacobian = _jacobian_workspace(n, members)
@@ -412,7 +411,8 @@ def _solve_clearing(
     active: list[int] | None = None,
 ) -> tuple[np.ndarray, dict, list[int], np.ndarray, list[int], list[int], dict]:
     """Damped Newton on u = (log p, log h), one row per member, with the exact
-    Jacobian; from ``CHORD_MIN_N`` firms on, with chord steps in between.
+    Jacobian; from ``CHORD_MIN_N`` firms on, with chord steps in between
+    (module docstring).
 
     Each member iterates as it would alone, with its own residual, step
     length, iteration count and factorization.  Every member keeps its row:
@@ -421,22 +421,13 @@ def _solve_clearing(
     keep their row of u.  Row r is the member in slot ``slots[r]`` of
     ``work``; the u passed in may be overwritten.
 
-    Below ``CHORD_MIN_N`` every iteration is a damped Newton step with a
-    fresh Jacobian for each member still iterating, solved by one stacked
-    ``np.linalg.solve``.  From ``CHORD_MIN_N`` on, a member that holds an LU
-    factorization of an earlier Jacobian (``work.factors``, kept from
-    iteration to iteration and from step to step) first takes a full chord
-    step with it, one O(n^2) back-substitution; the step is kept if it cuts
-    the member's max residual by ``CHORD_CONTRACTION``.  Otherwise, or
-    without a factorization, the member takes the damped Newton step from
-    the same point, and the factorization of that fresh Jacobian, made in
-    place in the member's Jacobian slot, replaces the held one.  Either way
-    the pass counts as one iteration, and a member converges only at a true
-    residual below ``tol``.  A failed member's factorization is discarded,
-    and the others' do not depend on it, so a member's solve is the one it
-    has alone.  ``CHORD_MIN_N`` is a measured crossover (README,
-    "Numerical conventions"): from there on, about ten chord iterations and
-    well under one factorization per step beat about four exact iterations.
+    A member's chord step is kept if it cuts that member's max residual by
+    ``CHORD_CONTRACTION``; otherwise, or without a held factorization
+    (``work.factors``), the member takes the damped Newton step from the
+    same point, and that Jacobian's factorization replaces the held one.
+    Either way the pass counts as one iteration, and a member converges
+    only at a true residual below ``tol``.  A failed member's factorization
+    is discarded.
 
     Returns (u, the ``_SOLUTION_PARTS`` at u, iterations, max residuals,
     damping halvings, Jacobian factorizations, ClearingError by failed
@@ -869,13 +860,11 @@ def _run(sim: Simulator, params: list[ModelParams], noises: list[NoiseProcess], 
 class Simulator:
     """Step engine bound to one (network, params) configuration.
 
-    Solves and caches the equilibrium once.  Each engine owns the workspace
-    its clearing Newton solve assembles the Jacobian in, and from
-    ``CHORD_MIN_N`` firms on the factorization its chord steps reuse, which
-    carries over from one ``step`` call to the next; ``simulate`` starts
-    from none, so a run depends only on its inputs.  The RNG is owned by the
-    caller: one engine per concurrent worker is safe, one engine stepped
-    from two threads at once is not.
+    Solves and caches the equilibrium once.  Each engine owns one clearing
+    workspace (chord steps: module docstring), whose held factorization
+    carries over from one ``step`` call to the next.  The RNG is owned by
+    the caller: one engine per concurrent worker is safe, one engine
+    stepped from two threads at once is not.
     """
 
     def __init__(self, net: IONetwork, params: ModelParams, tol: float = NEWTON_TOL):
@@ -960,10 +949,9 @@ class Ensemble:
     are its noise process.  A member's run is bit for bit the run a
     Simulator with its params has alone, and a member that breaks down
     leaves the ensemble with its ClearingError while the others run on.  The
-    ensemble owns one workspace with a slot per member, where the member's
-    Jacobian is assembled and, from ``CHORD_MIN_N`` firms on, its
-    factorization is held, so, like a Simulator, it is stepped from one
-    thread at a time.
+    ensemble owns one workspace with a slot per member (chord steps: module
+    docstring), so, like a Simulator, it is stepped from one thread at a
+    time.
     """
 
     def __init__(self, sim: Simulator, gammas):

@@ -65,10 +65,7 @@ __all__ = [
     "analyze_stability",
     "build_linearized",
     "critical_gamma",
-    "critical_gamma_b1_approx",
-    "critical_gamma_closed_form",
     "critical_line_to_csv",
-    "hopf_angle",
     "linear_state_map",
     "max_growth_rate_modal",
     "mode_quadratic",
@@ -503,36 +500,6 @@ def trace_critical_line(
     kind = [p.kind if p else "none" for p in points]
     root = [p.root if p else complex(np.nan) for p in points]
     return CriticalLine(q_grid=q_grid, gamma_c=gamma_c, kind=kind, root=root)
-
-
-def critical_gamma_closed_form(q: float, s: float, a: float, b: float) -> float | None:
-    """gamma_c of the real-root crossing alpha -> -1 for real s.
-
-    (1-gc)/gc = [2b - 1 - c^2 s^2 + 2q (b + c s)] / [2 (1-b)(1 - b(1-a)^2 s^2)];
-    defined only when the right-hand side is positive, else None (the actual
-    bifurcation is then the complex pair, caught by critical_gamma).
-    """
-    c = b * (1.0 - a)
-    rhs = (2.0 * b - 1.0 - c**2 * s**2 + 2.0 * q * (b + c * s)) / (
-        2.0 * (1.0 - b) * (1.0 - b * (1.0 - a) ** 2 * s**2)
-    )
-    if rhs <= 0:
-        return None
-    return 1.0 / (1.0 + rhs)
-
-
-def critical_gamma_b1_approx(q: float, s: float, a: float, b: float) -> float:
-    """Constant-returns limit gamma_c ~ 2 (1-(1-a)s)(1-b) / (2q + 1 - (1-a)s)."""
-    return 2.0 * (1.0 - (1.0 - a) * s) * (1.0 - b) / (2.0 * q + 1.0 - (1.0 - a) * s)
-
-
-def hopf_angle(s: float, a: float) -> float:
-    """Crossing angle of the complex pair at q = -1, b -> 1:
-    cos(theta) = (1 - (1-a) s)^2 / 2."""
-    arg = (1.0 - (1.0 - a) * s) ** 2 / 2.0
-    if not -1.0 - 1e-12 <= arg <= 1.0 + 1e-12:
-        raise ValueError("hopf angle argument outside [-1, 1]")
-    return float(np.arccos(np.clip(arg, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_criterion_10_reduced_closed_forms():
 
     # near-instability variance law within 10 percent at eta = 0.01
     model = build_near_instability_model(np.array([1.0, 0.0]), eta=0.01,
-                                         sigmas=np.ones(2), rho=0.5)
+                                         sigmas=np.ones(2))
     stats = near_instability_stats(model, steps=1_000_000, seed=0)
     ni_rel = abs(stats.cov_empirical[0, 0] - stats.cov_predicted[0, 0]) / stats.cov_predicted[0, 0]
     ni_ok = ni_rel < 0.10

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from closed_forms import linearized_volatility
 from netecon.analytics import (
     amplitude_envelope,
     avg_abs_correlation,
     dominant_period,
-    linearized_volatility,
     run_sweep,
     volatility,
     volatility_diff,

@@ -211,6 +211,16 @@ class TestCommands:
         assert kinds[-1.0] == "complex_pair"
         assert kinds[0.0] == "real_minus_one"
 
+    def test_phase_diagram_pool_writes_the_serial_bytes(self, tmp_path):
+        # the q cells on a process pool write the file one process writes
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["--set", "network.n=8", "--set", "phase.q_grid=-1,0,0.5",
+                         "--jobs", jobs, "--out", str(out), "phase-diagram"]) == 0
+            texts.append((out / "phase_diagram.csv").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_sweep_csv(self, tmp_path):
         args = ["--set", "network.n=5", "--set", "run.steps=600",
                 "--set", "run.burn_in=150", "--set", "params.sigma=1e-3",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from closed_forms import adiabatic_response
 from conftest import make_symmetric_stochastic
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.reduced import (
     NearInstabilityModel,
-    adiabatic_response,
     build_near_instability_model,
     long_plosser_simulate,
     near_instability_stats,
@@ -180,7 +180,7 @@ class TestNearInstability:
         # A = diag(0.99, 0.5): component one is an AR(1) with exact
         # stationary variance 1/(1 - 0.99^2) = 50.25; prediction 50
         model = build_near_instability_model(np.array([1.0, 0.0]), eta=0.01,
-                                             sigmas=np.ones(2), rho=0.5)
+                                             sigmas=np.ones(2))
         assert np.allclose(model.A, np.diag([0.99, 0.5]), atol=1e-14)
         stats = near_instability_stats(model, steps=1_000_000, seed=0)
         assert stats.cov_predicted[0, 0] == pytest.approx(50.0)

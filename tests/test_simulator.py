@@ -634,6 +634,21 @@ class TestSimulate:
         assert str(info.value).startswith(f"step {state.t}: household wealth ")
         assert not caught
 
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_iteration_limit_fails_the_step(self, n, monkeypatch):
+        # one iteration cannot clear a 1e-2 shock, warm or flat start, with
+        # the exact solver (n = 8) or with chord steps (n = 128)
+        import netecon.simulator as simulator
+
+        monkeypatch.setattr(simulator, "NEWTON_MAX_ITER", 1)
+        sim = Simulator(build_random_exponential_network(n, 1), PARAMS)
+        shock = 1e-2 * np.random.default_rng(0).standard_normal(n)
+        with pytest.raises(ClearingError) as info:
+            sim.step(sim.equilibrium_state(), shock)
+        assert str(info.value).startswith(
+            "step 1: clearing solve did not converge in 1 iterations (residual ")
+        assert (info.value.t, info.value.iterations) == (1, 1)
+
     def test_gauge_shift_changes_nothing_real(self):
         # same run with the price-level gauge offset: real quantities agree,
         # prices and wage carry the uniform factor exp(delta / n)
@@ -842,6 +857,41 @@ class TestEnsemble:
         assert isinstance(got[1], ClearingError) and "household wealth" in str(got[1])
         for outcome, p, noise in zip(got, params, noises):
             _same_run(outcome, _solo(net, p, noise, steps=300))
+
+    def test_a_non_finite_observable_stops_only_that_member(self, monkeypatch):
+        # the step hands member 1 a state whose sold quantity overflows at
+        # step 7: the run stops that member there, naming the observables,
+        # and the others run on with their solo bits; a lone run stops alike
+        net = build_random_exponential_network(6, 3)
+        gammas = (0.1, 0.13, 0.2)
+        params = [ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g, sigma=1e-3) for g in gammas]
+        noises = [NoiseProcess(1e-3, seed) for seed in (1, 2, 3)]
+        solos = [_solo(net, p, noise, steps=40) for p, noise in zip(params, noises)]
+
+        def overflow(state):
+            if state.t != 7 or state.params.gamma != 0.13:
+                return state
+            x = state.x.copy()
+            x[2] = np.inf
+            return replace(state, x=x)
+
+        original = Ensemble.step
+        monkeypatch.setattr(Ensemble, "step", lambda self, states, shocks, members=None: [
+            overflow(new) for new in original(self, states, shocks, members)])
+        got = Ensemble(Simulator(net, params[0]), gammas).simulate(noises, steps=40,
+                                                                   burn_in=10)
+        assert isinstance(got[1], ClearingError)
+        assert got[1].t == 7 and str(got[1]) == "step 7: non-finite output_real, mean_xi"
+        for i in (0, 2):
+            assert not isinstance(solos[i], ClearingError)
+            _same_run(got[i], solos[i])
+
+        step = Simulator.step
+        monkeypatch.setattr(Simulator, "step", lambda self, state, shock: overflow(
+            step(self, state, shock)))
+        with pytest.raises(ClearingError) as info:
+            Simulator(net, params[1]).simulate(noises[1], steps=40, burn_in=10)
+        assert info.value.t == 7 and str(info.value) == "step 7: non-finite output_real, mean_xi"
 
     def test_flat_restart_is_per_member_and_counted(self):
         # a wage far off the equilibrium makes the warm start overflow: that

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_system import block_state_map
+from closed_forms import critical_gamma_b1_approx, critical_gamma_closed_form, hopf_angle
 from conftest import make_circulant, make_symmetric_stochastic
 from netecon import stability
 from netecon.config import build_network, load_config
@@ -20,9 +21,6 @@ from netecon.stability import (
     analyze_stability,
     build_linearized,
     critical_gamma,
-    critical_gamma_b1_approx,
-    critical_gamma_closed_form,
-    hopf_angle,
     linear_state_map,
     max_growth_rate_modal,
     mode_quadratic,
@@ -433,22 +431,28 @@ class TestClosedForms:
                 r = mode_roots(*mode_quadratic(s, ModelParams(a=0.5, b=0.9, q=q, gamma=gc)))
                 assert min(abs(abs(r[0]) - 1), abs(abs(r[1]) - 1)) < 1e-10
 
-    def test_b1_limit_independent_of_a_and_s(self):
-        vals = {critical_gamma_b1_approx(0.0, s, a, 0.97)
-                for s in (0.0, 0.3) for a in (0.3, 0.7)}
-        assert all(abs(v - 2 * 0.03) < 1e-12 for v in vals)
+    def test_critical_gamma_b1_limit(self):
+        # plain network, s = 0 off the uniform mode: the flip's gamma_c nears
+        # its constant-returns limit as b -> 1, to within 1 - b relative
+        net = build_plain_network(8)
+        for b in (0.99, 0.999):
+            params = replace(PARAMS, b=b)
+            for q in (0.0, 0.5):
+                point = critical_gamma(net, params, q)
+                reference = critical_gamma_b1_approx(q, 0.0, params.a, b)
+                assert point.kind == "real_minus_one"
+                assert abs(point.gamma_c - reference) <= (1 - b) * reference
 
-    def test_hopf_angle_reference_points(self):
-        # s = 0: cos(theta) = 1/2 -> theta = pi/3, implied period six
-        assert hopf_angle(0.0, 0.5) == pytest.approx(np.pi / 3)
-        assert 2 * np.pi / hopf_angle(0.0, 0.5) == pytest.approx(6.0)
-        # domain boundary (1 - (1-a)s)^2 = 2: the pair collapses onto the
-        # real axis (theta = 0); beyond it the formula leaves its domain
-        s = 2.0 * (1.0 - np.sqrt(2.0))
-        assert hopf_angle(s, 0.5) == pytest.approx(0.0, abs=1e-7)
-        # a = 1: the angle no longer depends on s
-        assert hopf_angle(0.9, 1.0) == pytest.approx(np.arccos(0.5))
-        assert hopf_angle(-0.4, 1.0) == pytest.approx(np.arccos(0.5))
+    def test_critical_gamma_hopf_angle(self):
+        # plain network at q = -1: the complex pair crosses the unit circle at
+        # the b -> 1 angle pi/3 (period six), to within 1 - b
+        net = build_plain_network(8)
+        angle = hopf_angle(0.0, PARAMS.a)
+        assert angle == pytest.approx(np.pi / 3)
+        for b in (0.99, 0.999):
+            point = critical_gamma(net, replace(PARAMS, b=b), -1.0)
+            assert point.kind == "complex_pair"
+            assert abs(abs(np.angle(point.root)) - angle) <= 1 - b
         with pytest.raises(ValueError):
             hopf_angle(-3.0, 0.0)
 
