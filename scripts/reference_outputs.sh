@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the fourteen reference CLI commands, each into its own subdirectory of DIR,
+# Run the fifteen reference CLI commands, each into its own subdirectory of DIR,
 # and print the sha256 of every file they write (and of the stability
 # verdicts printed on stdout).  Comparing the listing of two checkouts shows
 # whether a change kept every CLI output byte-identical.
@@ -38,6 +38,9 @@ run stability_plain --set network.n=8 --set params.q=0 --set params.gamma=0.19 s
 run stability_rexp --set network.kind=random_exp --set network.n=8 stability
 run phase_diagram --set network.kind=random_exp --set network.n=8 \
     --set phase.q_grid=-1,0 phase-diagram
+# the phase_rexp32 benchmark workload's configuration (perfbench/run.py)
+run phase_diagram_rexp32 --set network.kind=random_exp --set network.n=32 \
+    --set phase.q_grid=-1,-0.5,0 phase-diagram
 # a normal network: the modal critical line, gamma_c = 1/9, 0.2 and 1/9.5
 run phase_diagram_plain --set network.n=8 --set phase.q_grid=-1,0,0.5 phase-diagram
 run sweep --set network.n=8 --set run.steps=300 --set run.burn_in=100 \

@@ -36,7 +36,18 @@ factorization sits in its own slot of its engine's workspace, so it does
 not depend on the other members, and ``simulate`` starts every run without
 one, so a run's bits depend only on its inputs.  Above the constant a
 trajectory differs from the exact iteration's at rounding level: every
-state still clears to ``NEWTON_TOL``.
+state still clears to the solve's tolerance.
+
+The tolerance is scaled to the problem.  The wage and gauge residuals are
+differences of numbers that grow with n (h = a b sum(spend), and sum(log p)),
+so their rounding floor grows too: at n = 2048 it passes 1e-12.  A member
+converges once its max residual is below max(tol, ``RESIDUAL_FLOOR`` *
+scale), ``RESIDUAL_FLOOR`` = 2 eps and scale the larger of h and
+sum|log p| at the start of its solve, the warm start being the last
+cleared state (``_tolerances``).  spend at the start is left out: it is
+formed at the new x_sold before any clearing, and far from the solution it
+can be orders above h.  Where the floor is below ``tol``, as for every n up
+to 256 at the default tol, the tolerance is ``tol`` exactly.
 
 The overall price level is not pinned by the simultaneous clearing equations
 (the n goods equations are linearly dependent), so the solver imposes a gauge:
@@ -70,6 +81,8 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-12
+# the residual's rounding floor per unit of its rows' scale (module docstring)
+RESIDUAL_FLOOR = 2.0 * float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 25
 # chord steps from this many firms on (module docstring)
@@ -402,6 +415,15 @@ def _max_error(res: np.ndarray) -> np.ndarray:
     return err
 
 
+def _tolerances(ctx: ClearingContext, u: np.ndarray, tol: float) -> list[float]:
+    """Each member's convergence tolerance, max(tol, RESIDUAL_FLOOR * scale),
+    scale the larger of h and sum|log p| at the starting point u (module
+    docstring)."""
+    n = ctx.net.n
+    scale = np.maximum(np.exp(u[..., n]), np.abs(u[..., :n]).sum(axis=-1))
+    return np.maximum(tol, RESIDUAL_FLOOR * scale).tolist()
+
+
 def _solve_clearing(
     ctx: ClearingContext,
     u: np.ndarray,
@@ -426,16 +448,18 @@ def _solve_clearing(
     (``work.factors``), the member takes the damped Newton step from the
     same point, and that Jacobian's factorization replaces the held one.
     Either way the pass counts as one iteration, and a member converges
-    only at a true residual below ``tol``.  A failed member's factorization
-    is discarded.
+    only at a true residual below its tolerance, ``tol`` raised to the
+    rounding floor of its rows at the starting point (``_tolerances``).  A
+    failed member's factorization is discarded.
 
     Returns (u, the ``_SOLUTION_PARTS`` at u, iterations, max residuals,
     damping halvings, Jacobian factorizations, ClearingError by failed
-    member); every solved member without a failure clears to ``tol``.
+    member); every solved member without a failure clears to its tolerance.
     """
     count, chord = len(u), ctx.net.n >= CHORD_MIN_N
     res, all_parts = _residual_at(ctx, u)
     parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
+    tols = _tolerances(ctx, u, tol)
     err = _max_error(res)
     # the per-member bookkeeping is in Python lists: a member's scalars cost
     # less there than in one-element arrays
@@ -473,9 +497,9 @@ def _solve_clearing(
          "non-finite clearing residual at the starting point", 0)
     for iteration in range(NEWTON_MAX_ITER):
         for r in going:
-            if errs[r] < tol:
+            if errs[r] < tols[r]:
                 iterations[r] = iteration
-        going[:] = [r for r in going if not errs[r] < tol]
+        going[:] = [r for r in going if not errs[r] < tols[r]]
         if not going:
             break
         rows = list(going)
@@ -574,9 +598,9 @@ def _solve_clearing(
             fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)", iteration)
     else:
         for r in going:
-            if errs[r] < tol:
+            if errs[r] < tols[r]:
                 iterations[r] = NEWTON_MAX_ITER
-        fail([r for r in going if not errs[r] < tol], f"clearing solve did not converge in "
+        fail([r for r in going if not errs[r] < tols[r]], f"clearing solve did not converge in "
              f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
     return u, parts, iterations, err, halvings, factored, failures
 

@@ -17,8 +17,9 @@ eigenbasis of W and each non-uniform eigenvalue s contributes a second-order
 difference equation A2 xi_{t+1} + A1 xi_t + A0 xi_{t-1} = 0; the uniform mode
 is first order and always stable.  ``mode_quadratic`` (the coefficients) and
 ``mode_roots`` (the roots) state that quadratic once, vectorized over s.
-``analyze_stability`` is the one place that picks the modal or the
-state-space path; ``critical_gamma`` reads its reports.
+``analyze_stability`` picks the modal or the state-space path for one
+gamma; ``critical_gamma`` takes the same paths, the state-space one through
+the gamma pencil below.
 
 Critical lines.  The equilibrium does not depend on gamma, and at it
 x_next = x_sold = x*, so gamma enters the kernel's derivatives only through
@@ -34,7 +35,10 @@ linear equation, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
 (plus five halvings toward 0) and refines it by Brent's method; with none
 below the flip, the flip itself is gamma_c.  A random_exp n=32 cell takes
-15-42 state-space spectra where an exhaustive 1e-3 scan took about 1,020.
+15-42 state-space spectra where an exhaustive 1e-3 scan took about 1,020,
+each read off the pencil: the kernel is evaluated twice per q, and a gamma
+costs one axpy L0 + gamma L1, one (n+1)-square solve for the 2n state
+columns and the eigenvalues of the 2n-square map.
 """
 
 from __future__ import annotations
@@ -132,6 +136,20 @@ def build_linearized(
     return LinearizedSystem(ctx, u, parts)
 
 
+def _state_map(jac_u: np.ndarray, residual_y: np.ndarray, x_next_u: np.ndarray,
+               x_next_y: np.ndarray) -> np.ndarray:
+    """Rows (log x_next, log p) of the one-step map in the columns of R_y.
+
+    du = -J_u^{-1} R_y, so the rows are X_y + X_u du and du_p, the log p
+    rows of du.
+    """
+    try:
+        du = np.linalg.solve(jac_u, -residual_y)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError("singular clearing Jacobian at the equilibrium") from exc
+    return np.vstack([x_next_y + x_next_u @ du, du[:len(x_next_u)]])
+
+
 def _state_space_solution(lin: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
     """One-step map S on the state (xi_t, pi_{t-1}) and the noise input matrix B.
 
@@ -140,12 +158,9 @@ def _state_space_solution(lin: LinearizedSystem) -> tuple[np.ndarray, np.ndarray
     """
     n = lin.context.net.n
     residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
-    try:
-        du = np.linalg.solve(_clearing_jacobian(lin.context, lin.u, lin.parts,
-                                                 _jacobian_workspace(n)), -residual_jac)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError("singular clearing Jacobian at the equilibrium") from exc
-    full = np.vstack([x_next_jac[:, n + 1:] + x_next_jac[:, :n + 1] @ du, du[:n]])
+    full = _state_map(
+        _clearing_jacobian(lin.context, lin.u, lin.parts, _jacobian_workspace(n)),
+        residual_jac, x_next_jac[:, :n + 1], x_next_jac[:, n + 1:])
     return full[:, :2 * n], full[:, 2 * n:]
 
 
@@ -158,10 +173,19 @@ def linear_state_map(
     return _state_space_solution(build_linearized(net, params, equilibrium))
 
 
-def state_space_spectrum(lin: LinearizedSystem) -> np.ndarray:
+def state_space_spectrum(system: LinearizedSystem | np.ndarray) -> np.ndarray:
     """Eigenvalues of the state-space map; the gauge is part of the map, so
-    no eigenvalue is dropped."""
-    return np.linalg.eigvals(_state_space_solution(lin)[0])
+    no eigenvalue is dropped.
+
+    ``system`` is a linearization or its step matrix L (``_step_matrix``),
+    such as a point L0 + gamma L1 of the gamma pencil; S is read off L's
+    blocks, with no z column solved for.
+    """
+    step = _step_matrix(system) if isinstance(system, LinearizedSystem) else system
+    n = (len(step) - 1) // 3
+    clearing, x_next = step[:n + 1], step[n + 1:2 * n + 1]
+    return np.linalg.eigvals(_state_map(clearing[:, :n + 1], clearing[:, n + 1:],
+                                        x_next[:, :n + 1], x_next[:, n + 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +337,18 @@ def analyze_stability(net: IONetwork, params: ModelParams,
                       equilibrium: EquilibriumState | None = None) -> StabilityReport:
     """Modal quadratics for normal networks, the state-space spectrum otherwise.
 
-    The one place that chooses between the two paths.  ``equilibrium`` (solved
+    ``critical_gamma`` makes the same choice for its whole search, reading
+    the state-space spectra off the gamma pencil.  ``equilibrium`` (solved
     when None) is used by the state-space path only.
     """
     if net.is_normal:
         return max_growth_rate_modal(net, params)
-    vals = state_space_spectrum(build_linearized(net, params, equilibrium))
+    return _state_space_report(state_space_spectrum(build_linearized(net, params, equilibrium)),
+                               params)
+
+
+def _state_space_report(vals: np.ndarray, params: ModelParams) -> StabilityReport:
+    """The state-space path's report on the eigenvalues ``vals`` of the map."""
     max_mod = _modulus(vals)
     max_growth = float(max_mod.max()) if max_mod.size else 0.0
     try:
@@ -383,8 +413,14 @@ def _gamma_pencil(net: IONetwork, params: ModelParams,
     return l0, l1
 
 
-def _flip_gamma(net: IONetwork, params: ModelParams,
-                equilibrium: EquilibriumState) -> float | None:
+def _pencil_spectrum(pencil: tuple[np.ndarray, np.ndarray], gamma: float) -> np.ndarray:
+    """Eigenvalues of the state-space map at ``gamma``, from the pencil (L0, L1)."""
+    l0, l1 = pencil
+    return state_space_spectrum(l0 + gamma * l1)
+
+
+def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumState,
+                pencil: tuple[np.ndarray, np.ndarray] | None = None) -> float | None:
     """Smallest gamma in (0, 1) at which alpha = -1 is an eigenvalue, or None.
 
     alpha = -1 is an eigenvalue at gamma exactly when L0 + E + gamma L1 is
@@ -395,15 +431,19 @@ def _flip_gamma(net: IONetwork, params: ModelParams,
     step at gamma = 0, is never inverted, since it is singular where the
     wage row vanishes (a = 1).  Roots within GAMMA_XTOL of gamma = 0 or 1
     are not told apart from the ends: one at 0 is no flip in (0, 1), and
-    one at 1 is left to the search, whose grid ends at 1.
+    one at 1 is left to the search, whose grid ends at 1.  ``pencil`` is
+    ``_gamma_pencil``'s (L0, L1), evaluated here when None; it is read, not
+    changed.
     """
     from scipy.linalg import eigvals  # here, not at import, as brentq below
 
-    n = net.n
-    l0, l1 = _gamma_pencil(net, params, equilibrium)
-    for mat in (l0, l1):
-        mat[:, :n] -= mat[:, 2 * n + 1:]
-    f0, f1 = l0[:2 * n + 1, :2 * n + 1], l1[:2 * n + 1, :2 * n + 1]
+    n, m = net.n, 2 * net.n + 1
+    folded = []
+    for mat in _gamma_pencil(net, params, equilibrium) if pencil is None else pencil:
+        f = mat[:m, :m].copy()
+        f[:, :n] -= mat[:m, m:]
+        folded.append(f)
+    f0, f1 = folded
     xi = np.arange(n + 1, 2 * n + 1)
     f0[xi, xi] += 1.0  # E
     roots = eigvals(f0, -f1)
@@ -418,31 +458,42 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
 
     The first gamma_flip at which a root reaches -1 is exact, from one
     generalized eigenproblem (``_flip_gamma``).  max|alpha| - 1 is evaluated
-    (through ``analyze_stability``, modal or state-space) lazily in
-    ascending order on a grid over (0, gamma_flip] (over (0, 1] when there
-    is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal steps per
-    interval, below the first of them SEARCH_HALVINGS halvings.  The first
-    sign change from <= 0 to > 0 is refined by Brent's method to
+    lazily in ascending order on a grid over (0, gamma_flip] (over (0, 1]
+    when there is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal
+    steps per interval, below the first of them SEARCH_HALVINGS halvings.
+    The first sign change from <= 0 to > 0 is refined by Brent's method to
     GAMMA_XTOL, except that a change ending at gamma_flip where
     |max|alpha| - 1| <= CROSSING_TOL returns gamma_flip itself.  The kind is
     read off the leading root at gamma_c + 1e-8.  Returns None when no
     upward crossing is found: stable throughout, or unstable from the first
     grid point on.
+
+    On a normal network each gamma costs the modal quadratics.  On any
+    other, the two kernel evaluations of the gamma pencil, made once per q,
+    serve the flip and every spectrum: a gamma costs one axpy L0 + gamma L1,
+    one (n+1)-square solve and the eigenvalues of the 2n-square map
+    (``_pencil_spectrum``), where a fresh linearization would cost a kernel
+    evaluation, both Jacobians and a 3n-column solve.
     """
     from scipy.optimize import brentq  # here, not at import: it takes ~0.5 s
 
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
     equilibrium = solve_equilibrium(net, base)
+    # the pencil is held for the search on non-normal networks only
+    pencil = None if net.is_normal else _gamma_pencil(net, base, equilibrium)
 
     def report(gamma: float) -> StabilityReport:
-        return analyze_stability(net, replace(base, gamma=gamma), equilibrium)
+        at = replace(base, gamma=gamma)
+        if pencil is None:
+            return max_growth_rate_modal(net, at)
+        return _state_space_report(_pencil_spectrum(pencil, gamma), at)
 
     @cache
     def excess(gamma: float) -> float:
         return report(gamma).max_alpha - 1.0
 
-    gamma_flip = _flip_gamma(net, base, equilibrium)
+    gamma_flip = _flip_gamma(net, base, equilibrium, pencil)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
     # halvings below the first uniform step bracket early crossings; linspace
     # ends each interval exactly at its upper end, gamma_flip included

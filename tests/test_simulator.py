@@ -22,6 +22,7 @@ from netecon.simulator import (
     _clearing_parts,
     _jacobian_workspace,
     _residual_vector,
+    _tolerances,
     clearing_residual,
     trajectory_to_csv,
 )
@@ -1096,3 +1097,46 @@ class TestChordClearing:
         refused = [after.count("j") for before, after in zip(segments, segments[1:])
                    if before == "ss"]
         assert refused.count(0) > 0 and refused.count(1) > 0
+
+
+class TestScaledTolerance:
+    """The clearing tolerance is raised to the rounding floor of the residual
+    rows, which grows with n."""
+
+    @staticmethod
+    def _start_tolerance(sim, state, shock, tol=NEWTON_TOL):
+        # the tolerance of the solve that steps from ``state``, at its warm start
+        return _tolerances(sim.context_for(state, shock),
+                           np.append(np.log(state.p), np.log(state.h)), tol)
+
+    def test_exactly_tol_below_the_floor(self):
+        # plain n = 64 at tol = 1e-13 (criterion 4) and random_exp n = 256 at
+        # the default: the floor is below tol, which is kept to the bit
+        for net, tol in ((build_plain_network(64), 1e-13),
+                         (build_random_exponential_network(256, 1), NEWTON_TOL)):
+            sim = Simulator(net, replace(PARAMS, gamma=0.13), tol=tol)
+            state = sim.equilibrium_state()
+            assert self._start_tolerance(sim, state, np.zeros(net.n), tol) == tol
+
+    def test_large_economy_clears_at_its_floor(self):
+        # random_exp n = 2048, network and run seed 1: on a fixed 1e-12 the
+        # solve stalls at step 6 on the gauge row's rounding floor (1.8e-12);
+        # the floor-scaled tolerance clears 20 steps, and every state
+        # re-checks through the public residual at its step's tolerance
+        n, params = 2048, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.13, sigma=1e-3)
+        sim = Simulator(build_random_exponential_network(n, 1), params)
+        # the shock stream of ``simulate`` with run seed 1
+        rng = np.random.default_rng(1)
+        state = sim.equilibrium_state()
+        state.x_next = state.x_next * np.exp(rng.uniform(-1.0, 1.0, n) * 1e-6)
+        raised = 0
+        for _ in range(20):
+            shock = params.sigma * rng.standard_normal(n)
+            tol = self._start_tolerance(sim, state, shock)
+            new = sim.step(state, shock)
+            res = clearing_residual(np.log(new.p), new.h, sim.context_for(state, shock))
+            assert new.max_residual < tol
+            assert np.max(np.abs(res)) <= tol
+            raised += tol > NEWTON_TOL
+            state = new
+        assert raised == 20

@@ -17,6 +17,7 @@ from netecon.stability import (
     StabilityReport,
     _flip_gamma,
     _gamma_pencil,
+    _pencil_spectrum,
     _step_matrix,
     analyze_stability,
     build_linearized,
@@ -389,6 +390,50 @@ class TestCriticalSearch:
             direct = _step_matrix(build_linearized(net, replace(params, gamma=gamma), eq))
             err = np.max(np.abs(direct - (l0 + gamma * l1))) / np.max(np.abs(direct))
             assert err <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("q", [-1.0, -0.5, 0.0])
+    def test_pencil_spectrum_matches_a_fresh_linearization(self, n, q):
+        # the search's spectra, read off L0 + gamma L1, are those of the map
+        # linearized at gamma itself, to rounding
+        from scipy.optimize import linear_sum_assignment
+
+        net, params = build_random_exponential_network(n, 1), replace(PARAMS, q=q, q0=None)
+        eq = solve_equilibrium(net, params)
+        pencil = _gamma_pencil(net, params, eq)
+        for gamma in np.linspace(1.0 / 12.0, 1.0, 12):
+            got = _pencil_spectrum(pencil, gamma)
+            want = state_space_spectrum(build_linearized(net, replace(params, gamma=gamma), eq))
+            lead = np.max(np.abs(want))
+            assert abs(np.max(np.abs(got)) - lead) <= 1e-12 * lead
+            # each eigenvalue against its partner in the closest pairing
+            gaps = np.abs(got[:, None] - want[None, :])
+            assert gaps[linear_sum_assignment(gaps)].max() <= 1e-10
+
+    def test_kernel_evaluated_twice_per_q(self, monkeypatch):
+        # a non-normal cell linearizes at gamma = 1/2 and 1 for the pencil and
+        # nowhere else, however many spectra its search takes
+        linearized, spectra = [], []
+
+        def counted_linearization(*args):
+            linearized.append(args)
+            return build_linearized(*args)
+
+        def counted_spectrum(system):
+            spectra.append(system)
+            return state_space_spectrum(system)
+
+        monkeypatch.setattr(stability, "build_linearized", counted_linearization)
+        monkeypatch.setattr(stability, "state_space_spectrum", counted_spectrum)
+        net = build_random_exponential_network(10, 4)
+        searched = []
+        for q in (-1.0, -0.5, 0.0):
+            linearized.clear()
+            spectra.clear()
+            assert critical_gamma(net, PARAMS, q) is not None
+            assert [args[1].gamma for args in linearized] == [0.5, 1.0]
+            searched.append(len(spectra))
+        assert min(searched) > 2 and len(set(searched)) > 1
 
     def test_flip_below_the_scan_floor(self):
         # b -> 1, q = 1: the flip at gamma ~ 6.7e-4 lies below the exhaustive
