@@ -34,20 +34,22 @@ __all__ = [
 ]
 
 
-def volatility(series: np.ndarray, burn_in: int) -> float:
-    """Standard deviation of the series level over the stationary window."""
+def _stationary_window(series: np.ndarray, burn_in: int) -> np.ndarray:
+    """The series after ``burn_in``, which must leave more than 100 samples."""
     series = np.asarray(series, dtype=float)
     if len(series) <= burn_in + 100:
         raise ValueError("series too short beyond burn-in")
-    return float(np.std(series[burn_in:]))
+    return series[burn_in:]
+
+
+def volatility(series: np.ndarray, burn_in: int) -> float:
+    """Standard deviation of the series level over the stationary window."""
+    return float(np.std(_stationary_window(series, burn_in)))
 
 
 def volatility_diff(series: np.ndarray, burn_in: int) -> float:
     """Standard deviation of first differences over the stationary window."""
-    series = np.asarray(series, dtype=float)
-    if len(series) <= burn_in + 100:
-        raise ValueError("series too short beyond burn-in")
-    return float(np.std(np.diff(series[burn_in:])))
+    return float(np.std(np.diff(_stationary_window(series, burn_in))))
 
 
 def avg_abs_correlation(traj: Trajectory, burn_in: int) -> float:
@@ -262,15 +264,12 @@ def run_sweep(conf) -> SweepResult:
         good = [c for c in cell if isinstance(c, dict)]
         failures = tuple((seed, c) for seed, c in zip(cell_seeds, cell)
                          if not isinstance(c, dict))
-        if not good:
-            points.append(SweepPoint(value=value, statistic=float("nan"),
-                                     std_err=float("nan"), replicas=replicas,
-                                     seeds=cell_seeds, failures=failures))
-            continue
+        # a value none of whose replicas ran through has NaN statistics and no extras
         stats = np.array([c[statistic] for c in good])
         std_err = float(stats.std(ddof=1) / np.sqrt(len(stats))) if len(stats) > 1 else float("nan")
-        extras = {k: float(np.mean([c[k] for c in good])) for k in good[0] if k != statistic}
-        points.append(SweepPoint(value=value, statistic=float(stats.mean()),
+        extras = {k: float(np.mean([c[k] for c in good]))
+                  for k in _CELL_STATISTICS if good and k != statistic}
+        points.append(SweepPoint(value=value, statistic=float(stats.mean()) if good else float("nan"),
                                  std_err=std_err, replicas=replicas,
                                  seeds=cell_seeds, failures=failures, extras=extras))
     return SweepResult(axis=axis, points=points)

@@ -194,6 +194,11 @@ def _build_parser() -> argparse.ArgumentParser:
 _FLAG_KEYS = {"out": "output.dir", "jobs": "jobs", "seed": "run.seed",
               "per_sector": "output.per_sector", "axis": "sweep.axis"}
 
+# the subcommands of the configuration alone; reduced also takes its model
+_COMMANDS = {"equilibrium": cmd_equilibrium, "simulate": cmd_simulate,
+             "stability": cmd_stability, "phase-diagram": cmd_phase_diagram,
+             "sweep": cmd_sweep}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -208,20 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if args.command == "equilibrium":
-            paths = cmd_equilibrium(conf)
-        elif args.command == "simulate":
-            paths = cmd_simulate(conf)
-        elif args.command == "stability":
-            paths = cmd_stability(conf)
-        elif args.command == "phase-diagram":
-            paths = cmd_phase_diagram(conf)
-        elif args.command == "sweep":
-            paths = cmd_sweep(conf)
-        elif args.command == "reduced":
-            paths = cmd_reduced(conf, args.model)
-        else:  # unreachable, argparse enforces choices
-            return 1
+        paths = (cmd_reduced(conf, args.model) if args.command == "reduced"
+                 else _COMMANDS[args.command](conf))
     except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

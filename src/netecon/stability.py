@@ -197,11 +197,13 @@ def uniform_mode_multiplier(params: ModelParams) -> float:
 
     Always in [0, 1): the aggregate mode of the economy (equivalently a
     single-firm economy) is linearly stable, becoming marginal only as
-    gamma -> 0.  Undefined at a = 1 or b = 1.
+    gamma -> 0; 0 at a = 1, its limit as zeta grows.  Undefined at b = 1.
     """
     a, b, gamma = params.a, params.b, params.gamma
-    if a >= 1.0 or b >= 1.0:
-        raise ValueError("uniform multiplier undefined for a = 1 or b = 1")
+    if b >= 1.0:
+        raise ValueError("uniform multiplier undefined for b = 1")
+    if a >= 1.0:
+        return 0.0
     zeta = gamma / ((1.0 - a) * (1.0 - b))
     return (1.0 - gamma) / (1.0 - gamma + zeta * (1.0 - b + a * b))
 
@@ -351,16 +353,12 @@ def _state_space_report(vals: np.ndarray, params: ModelParams) -> StabilityRepor
     """The state-space path's report on the eigenvalues ``vals`` of the map."""
     max_mod = _modulus(vals)
     max_growth = float(max_mod.max()) if max_mod.size else 0.0
-    try:
-        multiplier = uniform_mode_multiplier(params)
-    except ValueError:
-        multiplier = np.nan
     return StabilityReport(
         s=np.full(len(vals), np.nan + 0j),
         alphas=np.column_stack([vals, np.full(len(vals), np.nan)]).astype(complex),
         max_mod=max_mod,
         max_growth=max_growth,
-        uniform_multiplier=multiplier,
+        uniform_multiplier=uniform_mode_multiplier(params),
         stable=bool(max_growth < 1.0),
         method="state_space",
     )
@@ -411,12 +409,6 @@ def _gamma_pencil(net: IONetwork, params: ModelParams,
     l1 *= 2.0
     l0 -= 0.5 * l1
     return l0, l1
-
-
-def _pencil_spectrum(pencil: tuple[np.ndarray, np.ndarray], gamma: float) -> np.ndarray:
-    """Eigenvalues of the state-space map at ``gamma``, from the pencil (L0, L1)."""
-    l0, l1 = pencil
-    return state_space_spectrum(l0 + gamma * l1)
 
 
 def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumState,
@@ -472,8 +464,8 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     other, the two kernel evaluations of the gamma pencil, made once per q,
     serve the flip and every spectrum: a gamma costs one axpy L0 + gamma L1,
     one (n+1)-square solve and the eigenvalues of the 2n-square map
-    (``_pencil_spectrum``), where a fresh linearization would cost a kernel
-    evaluation, both Jacobians and a 3n-column solve.
+    (``state_space_spectrum`` of L), where a fresh linearization costs a
+    kernel evaluation, both Jacobians and a 3n-column solve.
     """
     from scipy.optimize import brentq  # here, not at import: it takes ~0.5 s
 
@@ -487,7 +479,8 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
         at = replace(base, gamma=gamma)
         if pencil is None:
             return max_growth_rate_modal(net, at)
-        return _state_space_report(_pencil_spectrum(pencil, gamma), at)
+        l0, l1 = pencil
+        return _state_space_report(state_space_spectrum(l0 + gamma * l1), at)
 
     @cache
     def excess(gamma: float) -> float:

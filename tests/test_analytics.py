@@ -257,6 +257,7 @@ class TestRunSweep:
         ok, broken = result.points
         assert ok.failed == 0 and np.isfinite(ok.statistic)
         assert broken.failed == 2 and np.isnan(broken.statistic)
+        assert np.isnan(broken.std_err) and broken.extras == {}
 
     def test_failure_reasons_are_kept_per_cell(self, monkeypatch):
         self._break_high_gamma_at_step_7(monkeypatch)

@@ -388,6 +388,18 @@ class TestCommands:
         rows = _data_rows(_read(tmp_path / "phase_diagram.csv"))
         assert rows[1:] == ["-1,nan,none,nan,0"]
 
+    @pytest.mark.parametrize("kind, method", [("plain", "mode_quadratic"),
+                                              ("random_exp", "state_space")])
+    def test_stability_at_a_one(self, tmp_path, capsys, kind, method):
+        # a = 1 drops the network (c = 0): both paths report one economy, and
+        # the modal path's uniform multiplier is its limit 0
+        base = ["--set", f"network.kind={kind}", "--set", "network.n=8",
+                "--set", "params.a=1", "--out", str(tmp_path)]
+        assert main(base + ["stability"]) == 0
+        assert f"max_alpha=1.161895004 method={method}" in capsys.readouterr().out
+        assert main(base + ["--set", "phase.q_grid=-1", "phase-diagram"]) == 0
+        assert _data_rows(_read(tmp_path / "phase_diagram.csv"))[1].startswith("-1,0.111111111")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # far outside the model's regime: the clearing solve breaks down,
         # and the message names the step

@@ -486,18 +486,16 @@ class TestStep:
         assert peak < n * n * 8
 
     def test_breakdown_fails_loudly_with_time_index(self):
-        # shocks far beyond the model's regime eventually push household
-        # wealth negative; the solver must raise, not return a bad state
+        # shocks far beyond the model's regime push household wealth negative
+        # at step 20; the run must stop there with that reason, not step on
+        # until (or unless) the clearing solve stalls
         net = build_random_exponential_network(8, 6)
         params = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.25, sigma=1e-2)
-        sim = Simulator(net, params)
-        state = sim.equilibrium_state()
-        rng = np.random.default_rng(0)
         with pytest.raises(ClearingError) as info:
-            for _ in range(200):
-                state = sim.step(state, 1e-2 * rng.standard_normal(8))
-        assert info.value.t is not None and info.value.t > 0
-        assert str(info.value).startswith(f"step {info.value.t}: ")
+            Simulator(net, params).simulate(NoiseProcess(1e-2, seed=1), steps=300)
+        assert info.value.t == 20
+        assert str(info.value).startswith("step 20: household wealth ")
+        assert str(info.value).endswith(" is not positive")
         assert np.isfinite(info.value.residual)
 
 

@@ -17,7 +17,6 @@ from netecon.stability import (
     StabilityReport,
     _flip_gamma,
     _gamma_pencil,
-    _pencil_spectrum,
     _step_matrix,
     analyze_stability,
     build_linearized,
@@ -98,8 +97,9 @@ class TestUniformMode:
         assert m == pytest.approx(0.8 / 3.0, abs=1e-15)
 
     def test_undefined_cases(self):
-        with pytest.raises(ValueError):
-            uniform_mode_multiplier(ModelParams(a=1.0))
+        # at a = 1 zeta is infinite and the multiplier is its limit 0
+        assert uniform_mode_multiplier(ModelParams(a=1.0)) == 0.0
+        assert uniform_mode_multiplier(ModelParams(a=1.0 - 1e-9)) < 1e-8
         with pytest.raises(ValueError):
             uniform_mode_multiplier(ModelParams(b=1.0))
 
@@ -318,6 +318,16 @@ class TestCriticalGamma:
         peak = finite[np.argmax(line.gamma_c[finite])]
         assert -1.0 < line.q_grid[peak] < 0.0
 
+    @pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.5])
+    def test_a_one_network_drops_out(self, q):
+        # a = 1: c = 0, so the modal path on a plain network and the pencil
+        # search on a non-normal one find the same crossing
+        params = replace(PARAMS, a=1.0)
+        modal = critical_gamma(build_plain_network(8), params, q)
+        state_space = critical_gamma(build_random_exponential_network(8, 1), params, q)
+        assert state_space.kind == modal.kind
+        assert state_space.gamma_c == pytest.approx(modal.gamma_c, abs=1e-12)
+
     def test_non_normal_state_space_path(self):
         net = build_random_exponential_network(10, 4)
         cp = critical_gamma(net, PARAMS, q=-1.0)
@@ -400,9 +410,9 @@ class TestCriticalSearch:
 
         net, params = build_random_exponential_network(n, 1), replace(PARAMS, q=q, q0=None)
         eq = solve_equilibrium(net, params)
-        pencil = _gamma_pencil(net, params, eq)
+        l0, l1 = _gamma_pencil(net, params, eq)
         for gamma in np.linspace(1.0 / 12.0, 1.0, 12):
-            got = _pencil_spectrum(pencil, gamma)
+            got = state_space_spectrum(l0 + gamma * l1)
             want = state_space_spectrum(build_linearized(net, replace(params, gamma=gamma), eq))
             lead = np.max(np.abs(want))
             assert abs(np.max(np.abs(got)) - lead) <= 1e-12 * lead
@@ -445,8 +455,8 @@ class TestCriticalSearch:
             critical_gamma_closed_form(1.0, 0.0, params.a, params.b), abs=1e-12)
 
     def test_singular_gamma_zero_step(self):
-        # a = 1: no labor, so the wage row of the gamma = 0 step vanishes and
-        # F0 is singular; the pencil is solved without inverting it, and the
+        # a = 1: the wage row's h-derivative h (1 - a) of the gamma = 0 step
+        # vanishes and F0 is singular; the pencil is solved without inverting it, and the
         # search agrees with the exhaustive scan (no crossing in (0, 1])
         conf = load_config(None, ["network.kind=random_exp", "network.n=6",
                                   "params.a=1", "params.b=0.1"])
