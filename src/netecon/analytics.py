@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import periodogram
 
 from . import config as cfg
 from .csvio import write_csv
@@ -93,6 +92,8 @@ def dominant_period(series: np.ndarray, burn_in: int,
     which white noise essentially never exceeds) yields period None.
     Needs at least 2048 post-burn-in samples.
     """
+    from scipy.signal import periodogram  # here, not at import: no command calls it
+
     series = np.asarray(series, dtype=float)
     x = series[burn_in:]
     if len(x) < 2048:

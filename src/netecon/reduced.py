@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
-from scipy.signal import lfilter
 
 from .equilibrium import influence_vector_lp
 from .network import IONetwork
@@ -68,6 +66,8 @@ def sigma_fast(net: IONetwork, a: float, b: float, sigmas: np.ndarray) -> float:
     for the stationary covariance of the benchmark recursion (c < 1 makes it
     stable) and returns sqrt(n^-2 1'C 1).
     """
+    from scipy.linalg import solve_discrete_lyapunov  # here, not at import: only `reduced` calls it
+
     c = b * (1.0 - a)
     if not c < 1.0:
         raise ValueError("fast-shock volatility requires b(1-a) < 1")
@@ -200,6 +200,8 @@ def near_instability_stats(
     sign(U+_j U+_k) as eta -> 0.  Each eigenmode of the symmetric A runs as
     an independent AR(1) filter.  Burn-in of 10/eta steps is discarded.
     """
+    from scipy.signal import lfilter  # here, not at import: only `reduced` calls it
+
     n = len(model.U_plus)
     burn = int(np.ceil(10.0 / model.eta))
     if steps <= burn + 100:

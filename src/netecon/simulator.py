@@ -36,7 +36,8 @@ factorization sits in its own slot of its engine's workspace, so it does
 not depend on the other members, and ``simulate`` starts every run without
 one, so a run's bits depend only on its inputs.  Above the constant a
 trajectory differs from the exact iteration's at rounding level: every
-state still clears to the solve's tolerance.
+state still clears to the solve's tolerance.  LAPACK (``scipy.linalg.lapack``)
+is imported with the first chord solve: a run below the constant loads no scipy.
 
 The tolerance is scaled to the problem.  The wage and gauge residuals are
 differences of numbers that grow with n (h = a b sum(spend), and sum(log p)),
@@ -61,7 +62,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .csvio import write_csv
 from .equilibrium import ModelParams, solve_equilibrium
@@ -457,6 +457,9 @@ def _solve_clearing(
     member); every solved member without a failure clears to its tolerance.
     """
     count, chord = len(u), ctx.net.n >= CHORD_MIN_N
+    if chord:
+        # here, not at import: below CHORD_MIN_N no step reads LAPACK directly
+        from scipy.linalg.lapack import dgetrf, dgetrs
     res, all_parts = _residual_at(ctx, u)
     parts = {key: all_parts[key] for key in _SOLUTION_PARTS}
     tols = _tolerances(ctx, u, tol)

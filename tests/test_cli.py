@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -412,3 +416,46 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert re.search(r"step \d+", err)
+
+
+# run in a fresh interpreter (the test process has scipy loaded already): the
+# scipy modules loaded after the import and after each group of commands
+_FOOTPRINT = """
+import json, sys
+from netecon import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(*argv):
+    assert cli.main(["--out", sys.argv[1], *argv]) == 0, argv
+
+seen = {"import": scipy_loaded()}
+small = ["--set", "network.n=8", "--set", "run.steps=300", "--set", "run.burn_in=100"]
+run(*small, "simulate")
+run(*small, "--set", "sweep.values=0.08,0.14", "sweep")
+seen["small"] = scipy_loaded()
+run("--set", "network.kind=random_exp", "--set", "network.n=96", "--set", "run.steps=4",
+    "--set", "run.burn_in=1", "simulate")
+seen["chord"] = scipy_loaded()
+run("--set", "network.kind=random_exp", "--set", "network.n=8", "--set", "phase.q_grid=-1,0",
+    "phase-diagram")
+seen["phase"] = scipy_loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
+    # importing the package loads numpy only; a small simulate or sweep loads
+    # no scipy; LAPACK comes with the first chord solve (n >= CHORD_MIN_N),
+    # and scipy.signal with neither the chord solve nor the critical search
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["small"] == []
+    assert "scipy.linalg.lapack" in seen["chord"]
+    assert not {"scipy.signal", "scipy.optimize"} & set(seen["chord"])
+    assert "scipy.signal" not in seen["phase"]
