@@ -1061,7 +1061,7 @@ class TestChordClearing:
         import netecon.simulator as simulator
 
         events = []
-        # the solve imports dgetrs from lapack on every call, so it sees the spy
+        # each solve imports dgetrs from lapack afresh, so it calls the spy
         for module, name, letter in ((lapack, "dgetrs", "s"), (simulator, "_clearing_jacobian", "j"),
                                      (simulator, "_residual_at", "r")):
             def spy(*args, _fn=getattr(module, name), _letter=letter, **kwargs):
