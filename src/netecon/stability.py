@@ -33,12 +33,13 @@ the real generalized eigenvalues of (L0 + E, -L1), one eigenproblem per q.
 A Neimark-Sacker crossing (a complex pair at an unknown angle) has no such
 linear equation, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
-(plus five halvings toward 0) and refines it by Brent's method; with none
-below the flip, the flip itself is gamma_c.  A random_exp n=32 cell takes
-15-42 state-space spectra where an exhaustive 1e-3 scan took about 1,020,
-each read off the pencil: the kernel is evaluated twice per q, and a gamma
-costs one axpy L0 + gamma L1, one (n+1)-square solve for the 2n state
-columns and the eigenvalues of the 2n-square map.
+(plus five halvings toward 0) and refines it by Brent's method (``_brent``,
+a port of scipy's ``brentq``); with none below the flip, the flip itself
+is gamma_c.  A random_exp n=32 cell takes 15-42 state-space spectra where
+an exhaustive 1e-3 scan took about 1,020, each read off the pencil: the
+kernel is evaluated twice per q, and a gamma costs one axpy L0 + gamma L1,
+one (n+1)-square solve for the 2n state columns and the eigenvalues of the
+2n-square map.
 """
 
 from __future__ import annotations
@@ -427,7 +428,7 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     ``_gamma_pencil``'s (L0, L1), evaluated here when None; it is read, not
     changed.
     """
-    from scipy.linalg import eigvals  # here, not at import, as brentq below
+    from scipy.linalg import eigvals  # here, not at import: only the critical search needs it
 
     n, m = net.n, 2 * net.n + 1
     folded = []
@@ -445,6 +446,61 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     return float(real.min()) if real.size else None
 
 
+def _brent(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in the bracket [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step, and in the same floating-point operations, the algorithm
+    of scipy's ``brentq`` with its default rtol = 4 eps and maxiter = 100,
+    so the iterates are the same floats.  Raises ValueError when f(xa) and
+    f(xb) have the same sign, ArithmeticError when f returns NaN or the
+    bracket has not shrunk to xtol + rtol |x| after 100 iterations.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ArithmeticError(f"root finder: f({x!r}) is NaN")
+        return fx
+
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("root finder: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # den = 0 (fblk = fpre): brentq's quotient is inf or NaN, and either bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if good else (sbis, sbis)
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ArithmeticError(f"root finder: no convergence in 100 iterations (last x {xcur!r})")
+
+
 def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoint | None:
     """Smallest gamma in (0, 1] where the leading root leaves the unit circle.
 
@@ -453,8 +509,8 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     lazily in ascending order on a grid over (0, gamma_flip] (over (0, 1]
     when there is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal
     steps per interval, below the first of them SEARCH_HALVINGS halvings.
-    The first sign change from <= 0 to > 0 is refined by Brent's method to
-    GAMMA_XTOL, except that a change ending at gamma_flip where
+    The first sign change from <= 0 to > 0 is refined by Brent's method
+    (``_brent``) to GAMMA_XTOL, except that a change ending at gamma_flip where
     |max|alpha| - 1| <= CROSSING_TOL returns gamma_flip itself.  The kind is
     read off the leading root at gamma_c + 1e-8.  Returns None when no
     upward crossing is found: stable throughout, or unstable from the first
@@ -467,8 +523,6 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     (``state_space_spectrum`` of L), where a fresh linearization costs a
     kernel evaluation, both Jacobians and a 3n-column solve.
     """
-    from scipy.optimize import brentq  # here, not at import: it takes ~0.5 s
-
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
     equilibrium = solve_equilibrium(net, base)
@@ -500,7 +554,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
             gamma_c = gamma_flip
             break
         if excess(hi) > 0.0:
-            gamma_c = brentq(excess, lo, hi, xtol=GAMMA_XTOL)
+            gamma_c = _brent(excess, lo, hi, GAMMA_XTOL)
             break
     else:
         return None

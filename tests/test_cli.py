@@ -417,6 +417,19 @@ class TestCommands:
         assert "numerical failure" in err
         assert re.search(r"step \d+", err)
 
+    def test_root_finder_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the critical search's Brent refinement is a numerical
+        # failure, exit 2, like a clearing breakdown
+        from netecon import stability
+
+        brent = stability._brent
+        monkeypatch.setattr(stability, "_brent",
+                            lambda f, lo, hi, xtol: brent(lambda x: float("nan"), lo, hi, xtol))
+        args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
+                "--set", "phase.q_grid=-1", "--out", str(tmp_path), "phase-diagram"]
+        assert main(args) == 2
+        assert "numerical failure: root finder" in capsys.readouterr().err
+
 
 # run in a fresh interpreter (the test process has scipy loaded already): the
 # scipy modules loaded after the import and after each group of commands
@@ -448,7 +461,9 @@ print(json.dumps(seen))
 def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
     # importing the package loads numpy only; a small simulate or sweep loads
     # no scipy; LAPACK comes with the first chord solve (n >= CHORD_MIN_N),
-    # and scipy.signal with neither the chord solve nor the critical search
+    # scipy.linalg's QZ with the critical search's flip, whose Brent
+    # refinement is the package's own, and scipy.signal and scipy.optimize
+    # with none of them
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
@@ -458,4 +473,5 @@ def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
     assert seen["import"] == [] and seen["small"] == []
     assert "scipy.linalg.lapack" in seen["chord"]
     assert not {"scipy.signal", "scipy.optimize"} & set(seen["chord"])
-    assert "scipy.signal" not in seen["phase"]
+    assert "scipy.linalg" in seen["phase"]
+    assert not {"scipy.signal", "scipy.optimize"} & set(seen["phase"])

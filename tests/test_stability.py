@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.stability import (
     StabilityReport,
+    _brent,
     _flip_gamma,
     _gamma_pencil,
     _step_matrix,
@@ -333,6 +335,93 @@ class TestCriticalGamma:
         cp = critical_gamma(net, PARAMS, q=-1.0)
         assert cp is not None
         assert 0.02 < cp.gamma_c < 0.2
+
+
+def _recording(f):
+    """f, with the points it is evaluated at appended to ``.points``."""
+    def g(x):
+        g.points.append(x)
+        return f(x)
+    g.points = []
+    return g
+
+
+class TestBrent:
+    """The critical search's root finder against scipy's brentq, which it ports."""
+
+    FUNCTIONS = [
+        lambda x: (x - 0.3) * (x + 1.2) * (x - 2.5) * (x * x + 1.0),
+        lambda x: math.cos(x) - x,
+        lambda x: math.tanh(3.0 * (x - 0.4)),
+        lambda x: math.atan(50.0 * (x - 0.123)),
+    ]
+
+    def test_iterates_are_brentqs(self):
+        # the same evaluation points, hence roots and counts, on seeded
+        # brackets in either order, at the search's xtol and two coarser ones
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(20)
+        compared = 0
+        for f in self.FUNCTIONS:
+            for _ in range(40):
+                lo, hi = rng.uniform(-3.0, 3.0, 2).tolist()
+                if not f(lo) * f(hi) < 0:
+                    continue
+                for xtol in (1e-13, 2e-12, 1e-8):
+                    want, got = _recording(f), _recording(f)
+                    assert _brent(got, lo, hi, xtol) == brentq(want, lo, hi, xtol=xtol)
+                    assert got.points == want.points
+                    compared += 1
+        assert compared > 200
+
+    @pytest.mark.parametrize("lo,hi", [(0.5, 2.0), (-1.0, 0.5)])
+    def test_root_at_an_endpoint(self, lo, hi):
+        from scipy.optimize import brentq
+
+        want, got = _recording(lambda x: x - 0.5), _recording(lambda x: x - 0.5)
+        assert _brent(got, lo, hi, 1e-13) == brentq(want, lo, hi, xtol=1e-13) == 0.5
+        assert got.points == want.points == [lo, hi]
+
+    @pytest.mark.parametrize("q", [-1.0, -0.5])
+    def test_critical_search_refines_as_brentq(self, monkeypatch, q):
+        # a recorded random_exp n = 32 cell whose crossing Brent refines: the
+        # search's own excess, bracket and tolerance give brentq's iterates
+        from scipy.optimize import brentq
+
+        with open(PHASE_ORACLE) as fh:
+            cell = next(c for c in json.load(fh)["cells"]
+                        if c["network_seed"] == 0 and c["q"] == q)
+        calls = []
+
+        def spy(f, lo, hi, xtol):
+            calls.append((_recording(f), lo, hi, xtol))
+            return _brent(*calls[-1])
+
+        monkeypatch.setattr(stability, "_brent", spy)
+        conf = load_config(None, ["network.kind=random_exp", "network.n=32", "network.seed=0"])
+        point = critical_gamma(build_network(conf), conf.params, q)
+        assert _same_crossing(point, (cell["gamma_c"], cell["kind"]))
+        [(excess, lo, hi, xtol)] = calls
+        searched = list(excess.points)
+        want = _recording(excess)
+        assert brentq(want, lo, hi, xtol=xtol) == point.gamma_c
+        assert want.points == searched
+
+    def test_same_signs_raise_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+
+    def test_nan_raises_arithmetic_error(self):
+        # finite at the ends, NaN at the first secant point 0.5
+        with pytest.raises(ArithmeticError, match="NaN"):
+            _brent(lambda x: x - 0.5 if abs(x - 0.5) > 0.25 else math.nan, 0.0, 1.0, 1e-13)
+
+    def test_no_convergence_raises_arithmetic_error(self):
+        # a sign step at 0: bisection toward 0, where the bracket must shrink
+        # to xtol = 1e-300, takes far more than 100 iterations
+        with pytest.raises(ArithmeticError, match="100 iterations"):
+            _brent(lambda x: 1.0 if x > 0 else -1.0, -1.0, 3.0, 1e-300)
 
 
 def _same_crossing(point, reference, tol=1e-9):
