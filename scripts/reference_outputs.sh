@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Run the fifteen reference CLI commands, each into its own subdirectory of DIR,
 # and print the sha256 of every file they write (and of the stability
-# verdicts printed on stdout).  Comparing the listing of two checkouts shows
-# whether a change kept every CLI output byte-identical.
+# verdicts printed on stdout).  No command writes the linear map, so its S
+# and B (``stability.linear_state_map``) are written too, as the raw float64
+# bytes S.f64 and B.f64, for two configurations.  Comparing the listing of
+# two checkouts shows whether a change kept every CLI output and the linear
+# map byte-identical.
 #
 #   scripts/reference_outputs.sh DIR
 #
@@ -55,4 +58,23 @@ run reduced_adiabatic --set network.n=8 reduced adiabatic
 run reduced_transversality --set network.n=8 reduced transversality
 run reduced_near_instability --set network.n=4 reduced near_instability
 
-sha256sum -- */*.csv stability_plain.stdout stability_rexp.stdout
+# the linear map at the configuration of the --set overrides that follow NAME
+linear_map() {
+    local name=$1
+    shift
+    mkdir -p "$name"
+    PYTHONPATH="$root/src" python3 -c '
+import sys
+from netecon.config import build_network, load_config
+from netecon.stability import linear_state_map
+conf = load_config(None, sys.argv[2:])
+s_map, b_map = linear_state_map(build_network(conf), conf.params)
+s_map.tofile(sys.argv[1] + "/S.f64")
+b_map.tofile(sys.argv[1] + "/B.f64")
+' "$name" "$@"
+}
+
+linear_map linear_map_plain network.n=8
+linear_map linear_map_rexp network.kind=random_exp network.n=16 params.q0=0.3
+
+sha256sum -- */*.csv */*.f64 stability_plain.stdout stability_rexp.stdout

@@ -11,7 +11,9 @@ and the clearing residuals) are stated once, in ``_clearing_parts``, which
 the Newton solve evaluates at every trial point; their exact derivatives are
 stated once, in ``_clearing_jacobian`` (in the clearing unknowns) and
 ``_clearing_known_jacobian`` (in the knowns), from the same parts; the linear
-stability analysis differentiates ``Simulator.step`` through them.
+stability analysis differentiates ``Simulator.step`` through them, the
+partials in the knowns written straight into the blocks of its one step
+matrix (``stability._step_matrix``).
 ``Simulator.step`` builds the cleared state from that kernel's parts at the
 solution, household wealth included, non-positive or not (``simulate`` ends
 a run there); the factor demands ``ell`` and ``psi`` are derived from the
@@ -329,12 +331,18 @@ def _clearing_jacobian(ctx: ClearingContext, u: np.ndarray, parts: dict,
     return jac
 
 
-def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndarray, np.ndarray]:
+def _clearing_known_jacobian(ctx: ClearingContext, parts: dict, residual_jac: np.ndarray,
+                             x_next_jac: np.ndarray) -> None:
     """Exact partials in the knowns y = (log x_sold, log p_lag, log z).
 
-    Returns the (n+1) x 3n Jacobian of ``_residual_vector`` in y at fixed u,
-    and the n x (4n+1) Jacobian of log x_next in (u, y).  ``parts`` are those
-    ``_clearing_parts`` returned at u; the formulas are in its docstring.
+    Writes the (n+1) x 3n Jacobian of ``_residual_vector`` in y at fixed u
+    into ``residual_jac`` and the n x (4n+1) Jacobian of log x_next in (u, y)
+    into ``x_next_jac``: zero-initialised arrays, or views of one, such as
+    the blocks of the stability module's step matrix.  Entries that are
+    zero at every point are not written: the gauge row, which does not
+    depend on y, and the off-diagonals of the diagonal blocks.  ``parts``
+    are those ``_clearing_parts`` returned at u; the formulas are in its
+    docstring.
     """
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, c, q, q0 = pr.a, pr.b, pr.c, pr.q, pr.q0
@@ -347,7 +355,6 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndar
     # diagonal block D gives W' D = W' * d[None, :] (one nonzero per sum)
     # with column sums d, so the arrays are those of the dense assembly.
     lag_off, lag_diag = q0 / n, q0 / n - q
-    x_next_jac = np.zeros((n, 4 * n + 1))
     d_p = x_next_jac[:, :n]
     np.subtract(b * (0.0 - lag_off), c * w, out=d_p)
     d_p[diag, diag] = b * (1.0 - lag_diag) - c * w[diag, diag]
@@ -367,7 +374,6 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndar
     d_spend_lag[:] = (alpha * lag_off)[:, None]
     d_spend_lag[diag, diag] = alpha * lag_diag
     col = np.concatenate([s_sold, d_spend_lag.sum(axis=0), s_z])
-    residual_jac = np.empty((n + 1, 3 * n))
     goods, w_t, rows = residual_jac[:-2], w[:, :-1].T, diag[:-1]
     np.multiply(w_t, s_sold, out=goods[:, :n])
     np.matmul(w_t, d_spend_lag, out=goods[:, n:2 * n])
@@ -379,8 +385,6 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict) -> tuple[np.ndar
     goods[:, :n] -= v / n
     goods[rows, rows] = on_diag
     residual_jac[-2] = -a * b * col
-    residual_jac[-1] = 0.0
-    return residual_jac, x_next_jac
 
 
 def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.ndarray:

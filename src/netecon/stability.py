@@ -7,10 +7,14 @@ the state y = (log x_sold, log p_lag) and the shock log z to the new state
 (log x_next, log p) through the clearing unknowns u = (log p, log h), which
 solve R(u, y) = 0.  By the implicit-function theorem du/dy = -J_u^{-1} dR/dy,
 where J_u is the Newton solve's exact Jacobian (``_clearing_jacobian``) and
-dR/dy its partials in the knowns (``_clearing_known_jacobian``).  The
-clearing equations leave the overall price level free; the solver's gauge
-residual sum(log p) - target is one of the rows of R, so the map inherits the
-gauge: it sends the uniform lagged-price direction to zero when q0 = q.
+dR/dy its partials in the knowns (``_clearing_known_jacobian``).  Both are
+written into one (3n+1) x (4n+1) step matrix [L | Z] (``_step_matrix``),
+and every linear result reads that one array: S and B (``linear_state_map``)
+from the whole of it, the spectra and both gamma pencils (the step's and
+the flip's, below) from its square part L.  The clearing equations leave
+the overall price level free; the solver's gauge residual
+sum(log p) - target is one of the rows of R, so the map inherits the gauge:
+it sends the uniform lagged-price direction to zero when q0 = q.
 
 For a normal input-output matrix the linearized dynamics diagonalizes in the
 eigenbasis of W and each non-uniform eigenvalue s contributes a second-order
@@ -137,32 +141,21 @@ def build_linearized(
     return LinearizedSystem(ctx, u, parts)
 
 
-def _state_map(jac_u: np.ndarray, residual_y: np.ndarray, x_next_u: np.ndarray,
-               x_next_y: np.ndarray) -> np.ndarray:
-    """Rows (log x_next, log p) of the one-step map in the columns of R_y.
+def _state_map(step: np.ndarray) -> np.ndarray:
+    """Rows (log x_next, log p) of the one-step map in the columns of the
+    knowns of ``step``: S from the square L of ``_step_matrix``, [S | B] from
+    the whole [L | Z].
 
     du = -J_u^{-1} R_y, so the rows are X_y + X_u du and du_p, the log p
     rows of du.
     """
+    n = (len(step) - 1) // 3
+    clearing, x_next = step[:n + 1], step[n + 1:2 * n + 1]
     try:
-        du = np.linalg.solve(jac_u, -residual_y)
+        du = np.linalg.solve(clearing[:, :n + 1], -clearing[:, n + 1:])
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError("singular clearing Jacobian at the equilibrium") from exc
-    return np.vstack([x_next_y + x_next_u @ du, du[:len(x_next_u)]])
-
-
-def _state_space_solution(lin: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """One-step map S on the state (xi_t, pi_{t-1}) and the noise input matrix B.
-
-    Rows are (log x_next, log p), columns of S (log x_sold, log p_lag) and of
-    B log z, all as deviations from the equilibrium.
-    """
-    n = lin.context.net.n
-    residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
-    full = _state_map(
-        _clearing_jacobian(lin.context, lin.u, lin.parts, _jacobian_workspace(n)),
-        residual_jac, x_next_jac[:, :n + 1], x_next_jac[:, n + 1:])
-    return full[:, :2 * n], full[:, 2 * n:]
+    return np.vstack([x_next[:, n + 1:] + x_next[:, :n + 1] @ du, du[:n]])
 
 
 def linear_state_map(
@@ -170,23 +163,25 @@ def linear_state_map(
     params: ModelParams,
     equilibrium: EquilibriumState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(S, B) such that state_{t+1} = S state_t + B eps_t, eps the log-productivity shock."""
-    return _state_space_solution(build_linearized(net, params, equilibrium))
+    """(S, B) such that state_{t+1} = S state_t + B eps_t, eps the log-productivity shock.
+
+    Rows are (log x_next, log p), columns of S (log x_sold, log p_lag) and of
+    B log z, all as deviations from the equilibrium.
+    """
+    full = _state_map(_step_matrix(build_linearized(net, params, equilibrium)))
+    return full[:, :2 * net.n], full[:, 2 * net.n:]
 
 
 def state_space_spectrum(system: LinearizedSystem | np.ndarray) -> np.ndarray:
     """Eigenvalues of the state-space map; the gauge is part of the map, so
     no eigenvalue is dropped.
 
-    ``system`` is a linearization or its step matrix L (``_step_matrix``),
-    such as a point L0 + gamma L1 of the gamma pencil; S is read off L's
-    blocks, with no z column solved for.
+    ``system`` is a linearization or a step matrix: ``_step_matrix``'s
+    [L | Z], or a square L such as a point L0 + gamma L1 of the gamma
+    pencil.  S is read off the square part L, with no z column solved for.
     """
     step = _step_matrix(system) if isinstance(system, LinearizedSystem) else system
-    n = (len(step) - 1) // 3
-    clearing, x_next = step[:n + 1], step[n + 1:2 * n + 1]
-    return np.linalg.eigvals(_state_map(clearing[:, :n + 1], clearing[:, n + 1:],
-                                        x_next[:, :n + 1], x_next[:, n + 1:]))
+    return np.linalg.eigvals(_state_map(step[:, :len(step)]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +254,12 @@ def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
     disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
     plus, minus = -a1 + disc, -a1 - disc
     big = np.where(_modulus(plus) >= _modulus(minus), plus, minus) / 2.0
+    # numpy's complex division scales by 1 / big, which overflows for a
+    # subnormal big: there both terms are scaled by 2^54 first, exactly
     with np.errstate(all="ignore"):  # np.where drops the branches that divide by zero
         r1 = np.where(linear, -a0 / a1, np.where(big == 0, 0j, big / a2))
-        r2 = np.where(linear, np.inf, np.where(big == 0, 0j, a0 / big))
+        r2 = np.where(linear, np.inf, np.where(big == 0, 0j, np.where(
+            _modulus(big) < np.finfo(float).tiny, (a0 * 2.0**54) / (big * 2.0**54), a0 / big)))
     return r1, r2
 
 
@@ -379,20 +377,21 @@ class CriticalPoint:
 
 
 def _step_matrix(lin: LinearizedSystem) -> np.ndarray:
-    """The (3n+1)-square matrix L of the step's eigenproblem at ``lin``'s gamma.
+    """The linearization at ``lin``: the (3n+1) x (4n+1) step matrix [L | Z].
 
     On the unknowns v = (du, xi_t, pi_{t-1}) the state-space map has the
     eigenvalue alpha exactly when (L - alpha E) v = 0 for some v != 0, with
-    E = diag(0_{n+1}, I_{2n}): the rows are J_u du + R_y y = 0 (clearing),
-    X_u du + X_y y = alpha xi_t (log x_next) and du_p = alpha pi_{t-1}
-    (log p), where y = (xi_t, pi_{t-1}).
+    L the leading (3n+1)-square part and E = diag(0_{n+1}, I_{2n}): the rows
+    are J_u du + R_y y = 0 (clearing), X_u du + X_y y = alpha xi_t
+    (log x_next) and du_p = alpha pi_{t-1} (log p), where y = (xi_t,
+    pi_{t-1}).  Z, the last n columns, holds the same rows' partials in the
+    shock log z.  The columns (u, log x_sold, log p_lag, log z) are those of
+    the simulator's partials, which are written into the blocks in place.
     """
     n = lin.context.net.n
-    residual_jac, x_next_jac = _clearing_known_jacobian(lin.context, lin.parts)
-    mat = np.zeros((3 * n + 1, 3 * n + 1))
+    mat = np.zeros((3 * n + 1, 4 * n + 1))
     mat[:n + 1, :n + 1] = _clearing_jacobian(lin.context, lin.u, lin.parts, _jacobian_workspace(n))
-    mat[:n + 1, n + 1:] = residual_jac[:, :2 * n]
-    mat[n + 1:2 * n + 1] = x_next_jac[:, :3 * n + 1]
+    _clearing_known_jacobian(lin.context, lin.parts, mat[:n + 1, n + 1:], mat[n + 1:2 * n + 1])
     mat[2 * n + 1:, :n] = np.eye(n)
     return mat
 
@@ -402,10 +401,11 @@ def _gamma_pencil(net: IONetwork, params: ModelParams,
     """(L0, L1) with L(gamma) = L0 + gamma L1 for every gamma.
 
     L is affine in gamma (see the module docstring), so its values at
-    gamma = 1/2 and 1 determine it.
+    gamma = 1/2 and 1 determine it.  Each is a contiguous copy of the square
+    part of ``_step_matrix``, so the z columns are not held.
     """
     l0, l1 = (_step_matrix(build_linearized(net, replace(params, gamma=gamma), equilibrium))
-              for gamma in (0.5, 1.0))
+              [:, :3 * net.n + 1].copy() for gamma in (0.5, 1.0))
     l1 -= l0
     l1 *= 2.0
     l0 -= 0.5 * l1
@@ -514,14 +514,15 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     |max|alpha| - 1| <= CROSSING_TOL returns gamma_flip itself.  The kind is
     read off the leading root at gamma_c + 1e-8.  Returns None when no
     upward crossing is found: stable throughout, or unstable from the first
-    grid point on.
+    grid point on.  Raises ArithmeticError, naming gamma, where max|alpha|
+    is NaN.
 
     On a normal network each gamma costs the modal quadratics.  On any
     other, the two kernel evaluations of the gamma pencil, made once per q,
     serve the flip and every spectrum: a gamma costs one axpy L0 + gamma L1,
     one (n+1)-square solve and the eigenvalues of the 2n-square map
     (``state_space_spectrum`` of L), where a fresh linearization costs a
-    kernel evaluation, both Jacobians and a 3n-column solve.
+    kernel evaluation, both Jacobians and a 2n-column solve.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
@@ -538,7 +539,10 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
 
     @cache
     def excess(gamma: float) -> float:
-        return report(gamma).max_alpha - 1.0
+        value = report(gamma).max_alpha - 1.0
+        if math.isnan(value):  # would read as stable: excess(lo) > 0 is false
+            raise ArithmeticError(f"critical search: max|alpha| is NaN at gamma = {gamma!r}")
+        return value
 
     gamma_flip = _flip_gamma(net, base, equilibrium, pencil)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]

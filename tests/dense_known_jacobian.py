@@ -4,7 +4,7 @@ A copy of ``netecon.simulator._clearing_known_jacobian`` as it stood before
 its diagonal blocks were written in place: every block of log x* and of
 d spend / dy is a dense n x n array (``np.diag``, ``np.eye``, ``np.zeros``)
 and the blocks are joined with ``np.hstack``.  Tests require the package's
-assembly to return the same arrays bit for bit; nothing in the package uses
+assembly to write the same arrays bit for bit; nothing in the package uses
 this copy.
 """
 

@@ -430,6 +430,21 @@ class TestCommands:
         assert main(args) == 2
         assert "numerical failure: root finder" in capsys.readouterr().err
 
+    def test_nan_in_the_critical_search_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a NaN max|alpha| at a grid point of the search exits 2, naming gamma
+        from dataclasses import replace
+
+        from netecon import stability
+
+        report = stability._state_space_report
+        monkeypatch.setattr(stability, "_state_space_report", lambda vals, params: replace(
+            report(vals, params), max_growth=float("nan")))
+        args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
+                "--set", "phase.q_grid=-1", "--out", str(tmp_path), "phase-diagram"]
+        assert main(args) == 2
+        assert "numerical failure: critical search: max|alpha| is NaN at gamma" in (
+            capsys.readouterr().err)
+
 
 # run in a fresh interpreter (the test process has scipy loaded already): the
 # scipy modules loaded after the import and after each group of commands

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from block_system import block_state_map
 from closed_forms import critical_gamma_b1_approx, critical_gamma_closed_form, hopf_angle
@@ -19,6 +19,7 @@ from netecon.stability import (
     _brent,
     _flip_gamma,
     _gamma_pencil,
+    _state_map,
     _step_matrix,
     analyze_stability,
     build_linearized,
@@ -67,6 +68,20 @@ class TestBuildLinearized:
             scale = np.max(np.abs(s_ref))
             assert np.max(np.abs(s_map - s_ref)) <= 1e-12 * scale
             assert np.max(np.abs(b_map - b_ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("net", [
+        build_plain_network(5), build_plain_network(32),
+        build_random_exponential_network(8, 2), build_random_exponential_network(32, 1),
+    ], ids=["plain5", "plain32", "random_exp8", "random_exp32"])
+    @pytest.mark.parametrize("q, q0, gamma", [(-1.0, -1.0, 0.13), (0.0, 0.3, 0.5)])
+    def test_one_formula_for_s(self, net, q, q0, gamma):
+        # S solved from the square L (the spectra's path) is the S of the
+        # whole [L | Z] (linear_state_map's), bit for bit
+        params = ModelParams(a=0.5, b=0.9, q=q, q0=q0, gamma=gamma)
+        step = _step_matrix(build_linearized(net, params))
+        assert step.shape == (3 * net.n + 1, 4 * net.n + 1)
+        np.testing.assert_array_equal(_state_map(step[:, :3 * net.n + 1]),
+                                      linear_state_map(net, params)[0])
 
     def test_single_firm_degenerate(self):
         # one firm: the gauge pins its price, so the map acts on quantity alone
@@ -208,10 +223,19 @@ class TestModeRoots:
         a0=st.complex_numbers(max_magnitude=3.0),
     )
     @settings(max_examples=50, deadline=None)
+    # a subnormal A1 with A0 = 0: big = -A1/2 is subnormal, and numpy's complex
+    # division by it overflowed (r2 = nan)
+    @example(a2=1, a1=1.1125369292536007e-308, a0=0)
     def test_vieta_identities(self, a2, a1, a0):
         r1, r2 = mode_roots(a2, a1, a0)
         assert abs(r1 * r2 - a0 / a2) < 1e-8 * max(1.0, abs(a0 / a2))
         assert abs((r1 + r2) + a1 / a2) < 1e-8 * max(1.0, abs(a1 / a2))
+
+    def test_subnormal_big_gives_a_finite_quotient(self):
+        # big = -5e-309 is subnormal; A0 / big is -1e-15, not -inf+nanj
+        r1, r2 = mode_roots(0.1, 1e-308, 5e-324)
+        assert np.isfinite(r1) and np.isfinite(r2)
+        assert r2 == pytest.approx(5e-324 / -5e-309, rel=1e-2)
 
 
 class TestModalVsStateSpace:
@@ -329,6 +353,25 @@ class TestCriticalGamma:
         state_space = critical_gamma(build_random_exponential_network(8, 1), params, q)
         assert state_space.kind == modal.kind
         assert state_space.gamma_c == pytest.approx(modal.gamma_c, abs=1e-12)
+
+    @pytest.mark.parametrize("net, name", [
+        (build_plain_network(6), "max_growth_rate_modal"),
+        (build_random_exponential_network(8, 1), "_state_space_report"),
+    ], ids=["modal", "state_space"])
+    def test_nan_at_a_grid_point_raises(self, monkeypatch, net, name):
+        # a NaN max|alpha| below the crossing is a numerical failure, not a
+        # stable grid point
+        original, seen = getattr(stability, name), []
+
+        def nan_at_the_third_gamma(*args):
+            report = original(*args)
+            seen.append(args[-1].gamma)
+            return replace(report, max_growth=math.nan) if len(seen) == 3 else report
+
+        monkeypatch.setattr(stability, name, nan_at_the_third_gamma)
+        with pytest.raises(ArithmeticError, match="NaN") as info:
+            critical_gamma(net, PARAMS, -1.0)
+        assert len(seen) == 3 and f"gamma = {seen[2]!r}" in str(info.value)
 
     def test_non_normal_state_space_path(self):
         net = build_random_exponential_network(10, 4)
@@ -487,6 +530,7 @@ class TestCriticalSearch:
         l0, l1 = _gamma_pencil(net, params, eq)
         for gamma in (0.05, 0.37, 0.8):
             direct = _step_matrix(build_linearized(net, replace(params, gamma=gamma), eq))
+            direct = direct[:, :len(direct)]
             err = np.max(np.abs(direct - (l0 + gamma * l1))) / np.max(np.abs(direct))
             assert err <= 1e-13
 
