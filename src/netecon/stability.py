@@ -33,7 +33,8 @@ partials R_y, X_u, X_y are affine in gamma.  On the unknowns
 pencil L0 + gamma L1 - alpha E, whose rows are J_u du + R_y y = 0,
 X_u du + X_y y = alpha xi_t and du_p = alpha pi_{t-1}; L0 and L1 come from
 two kernel evaluations per q.  A root reaches alpha = -1 (a flip) exactly at
-the real generalized eigenvalues of (L0 + E, -L1), one eigenproblem per q.
+the real generalized eigenvalues of (L0 + E, -L1), one shift-invert per q
+(``_flip_gamma``: a solve and a standard eigenproblem, in numpy).
 A Neimark-Sacker crossing (a complex pair at an unknown angle) has no such
 linear equation, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
@@ -254,12 +255,15 @@ def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
     disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
     plus, minus = -a1 + disc, -a1 - disc
     big = np.where(_modulus(plus) >= _modulus(minus), plus, minus) / 2.0
-    # numpy's complex division scales by 1 / big, which overflows for a
-    # subnormal big: there both terms are scaled by 2^54 first, exactly
+    tiny = np.finfo(float).tiny
+    # numpy's complex division scales by 1 / divisor, which overflows for a
+    # subnormal divisor (A2 or big): there both terms are scaled by 2^54
+    # first, exactly
     with np.errstate(all="ignore"):  # np.where drops the branches that divide by zero
-        r1 = np.where(linear, -a0 / a1, np.where(big == 0, 0j, big / a2))
+        r1 = np.where(linear, -a0 / a1, np.where(big == 0, 0j, np.where(
+            _modulus(a2) < tiny, (big * 2.0**54) / (a2 * 2.0**54), big / a2)))
         r2 = np.where(linear, np.inf, np.where(big == 0, 0j, np.where(
-            _modulus(big) < np.finfo(float).tiny, (a0 * 2.0**54) / (big * 2.0**54), a0 / big)))
+            _modulus(big) < tiny, (a0 * 2.0**54) / (big * 2.0**54), a0 / big)))
     return r1, r2
 
 
@@ -419,17 +423,19 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     alpha = -1 is an eigenvalue at gamma exactly when L0 + E + gamma L1 is
     singular.  Its last block row reads du_p = -pi_{t-1} there; folding the
     pi_{t-1} columns into the du_p ones leaves the (2n+1)-square pencil
-    F0 + gamma F1 on (du, xi_t).  The candidates are its real finite
-    generalized eigenvalues, from the QZ algorithm on (F0, -F1); F0, the
-    step at gamma = 0, is never inverted, since it is singular where the
-    wage row vanishes (a = 1).  Roots within GAMMA_XTOL of gamma = 0 or 1
-    are not told apart from the ends: one at 0 is no flip in (0, 1), and
-    one at 1 is left to the search, whose grid ends at 1.  ``pencil`` is
-    ``_gamma_pencil``'s (L0, L1), evaluated here when None; it is read, not
-    changed.
+    F0 + gamma F1 on (du, xi_t), with F0 v = -gamma F1 v at a flip.  Its
+    roots come from a shift-invert at a gamma = sigma outside (0, 1]:
+    (F0 + sigma F1)^{-1} F1 v = mu v with gamma = sigma - 1/mu, one solve
+    and one standard eigenproblem.  mu = 0 is an infinite gamma (F1's gauge
+    row does not depend on gamma).  F0, the step at gamma = 0, is never
+    inverted, since it is singular where the wage row vanishes (a = 1).
+    The candidates are the real roots; those within GAMMA_XTOL of gamma = 0
+    or 1 are not told apart from the ends: one at 0 is no flip in (0, 1),
+    and one at 1 is left to the search, whose grid ends at 1.  ``pencil``
+    is ``_gamma_pencil``'s (L0, L1), evaluated here when None; it is read,
+    not changed.  Raises ArithmeticError, naming q, where the step at sigma
+    itself has alpha = -1.
     """
-    from scipy.linalg import eigvals  # here, not at import: only the critical search needs it
-
     n, m = net.n, 2 * net.n + 1
     folded = []
     for mat in _gamma_pencil(net, params, equilibrium) if pencil is None else pencil:
@@ -439,8 +445,17 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     f0, f1 = folded
     xi = np.arange(n + 1, 2 * n + 1)
     f0[xi, xi] += 1.0  # E
-    roots = eigvals(f0, -f1)
-    roots = roots[np.isfinite(roots)]
+    # sigma = -0.3, picked by measurement: near (0, 1], so little cancels in
+    # sigma - 1/mu, and met by no root of a plain network on a grid of round
+    # a, b and q, where -1 (the uniform mode's flip at a = 0.6, b = 0.5) and
+    # -0.5 are; at a root F0 + sigma F1 is singular and the roots are lost
+    sigma = -0.3
+    try:
+        mu = np.linalg.eigvals(np.linalg.solve(f0 + sigma * f1, f1))
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"flip search at q = {params.q!r}: the step at gamma = {sigma} "
+                              "has alpha = -1 exactly (singular shifted flip pencil)") from exc
+    roots = sigma - 1.0 / mu[mu != 0]
     real = roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.abs(roots)]
     real = real[(real > GAMMA_XTOL) & (real < 1.0 - GAMMA_XTOL)]
     return float(real.min()) if real.size else None

@@ -445,6 +445,24 @@ class TestCommands:
         assert "numerical failure: critical search: max|alpha| is NaN at gamma" in (
             capsys.readouterr().err)
 
+    def test_singular_flip_pencil_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a flip pencil singular at the shift exits 2, naming q and the flip
+        from netecon import stability
+
+        pencil = stability._gamma_pencil
+
+        def zero_row(*args):
+            l0, l1 = pencil(*args)
+            l0[0] = l1[0] = 0.0
+            return l0, l1
+
+        monkeypatch.setattr(stability, "_gamma_pencil", zero_row)
+        args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
+                "--set", "phase.q_grid=-1", "--out", str(tmp_path), "phase-diagram"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: flip search at q = -1.0:" in err and "alpha = -1" in err
+
 
 # run in a fresh interpreter (the test process has scipy loaded already): the
 # scipy modules loaded after the import and after each group of commands
@@ -463,30 +481,31 @@ small = ["--set", "network.n=8", "--set", "run.steps=300", "--set", "run.burn_in
 run(*small, "simulate")
 run(*small, "--set", "sweep.values=0.08,0.14", "sweep")
 seen["small"] = scipy_loaded()
+# before the chord solve, which loads scipy.linalg: the search on the state-space
+# path (random_exp) and on the modal one (plain)
+run("--set", "network.kind=random_exp", "--set", "network.n=8", "--set", "phase.q_grid=-1,0",
+    "phase-diagram")
+run("--set", "network.n=8", "--set", "phase.q_grid=-1,0,0.5", "phase-diagram")
+seen["phase"] = scipy_loaded()
 run("--set", "network.kind=random_exp", "--set", "network.n=96", "--set", "run.steps=4",
     "--set", "run.burn_in=1", "simulate")
 seen["chord"] = scipy_loaded()
-run("--set", "network.kind=random_exp", "--set", "network.n=8", "--set", "phase.q_grid=-1,0",
-    "phase-diagram")
-seen["phase"] = scipy_loaded()
 print(json.dumps(seen))
 """
 
 
 def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
-    # importing the package loads numpy only; a small simulate or sweep loads
-    # no scipy; LAPACK comes with the first chord solve (n >= CHORD_MIN_N),
-    # scipy.linalg's QZ with the critical search's flip, whose Brent
-    # refinement is the package's own, and scipy.signal and scipy.optimize
-    # with none of them
+    # importing the package loads numpy only; a small simulate or sweep and
+    # the critical search (its flip a numpy shift-invert, its Brent
+    # refinement the package's own) load no scipy; LAPACK comes with the
+    # first chord solve (n >= CHORD_MIN_N), and scipy.signal and
+    # scipy.optimize with none of them
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen["import"] == [] and seen["small"] == []
+    assert seen["import"] == [] and seen["small"] == [] and seen["phase"] == []
     assert "scipy.linalg.lapack" in seen["chord"]
     assert not {"scipy.signal", "scipy.optimize"} & set(seen["chord"])
-    assert "scipy.linalg" in seen["phase"]
-    assert not {"scipy.signal", "scipy.optimize"} & set(seen["phase"])

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from block_system import block_state_map
 from closed_forms import critical_gamma_b1_approx, critical_gamma_closed_form, hopf_angle
 from conftest import make_circulant, make_symmetric_stochastic
+from flip_oracle import qz_flip_gamma
 from netecon import stability
 from netecon.config import build_network, load_config
 from netecon.equilibrium import ModelParams, solve_equilibrium
@@ -236,6 +237,14 @@ class TestModeRoots:
         r1, r2 = mode_roots(0.1, 1e-308, 5e-324)
         assert np.isfinite(r1) and np.isfinite(r2)
         assert r2 == pytest.approx(5e-324 / -5e-309, rel=1e-2)
+
+    def test_subnormal_a2_gives_a_finite_quotient(self):
+        # A2 = 3e-309 is subnormal: big / A2 was -inf+nanj in both cases
+        r1, _ = mode_roots(3e-309, 1e-300, 1e-300)  # big = -5e-301
+        assert np.isfinite(r1) and r1.imag == 0.0
+        assert r1.real == pytest.approx(-5e-301 / 3e-309, rel=1e-15)
+        r1, _ = mode_roots(3e-309, 1.0, 0.5)  # big = -1: the quotient overflows
+        assert r1.real == -np.inf and r1.imag == 0.0
 
 
 class TestModalVsStateSpace:
@@ -603,6 +612,46 @@ class TestCriticalSearch:
         net, params = build_plain_network(16), replace(PARAMS, q=0.0, q0=None)
         gamma_flip = _flip_gamma(net, params, solve_equilibrium(net, params))
         assert gamma_flip == pytest.approx(0.2, abs=1e-13)
+
+    @pytest.mark.parametrize("kind,n", [("plain", 8), ("plain", 64), ("random_exp", 8),
+                                        ("random_exp", 16), ("random_exp", 32),
+                                        ("random_exp", 64)])
+    def test_flip_matches_qz(self, kind, n):
+        # the shift-invert against the QZ it replaced, at the default a and
+        # b, at a = 1 (F0 singular) and near constant returns
+        net = build_network(load_config(None, [f"network.kind={kind}", f"network.n={n}"]))
+        for a, b in ((PARAMS.a, PARAMS.b), (1.0, PARAMS.b), (PARAMS.a, 0.999), (1.0, 0.999)):
+            for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                params = replace(PARAMS, a=a, b=b, q=q, q0=None)
+                equilibrium = solve_equilibrium(net, params)
+                got, reference = (flip(net, params, equilibrium)
+                                  for flip in (_flip_gamma, qz_flip_gamma))
+                assert (got is None) == (reference is None), (a, b, q)
+                if got is not None:
+                    assert got == pytest.approx(reference, abs=1e-13), (a, b, q)
+
+    def test_flip_where_the_uniform_mode_flips_at_minus_one(self):
+        # plain network, a = 0.6, b = 0.5: the uniform mode reaches -1 at
+        # gamma = -1, where a shift would meet a singular step; the s = 0
+        # modes flip at gamma = 2/3 for q = 0.5
+        net, params = build_plain_network(8), replace(PARAMS, a=0.6, b=0.5, q=0.5, q0=None)
+        gamma_flip = _flip_gamma(net, params, solve_equilibrium(net, params))
+        assert gamma_flip == pytest.approx(critical_gamma_closed_form(0.5, 0.0, 0.6, 0.5),
+                                           abs=1e-13)
+
+    def test_singular_shifted_pencil_raises(self, monkeypatch):
+        # a zero row makes the flip pencil singular at every gamma, the
+        # shift included: a typed failure naming q, not a bare LinAlgError
+        pencil = stability._gamma_pencil
+
+        def zero_row(*args):
+            l0, l1 = pencil(*args)
+            l0[0] = l1[0] = 0.0
+            return l0, l1
+
+        monkeypatch.setattr(stability, "_gamma_pencil", zero_row)
+        with pytest.raises(ArithmeticError, match=r"flip search at q = -0\.5: .* alpha = -1"):
+            critical_gamma(build_random_exponential_network(8, 1), PARAMS, -0.5)
 
 
 class TestClosedForms:
