@@ -239,8 +239,10 @@ class TestModeRoots:
         assert r2 == pytest.approx(5e-324 / -5e-309, rel=1e-2)
 
     def test_subnormal_a2_gives_a_finite_quotient(self):
-        # A2 = 3e-309 is subnormal: big / A2 was -inf+nanj in both cases
-        r1, _ = mode_roots(3e-309, 1e-300, 1e-300)  # big = -5e-301
+        # A2 = 3e-309 is subnormal: big / A2 was -inf+nanj in both cases.
+        # Checked is the quotient; big = -5e-301 is itself off here, since
+        # A1^2 underflows and the discriminant reads 0
+        r1, _ = mode_roots(3e-309, 1e-300, 1e-300)
         assert np.isfinite(r1) and r1.imag == 0.0
         assert r1.real == pytest.approx(-5e-301 / 3e-309, rel=1e-15)
         r1, _ = mode_roots(3e-309, 1.0, 0.5)  # big = -1: the quotient overflows
@@ -618,9 +620,12 @@ class TestCriticalSearch:
                                         ("random_exp", 64)])
     def test_flip_matches_qz(self, kind, n):
         # the shift-invert against the QZ it replaced, at the default a and
-        # b, at a = 1 (F0 singular) and near constant returns
+        # b, at a = 1 (F0 singular), near constant returns, and at a = 0.6,
+        # b = 0.5, where the plain network's uniform mode flips at gamma = -1
+        # (a shift there would meet a singular step)
         net = build_network(load_config(None, [f"network.kind={kind}", f"network.n={n}"]))
-        for a, b in ((PARAMS.a, PARAMS.b), (1.0, PARAMS.b), (PARAMS.a, 0.999), (1.0, 0.999)):
+        for a, b in ((PARAMS.a, PARAMS.b), (1.0, PARAMS.b), (PARAMS.a, 0.999), (1.0, 0.999),
+                     (0.6, 0.5)):
             for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 params = replace(PARAMS, a=a, b=b, q=q, q0=None)
                 equilibrium = solve_equilibrium(net, params)
@@ -629,15 +634,6 @@ class TestCriticalSearch:
                 assert (got is None) == (reference is None), (a, b, q)
                 if got is not None:
                     assert got == pytest.approx(reference, abs=1e-13), (a, b, q)
-
-    def test_flip_where_the_uniform_mode_flips_at_minus_one(self):
-        # plain network, a = 0.6, b = 0.5: the uniform mode reaches -1 at
-        # gamma = -1, where a shift would meet a singular step; the s = 0
-        # modes flip at gamma = 2/3 for q = 0.5
-        net, params = build_plain_network(8), replace(PARAMS, a=0.6, b=0.5, q=0.5, q0=None)
-        gamma_flip = _flip_gamma(net, params, solve_equilibrium(net, params))
-        assert gamma_flip == pytest.approx(critical_gamma_closed_form(0.5, 0.0, 0.6, 0.5),
-                                           abs=1e-13)
 
     def test_singular_shifted_pencil_raises(self, monkeypatch):
         # a zero row makes the flip pencil singular at every gamma, the
