@@ -1,9 +1,8 @@
 """Summary statistics over trajectories.
 
 Level and first-difference volatility, average absolute pairwise
-correlations, dominant-period detection via the periodogram, the amplitude
-envelope and a reproducible parameter-sweep runner, which steps the cells
-of one network size as ``Ensemble``s.  The observables themselves (the
+correlations and a reproducible parameter-sweep runner, which steps the
+cells of one network size as ``Ensemble``s.  The observables themselves (the
 flat-log aggregate ``mean_xi``, real output at equilibrium prices
 ``output_real`` and real consumption) are recorded by
 ``Simulator.simulate`` on the ``Trajectory``.
@@ -21,12 +20,9 @@ from .csvio import write_csv
 from .simulator import NUMERICAL_FAILURES, Ensemble, NoiseProcess, Simulator, Trajectory
 
 __all__ = [
-    "PeriodEstimate",
     "SweepPoint",
     "SweepResult",
-    "amplitude_envelope",
     "avg_abs_correlation",
-    "dominant_period",
     "run_sweep",
     "volatility",
     "volatility_diff",
@@ -71,60 +67,6 @@ def avg_abs_correlation(traj: Trajectory, burn_in: int) -> float:
     corr = np.corrcoef(xi.T)
     iu = np.triu_indices(n, k=1)
     return float(np.mean(np.abs(corr[iu])))
-
-
-@dataclass(frozen=True)
-class PeriodEstimate:
-    """Dominant period with its prominence (peak power over median power)."""
-
-    period: float | None
-    prominence: float
-    frequency: float
-
-
-def dominant_period(series: np.ndarray, burn_in: int,
-                    min_prominence: float = 50.0) -> PeriodEstimate:
-    """Period of the largest nonzero-frequency periodogram peak.
-
-    The series is mean-removed and Hann-tapered.  The peak must stand out
-    from the spectral floor: prominence is the ratio of peak power to the
-    median power, and a flat spectrum (prominence below ``min_prominence``,
-    which white noise essentially never exceeds) yields period None.
-    Needs at least 2048 post-burn-in samples.
-    """
-    from scipy.signal import periodogram  # here, not at import: no command calls it
-
-    series = np.asarray(series, dtype=float)
-    x = series[burn_in:]
-    if len(x) < 2048:
-        raise ValueError("need at least 2048 post-burn-in samples")
-    freqs, power = periodogram(x - x.mean(), window="hann", detrend=False)
-    freqs, power = freqs[1:], power[1:]
-    k = int(np.argmax(power))
-    floor = float(np.median(power))
-    prominence = float(power[k] / floor) if floor > 0 else float("inf")
-    if prominence < min_prominence:
-        return PeriodEstimate(period=None, prominence=prominence, frequency=float(freqs[k]))
-    return PeriodEstimate(period=float(1.0 / freqs[k]), prominence=prominence,
-                          frequency=float(freqs[k]))
-
-
-def amplitude_envelope(series: np.ndarray, window: int = 6) -> np.ndarray:
-    """Rolling standard deviation of the series, one value per window start.
-
-    The unstable phase superposes a fast oscillation (a few steps) on a slow
-    modulation of its amplitude; the business cycle the eye picks out of an
-    output plot is that envelope.  ``window`` should cover roughly one fast
-    period.
-    """
-    series = np.asarray(series, dtype=float)
-    if window < 2 or len(series) <= window:
-        raise ValueError("window must cover at least two samples of the series")
-    cum = np.cumsum(np.insert(series, 0, 0.0))
-    cum2 = np.cumsum(np.insert(series**2, 0, 0.0))
-    mean = (cum[window:] - cum[:-window]) / window
-    mean2 = (cum2[window:] - cum2[:-window]) / window
-    return np.sqrt(np.maximum(mean2 - mean**2, 0.0))
 
 
 # ---------------------------------------------------------------------------

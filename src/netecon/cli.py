@@ -32,8 +32,8 @@ __all__ = [
 
 
 def _out_path(conf: cfg.ExperimentConfig, name: str) -> str:
-    os.makedirs(conf.output.directory, exist_ok=True)
-    return os.path.join(conf.output.directory, name)
+    os.makedirs(conf.output.dir, exist_ok=True)
+    return os.path.join(conf.output.dir, name)
 
 
 def cmd_equilibrium(conf: cfg.ExperimentConfig) -> list[str]:
@@ -102,54 +102,48 @@ def cmd_reduced(conf: cfg.ExperimentConfig, model: str) -> list[str]:
     """Reference-model datasets: prediction next to simulation."""
     params = conf.params
     a, b = params.a, params.b
-    stamp = cfg.config_hash(conf)
+    sigma = params.sigma if params.sigma > 0 else 1e-3  # the models need a nonzero shock
+    comments = ()
     if model == "long_plosser":
-        rows = []
+        header, rows = ["n", "measured_agg_std", "sigma_fast_pred", "sigma_slow_pred"], []
         for n in conf.reduced_n_values:
             net = cfg.build_network(cfg.apply_axis(conf, "n", n))
-            sigmas = np.full(n, params.sigma if params.sigma > 0 else 1e-3)
-            xi = red.long_plosser_simulate(net, a, b, float(sigmas[0]),
-                                           conf.run.steps, conf.run.seed)
+            sigmas = np.full(n, sigma)
+            xi = red.long_plosser_simulate(net, a, b, sigma, conf.run.steps, conf.run.seed)
             measured = float(xi.mean(axis=1)[conf.run.burn_in:].std())
             rows.append((n, measured, red.sigma_fast(net, a, b, sigmas),
                          red.sigma_slow(net, a, b, sigmas)))
-        path = _out_path(conf, "reduced_long_plosser.csv")
-        write_csv(path, ["n", "measured_agg_std", "sigma_fast_pred", "sigma_slow_pred"],
-                  rows, stamp)
-        return [path]
-    if model == "adiabatic":
+    elif model == "adiabatic":
         net = cfg.build_network(conf)
-        sigmas = np.full(net.n, params.sigma if params.sigma > 0 else 1e-3)
+        sigmas = np.full(net.n, sigma)
         slow = red.sigma_slow(net, a, b, sigmas)
         fast = red.sigma_fast(net, a, b, sigmas)
-        path = _out_path(conf, "reduced_adiabatic.csv")
-        write_csv(path, ["n", "sigma_slow", "sigma_fast", "ratio"],
-                  [(net.n, slow, fast, slow / fast)], stamp)
-        return [path]
-    if model == "transversality":
+        header = ["n", "sigma_slow", "sigma_fast", "ratio"]
+        rows = [(net.n, slow, fast, slow / fast)]
+    elif model == "transversality":
         net = cfg.build_network(conf)
         rng = np.random.default_rng(conf.run.seed)
         s0 = rng.standard_normal(net.n)
         s0 -= s0.mean()
         report = red.transversality_blowup(net, a, b, params.beta0, s0, steps=40)
-        path = _out_path(conf, "reduced_transversality.csv")
-        write_csv(path, ["step", "norm"], enumerate(report.norms), stamp,
-                  [f"growth_factor={format_value(report.growth_factor)} "
-                   f"singular_subspace={report.singular_subspace}"])
-        return [path]
-    if model == "near_instability":
+        header, rows = ["step", "norm"], enumerate(report.norms)
+        comments = [f"growth_factor={format_value(report.growth_factor)} "
+                    f"singular_subspace={report.singular_subspace}"]
+    elif model == "near_instability":
         n = min(conf.network.n, 8)
         u = np.ones(n) / np.sqrt(n)
         model_obj = red.build_near_instability_model(u, eta=0.01, sigmas=np.ones(n))
         stats = red.near_instability_stats(model_obj, steps=400_000, seed=conf.run.seed)
+        header = ["stat", "j", "k", "predicted", "empirical"]
         rows = [("var", j, j, stats.cov_predicted[j, j], stats.cov_empirical[j, j])
                 for j in range(n)]
         rows += [("corr", j, k, stats.corr_predicted_sign[j, k], stats.corr_empirical[j, k])
                  for j in range(n) for k in range(j + 1, n)]
-        path = _out_path(conf, "reduced_near_instability.csv")
-        write_csv(path, ["stat", "j", "k", "predicted", "empirical"], rows, stamp)
-        return [path]
-    raise cfg.ConfigError(f"unknown reduced model {model!r}")
+    else:
+        raise cfg.ConfigError(f"unknown reduced model {model!r}")
+    path = _out_path(conf, f"reduced_{model}.csv")
+    write_csv(path, header, rows, cfg.config_hash(conf), comments)
+    return [path]
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -161,10 +155,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE",
                         help="override a configuration key (repeatable)")
     parser.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
-    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker pool size")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="base RNG seed")
+    parser.add_argument("--jobs", default=argparse.SUPPRESS, help="worker pool size")
+    parser.add_argument("--seed", default=argparse.SUPPRESS, help="base RNG seed")
     parser.add_argument("--per-sector", action="store_true",
                         default=argparse.SUPPRESS,
                         help="include per-sector columns in trajectory output")
@@ -180,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("equilibrium", "simulate", "stability", "phase-diagram"):
         _add_common_flags(sub.add_parser(name))
     sweep = sub.add_parser("sweep")
-    sweep.add_argument("--axis", default=argparse.SUPPRESS, choices=["gamma", "sigma", "n"],
-                       help="swept parameter (sets sweep.axis)")
+    sweep.add_argument("--axis", default=argparse.SUPPRESS,
+                       help="swept parameter: gamma, sigma or n (sets sweep.axis)")
     _add_common_flags(sweep)
     reduced = sub.add_parser("reduced")
     reduced.add_argument("model", choices=["long_plosser", "adiabatic",
@@ -190,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# common flags that set a configuration key; applied after --set, so they win
+# the flags that set a configuration key: each value is parsed as that key's,
+# after the --set overrides, so the flag wins
 _FLAG_KEYS = {"out": "output.dir", "jobs": "jobs", "seed": "run.seed",
               "per_sector": "output.per_sector", "axis": "sweep.axis"}
 
@@ -204,10 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        conf = cfg.load_config(getattr(args, "config", None), getattr(args, "set", []))
-        for attr, key in _FLAG_KEYS.items():
-            if hasattr(args, attr):
-                conf = cfg.set_key(conf, key, getattr(args, attr))
+        flags = [f"{key}={getattr(args, attr)}" for attr, key in _FLAG_KEYS.items()
+                 if hasattr(args, attr)]
+        conf = cfg.load_config(getattr(args, "config", None), getattr(args, "set", []) + flags)
     except cfg.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

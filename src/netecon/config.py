@@ -5,12 +5,19 @@ comments allowed).  Command-line ``--set key=value`` overrides win over the
 file.  The canonical serialization (all keys, defaults materialized, sorted)
 is hashed and stamped into the first header line of every output file, so
 identical configurations reproduce byte-identical artifacts.
+
+Each key is declared once, as a field of ``ExperimentConfig`` or of one of
+its section dataclasses, and ``KEYS`` is derived from those fields.  A
+section's field is the key ``section.field`` (``network.n``); a top-level
+field's first underscore is the dot (``sweep_axis`` is ``sweep.axis``).  The
+field's annotation picks the value parser.  The output section and ``jobs``
+do not alter the produced data, so they stay out of the hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -65,7 +72,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
+    dir: str = "out"
     per_sector: bool = False
 
 
@@ -89,44 +96,40 @@ def default_config() -> ExperimentConfig:
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# value types: (what the parser accepts, for error messages; parser of the text)
-_TEXT = ("text", str)
-_INT = ("integer", int)
-_REAL = ("real number", float)
-_BOOL = ("boolean", lambda raw: _BOOLS[raw.lower()])
-_REALS = ("comma-separated reals", lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()))
-_INTS = ("comma-separated integers", lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()))
-
-# Every configuration key, declared once: key -> (attribute path in
-# ExperimentConfig, value type, whether the key enters the hashed canonical
-# text).  Output destination, presentation flags and worker-pool size do not
-# alter the produced data, so they stay out of the hash.
-KEYS = {
-    "network.kind": ("network.kind", _TEXT, True),  # plain | random_exp | file
-    "network.n": ("network.n", _INT, True),
-    "network.seed": ("network.seed", _INT, True),
-    "network.path": ("network.path", _TEXT, True),
-    "params.a": ("params.a", _REAL, True),
-    "params.b": ("params.b", _REAL, True),
-    "params.q": ("params.q", _REAL, True),
-    "params.q0": ("params.q0", _REAL, True),
-    "params.gamma": ("params.gamma", _REAL, True),
-    "params.beta0": ("params.beta0", _REAL, True),
-    "params.sigma": ("params.sigma", _REAL, True),
-    "run.steps": ("run.steps", _INT, True),
-    "run.burn_in": ("run.burn_in", _INT, True),
-    "run.replicas": ("run.replicas", _INT, True),
-    "run.seed": ("run.seed", _INT, True),
-    "run.initial_kick": ("run.initial_kick", _REAL, True),
-    "output.dir": ("output.directory", _TEXT, False),
-    "output.per_sector": ("output.per_sector", _BOOL, False),
-    "sweep.axis": ("sweep_axis", _TEXT, True),
-    "sweep.values": ("sweep_values", _REALS, True),
-    "sweep.statistic": ("sweep_statistic", _TEXT, True),
-    "phase.q_grid": ("phase_q_grid", _REALS, True),
-    "reduced.n_values": ("reduced_n_values", _INTS, True),
-    "jobs": ("jobs", _INT, False),
+# the value parser of each field annotation: (what it accepts, for error
+# messages; parser of the text).  The annotations are the strings written in
+# the dataclasses, as ``from __future__ import annotations`` keeps them.
+_PARSERS = {
+    "str": ("text", str),
+    "int": ("integer", int),
+    "float": ("real number", float),
+    "float | None": ("real number", float),
+    "bool": ("boolean", lambda raw: _BOOLS[raw.lower()]),
+    "tuple[float, ...]": ("comma-separated reals",
+                          lambda raw: tuple(float(v) for v in raw.split(",") if v.strip())),
+    "tuple[int, ...]": ("comma-separated integers",
+                        lambda raw: tuple(int(v) for v in raw.split(",") if v.strip())),
 }
+
+
+def _keys() -> dict:
+    """Every configuration key, derived from the fields of ExperimentConfig."""
+    keys = {}
+    for top in fields(ExperimentConfig):
+        hashed = top.name not in ("output", "jobs")  # they do not alter the data
+        if is_dataclass(top.default_factory):  # a section: each field is a key
+            for item in fields(top.default_factory):
+                path = f"{top.name}.{item.name}"
+                keys[path] = (path, _PARSERS[item.type], hashed)
+        else:
+            keys[top.name.replace("_", ".", 1)] = (top.name, _PARSERS[top.type], hashed)
+    return keys
+
+
+# Every configuration key, each declared once by its field (module
+# docstring): key -> (attribute path in ExperimentConfig, value type from
+# _PARSERS, whether the key enters the hashed canonical text)
+KEYS = _keys()
 
 # the hashed keys in canonical (sorted) order, with their attribute getters
 _HASHED = sorted((key, attrgetter(attr)) for key, (attr, _, hashed) in KEYS.items() if hashed)

@@ -502,11 +502,14 @@ def _solve_clearing(
     # an accepted step lowers a finite error, so only the start can be non-finite
     fail([r for r in going if not errs[r] < np.inf],
          "non-finite clearing residual at the starting point", 0)
-    for iteration in range(NEWTON_MAX_ITER):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         for r in going:
             if errs[r] < tols[r]:
                 iterations[r] = iteration
         going[:] = [r for r in going if not errs[r] < tols[r]]
+        if iteration == NEWTON_MAX_ITER:
+            fail(going, f"clearing solve did not converge in {NEWTON_MAX_ITER} iterations "
+                 "(residual {err:.3e})", iteration)
         if not going:
             break
         rows = list(going)
@@ -603,12 +606,6 @@ def _solve_clearing(
             scale *= 0.5
         else:
             fail(search, "clearing solve stalled at residual {err:.3e} (damping floor)", iteration)
-    else:
-        for r in going:
-            if errs[r] < tols[r]:
-                iterations[r] = NEWTON_MAX_ITER
-        fail([r for r in going if not errs[r] < tols[r]], f"clearing solve did not converge in "
-             f"{NEWTON_MAX_ITER} iterations (residual {{err:.3e}})", NEWTON_MAX_ITER)
     return u, parts, iterations, err, halvings, factored, failures
 
 

@@ -416,8 +416,7 @@ def _gamma_pencil(net: IONetwork, params: ModelParams,
     return l0, l1
 
 
-def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumState,
-                pencil: tuple[np.ndarray, np.ndarray] | None = None) -> float | None:
+def _flip_gamma(pencil: tuple[np.ndarray, np.ndarray], q: float) -> float | None:
     """Smallest gamma in (0, 1) at which alpha = -1 is an eigenvalue, or None.
 
     alpha = -1 is an eigenvalue at gamma exactly when L0 + E + gamma L1 is
@@ -432,13 +431,14 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     The candidates are the real roots; those within GAMMA_XTOL of gamma = 0
     or 1 are not told apart from the ends: one at 0 is no flip in (0, 1),
     and one at 1 is left to the search, whose grid ends at 1.  ``pencil``
-    is ``_gamma_pencil``'s (L0, L1), evaluated here when None; it is read,
-    not changed.  Raises ArithmeticError, naming q, where the step at sigma
-    itself has alpha = -1.
+    is ``_gamma_pencil``'s (L0, L1) at ``q``; it is read, not changed.
+    Raises ArithmeticError, naming q, where the step at sigma itself has
+    alpha = -1.
     """
-    n, m = net.n, 2 * net.n + 1
+    n = (len(pencil[0]) - 1) // 3
+    m = 2 * n + 1
     folded = []
-    for mat in _gamma_pencil(net, params, equilibrium) if pencil is None else pencil:
+    for mat in pencil:
         f = mat[:m, :m].copy()
         f[:, :n] -= mat[:m, m:]
         folded.append(f)
@@ -453,7 +453,7 @@ def _flip_gamma(net: IONetwork, params: ModelParams, equilibrium: EquilibriumSta
     try:
         mu = np.linalg.eigvals(np.linalg.solve(f0 + sigma * f1, f1))
     except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"flip search at q = {params.q!r}: the step at gamma = {sigma} "
+        raise ArithmeticError(f"flip search at q = {q!r}: the step at gamma = {sigma} "
                               "has alpha = -1 exactly (singular shifted flip pencil)") from exc
     roots = sigma - 1.0 / mu[mu != 0]
     real = roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.abs(roots)]
@@ -532,22 +532,23 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     grid point on.  Raises ArithmeticError, naming gamma, where max|alpha|
     is NaN.
 
-    On a normal network each gamma costs the modal quadratics.  On any
-    other, the two kernel evaluations of the gamma pencil, made once per q,
-    serve the flip and every spectrum: a gamma costs one axpy L0 + gamma L1,
-    one (n+1)-square solve and the eigenvalues of the 2n-square map
-    (``state_space_spectrum`` of L), where a fresh linearization costs a
-    kernel evaluation, both Jacobians and a 2n-column solve.
+    The two kernel evaluations of the gamma pencil, made once per q, serve
+    the flip.  On a normal network each gamma costs the modal quadratics.
+    On any other, the pencil also serves every spectrum: a gamma costs one
+    axpy L0 + gamma L1, one (n+1)-square solve and the eigenvalues of the
+    2n-square map (``state_space_spectrum`` of L), where a fresh
+    linearization costs a kernel evaluation, both Jacobians and a 2n-column
+    solve.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
     equilibrium = solve_equilibrium(net, base)
-    # the pencil is held for the search on non-normal networks only
-    pencil = None if net.is_normal else _gamma_pencil(net, base, equilibrium)
+    # the pencil serves the flip, and on non-normal networks every spectrum
+    pencil = _gamma_pencil(net, base, equilibrium)
 
     def report(gamma: float) -> StabilityReport:
         at = replace(base, gamma=gamma)
-        if pencil is None:
+        if net.is_normal:
             return max_growth_rate_modal(net, at)
         l0, l1 = pencil
         return _state_space_report(state_space_spectrum(l0 + gamma * l1), at)
@@ -559,7 +560,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
             raise ArithmeticError(f"critical search: max|alpha| is NaN at gamma = {gamma!r}")
         return value
 
-    gamma_flip = _flip_gamma(net, base, equilibrium, pencil)
+    gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
     # halvings below the first uniform step bracket early crossings; linspace
     # ends each interval exactly at its upper end, gamma_flip included

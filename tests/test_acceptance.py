@@ -10,14 +10,10 @@ import pytest
 
 import netecon as ne
 from conftest import make_symmetric_stochastic
-from netecon.analytics import (
-    amplitude_envelope,
-    avg_abs_correlation,
-    dominant_period,
-    volatility,
-)
+from netecon.analytics import avg_abs_correlation, volatility
 from netecon.cli import main as cli_main
 from netecon.simulator import Ensemble, NoiseProcess, Simulator, _clearing_parts
+from periodogram import amplitude_envelope, dominant_period
 
 A, B = 0.5, 0.9
 

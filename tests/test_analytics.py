@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from closed_forms import linearized_volatility
-from netecon.analytics import (
-    amplitude_envelope,
-    avg_abs_correlation,
-    dominant_period,
-    run_sweep,
-    volatility,
-    volatility_diff,
-)
+from netecon.analytics import avg_abs_correlation, run_sweep, volatility, volatility_diff
 from netecon.config import default_config, parse_overrides
 from netecon.equilibrium import ModelParams
 from netecon.network import build_plain_network
 from netecon.simulator import NoiseProcess, Simulator
+from periodogram import amplitude_envelope, dominant_period
 
 
 def _small_traj(gamma=0.2, sigma=1e-3, n=5, steps=300, seed=3, q=-1.0, kick=1e-6):

@@ -330,6 +330,15 @@ class TestCommands:
         # a sweep without replicas is rejected, not written as a NaN row
         assert main(["--set", "run.replicas=0", "--out", str(tmp_path), "sweep"]) == 1
         assert "run.replicas must be at least 1" in capsys.readouterr().err
+        # a flag's value is parsed as its key's, as the same value through --set is
+        for flag, value, key in (("--jobs", "x", "jobs"), ("--seed", "1.5", "run.seed")):
+            for args in ([flag, value], ["--set", f"{key}={value}"]):
+                assert main(args + ["--out", str(tmp_path), "equilibrium"]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("configuration error: ")
+                assert f"integer expected for {key}, got {value!r}" in err
+        assert main(["--out", str(tmp_path), "sweep", "--axis", "foo"]) == 1
+        assert "configuration error: unknown sweep axis 'foo'" in capsys.readouterr().err
 
     def test_unknown_sweep_statistic_is_rejected_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch):

@@ -605,14 +605,14 @@ class TestCriticalSearch:
         conf = load_config(None, ["network.kind=random_exp", "network.n=6",
                                   "params.a=1", "params.b=0.1"])
         net, base = build_network(conf), replace(conf.params, q=-1.0, q0=None)
-        assert _flip_gamma(net, base, solve_equilibrium(net, base)) is None
+        assert _flip_gamma(_gamma_pencil(net, base, solve_equilibrium(net, base)), -1.0) is None
         reference = scan_critical_gamma(net, conf.params, -1.0)
         assert _same_crossing(critical_gamma(net, conf.params, -1.0), reference)
 
     def test_flip_gamma_closed_form(self):
         # plain network, q = 0: the s = 0 modes reach -1 at gamma = 0.2
         net, params = build_plain_network(16), replace(PARAMS, q=0.0, q0=None)
-        gamma_flip = _flip_gamma(net, params, solve_equilibrium(net, params))
+        gamma_flip = _flip_gamma(_gamma_pencil(net, params, solve_equilibrium(net, params)), 0.0)
         assert gamma_flip == pytest.approx(0.2, abs=1e-13)
 
     @pytest.mark.parametrize("kind,n", [("plain", 8), ("plain", 64), ("random_exp", 8),
@@ -629,8 +629,8 @@ class TestCriticalSearch:
             for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 params = replace(PARAMS, a=a, b=b, q=q, q0=None)
                 equilibrium = solve_equilibrium(net, params)
-                got, reference = (flip(net, params, equilibrium)
-                                  for flip in (_flip_gamma, qz_flip_gamma))
+                got = _flip_gamma(_gamma_pencil(net, params, equilibrium), q)
+                reference = qz_flip_gamma(net, params, equilibrium)
                 assert (got is None) == (reference is None), (a, b, q)
                 if got is not None:
                     assert got == pytest.approx(reference, abs=1e-13), (a, b, q)
