@@ -173,6 +173,7 @@ def run_sweep(conf) -> SweepResult:
     if statistic not in _CELL_STATISTICS:
         raise ValueError(f"unknown sweep statistic {statistic!r} "
                          f"({', '.join(_CELL_STATISTICS)})")
+    cfg._axis_key(conf, axis)  # checked before the cells: sweep.values may be empty
     jobs = max(conf.jobs, 1)
     values = [float(value) for value in conf.sweep_values]
     seeds = [tuple(_cell_seed(conf.run.seed + r, i) for r in range(replicas))

@@ -146,12 +146,14 @@ def cmd_reduced(conf: cfg.ExperimentConfig, model: str) -> list[str]:
     return [path]
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, sets: str = "set") -> None:
     # SUPPRESS defaults let the flags appear before or after the subcommand
-    # without the subparser clobbering already-parsed values
+    # without the subparser clobbering already-parsed values; the --set lists
+    # before and after it go to the destinations "set" and "sub_set", so that
+    # neither replaces the other
     parser.add_argument("--config", default=argparse.SUPPRESS,
                         help="key-value configuration file")
-    parser.add_argument("--set", action="append", default=argparse.SUPPRESS,
+    parser.add_argument("--set", dest=sets, action="append", default=argparse.SUPPRESS,
                         metavar="KEY=VALUE",
                         help="override a configuration key (repeatable)")
     parser.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
@@ -170,15 +172,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("equilibrium", "simulate", "stability", "phase-diagram"):
-        _add_common_flags(sub.add_parser(name))
+        _add_common_flags(sub.add_parser(name), "sub_set")
     sweep = sub.add_parser("sweep")
     sweep.add_argument("--axis", default=argparse.SUPPRESS,
                        help="swept parameter: gamma, sigma or n (sets sweep.axis)")
-    _add_common_flags(sweep)
+    _add_common_flags(sweep, "sub_set")
     reduced = sub.add_parser("reduced")
     reduced.add_argument("model", choices=["long_plosser", "adiabatic",
                                            "transversality", "near_instability"])
-    _add_common_flags(reduced)
+    _add_common_flags(reduced, "sub_set")
     return parser
 
 
@@ -199,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         flags = [f"{key}={getattr(args, attr)}" for attr, key in _FLAG_KEYS.items()
                  if hasattr(args, attr)]
-        conf = cfg.load_config(getattr(args, "config", None), getattr(args, "set", []) + flags)
+        sets = getattr(args, "set", []) + getattr(args, "sub_set", [])  # command-line order
+        conf = cfg.load_config(getattr(args, "config", None), sets + flags)
     except cfg.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

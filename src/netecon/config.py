@@ -241,16 +241,25 @@ def build_network(conf: ExperimentConfig) -> IONetwork:
     raise ConfigError(f"unknown network.kind {net.kind!r}")
 
 
+def _axis_key(conf: ExperimentConfig, axis: str) -> str:
+    """The key that a sweep along ``axis`` sets; n can be swept only on a
+    network built from its size."""
+    if axis in ("gamma", "sigma"):
+        return f"params.{axis}"
+    if axis != "n":
+        raise ConfigError(f"unknown sweep axis {axis!r} (gamma, sigma or n)")
+    if conf.network.kind == "file":
+        raise ConfigError("the n axis needs a network built from network.n; "
+                          "network.kind = file fixes n by its matrix")
+    return "network.n"
+
+
 def apply_axis(conf: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """New config with one swept parameter changed.  An n value must be an
     integer, and n can be swept only on a network built from its size."""
-    if axis in ("gamma", "sigma"):
-        return set_key(conf, f"params.{axis}", value)
-    if axis == "n":
-        if conf.network.kind == "file":
-            raise ConfigError("the n axis needs a network built from network.n; "
-                              "network.kind = file fixes n by its matrix")
+    key = _axis_key(conf, axis)
+    if key == "network.n":
         if not float(value).is_integer():
             raise ConfigError(f"n-axis value {value!r} is not an integer")
-        return set_key(conf, "network.n", int(value))
-    raise ConfigError(f"unknown sweep axis {axis!r} (gamma, sigma or n)")
+        value = int(value)
+    return set_key(conf, key, value)

@@ -40,11 +40,13 @@ linear equation, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
 (plus five halvings toward 0) and refines it by Brent's method (``_brent``,
 a port of scipy's ``brentq``); with none below the flip, the flip itself
-is gamma_c.  A random_exp n=32 cell takes 15-42 state-space spectra where
-an exhaustive 1e-3 scan took about 1,020, each read off the pencil: the
-kernel is evaluated twice per q, and a gamma costs one axpy L0 + gamma L1,
-one (n+1)-square solve for the 2n state columns and the eigenvalues of the
-2n-square map.
+is gamma_c.  Each grid point is first tested for contraction by powers of
+its map (``_powers_contract``); only the undecided ones, Brent's iterates
+and the kind's probe cost a spectrum.  A random_exp n=32 cell takes 5-10
+state-space spectra where an exhaustive 1e-3 scan took about 1,020, each
+read off the pencil: the kernel is evaluated twice per q, and a gamma
+costs one axpy L0 + gamma L1, one (n+1)-square solve for the 2n state
+columns and the eigenvalues of the 2n-square map.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ SEARCH_POINTS = 32
 SEARCH_HALVINGS = 5
 GAMMA_XTOL = 1e-13
 CROSSING_TOL = 1e-10
+# critical_gamma on a non-normal network: a grid point is stable, and its
+# spectrum is not computed, once a power S^m, m = 2, 4, ..., 2^POWER_SQUARINGS,
+# has ||S^m||_F <= POWER_NORM_STABLE (then rho(S) <= 0.5^(1/256) < 0.9973);
+# a norm above POWER_NORM_GIVE_UP ends the squarings.  Measured on the 24
+# cells of perfbench/phase_oracle.json: 6, 7, 8, 9 and 10 squarings leave
+# 10.9, 9.9, 8.9, 7.9 and 7.6 spectra per cell (8 keeps the bound 0.0027
+# clear of 1), a threshold of 0.25 or 0.9 leaves 8.9 or 8.25, and a give-up
+# at 1e2 or 1e6 moves no count
+POWER_SQUARINGS = 8
+POWER_NORM_STABLE = 0.5
+POWER_NORM_GIVE_UP = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +261,14 @@ def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
     of -A1 +/- sqrt(A1^2 - 4 A2 A0) over two.  A2 = 0 degenerates to a linear
     equation: r1 is its single root and r2 the infinity marker.
     """
-    a2, a1, a0 = (np.asarray(v, dtype=complex) for v in (a2, a1, a0))
+    # one power of two per quadratic takes its largest coefficient into
+    # [1, 2), so A1^2 - 4 A2 A0 does not underflow where all three are tiny;
+    # ldexp scales the real and imaginary parts exactly, signed zeros kept,
+    # so the roots keep their bits wherever no coefficient is subnormal
+    coeffs = np.array(np.broadcast_arrays(a2, a1, a0), dtype=complex)
+    _, exp = np.frexp(_modulus(coeffs).max(axis=0))
+    coeffs.real, coeffs.imag = np.ldexp(coeffs.real, 1 - exp), np.ldexp(coeffs.imag, 1 - exp)
+    a2, a1, a0 = coeffs
     linear = a2 == 0
     if (linear & (a1 == 0)).any():
         raise ValueError("degenerate quadratic with A2 = A1 = 0")
@@ -425,9 +445,11 @@ def _flip_gamma(pencil: tuple[np.ndarray, np.ndarray], q: float) -> float | None
     F0 + gamma F1 on (du, xi_t), with F0 v = -gamma F1 v at a flip.  Its
     roots come from a shift-invert at a gamma = sigma outside (0, 1]:
     (F0 + sigma F1)^{-1} F1 v = mu v with gamma = sigma - 1/mu, one solve
-    and one standard eigenproblem.  mu = 0 is an infinite gamma (F1's gauge
-    row does not depend on gamma).  F0, the step at gamma = 0, is never
-    inverted, since it is singular where the wage row vanishes (a = 1).
+    and one standard eigenproblem, repeated at a second sigma where
+    max|mu| >= 1e4 shows the first near a root.  mu = 0 is an infinite
+    gamma (F1's gauge row does not depend on gamma).  F0, the step at
+    gamma = 0, is never inverted, since it is singular where the wage row
+    vanishes (a = 1).
     The candidates are the real roots; those within GAMMA_XTOL of gamma = 0
     or 1 are not told apart from the ends: one at 0 is no flip in (0, 1),
     and one at 1 is left to the search, whose grid ends at 1.  ``pencil``
@@ -448,17 +470,42 @@ def _flip_gamma(pencil: tuple[np.ndarray, np.ndarray], q: float) -> float | None
     # sigma = -0.3, picked by measurement: near (0, 1], so little cancels in
     # sigma - 1/mu, and met by no root of a plain network on a grid of round
     # a, b and q, where -1 (the uniform mode's flip at a = 0.6, b = 0.5) and
-    # -0.5 are; at a root F0 + sigma F1 is singular and the roots are lost
-    sigma = -0.3
-    try:
-        mu = np.linalg.eigvals(np.linalg.solve(f0 + sigma * f1, f1))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"flip search at q = {q!r}: the step at gamma = {sigma} "
-                              "has alpha = -1 exactly (singular shifted flip pencil)") from exc
+    # -0.5 are.  Near a root F0 + sigma F1 is nearly singular and roots are
+    # lost; max|mu| shows it.  Over a = 0.3-1, b in {0.5, 0.9, 0.999} and
+    # q in [-1, 1] on plain n = 8 and random_exp n = 8 and 32, max|mu| is at
+    # most 3.1e3 at -0.3, but 1.4e5 and 1.8e15 at a = 0.7931 and 23/29
+    # (b = 0.5, where the uniform mode flips at -0.3).  From max|mu| = 1e4
+    # on, the pencil is solved again at -0.8: at most 176 on that grid, with
+    # every flip within 4.9e-15 of the QZ one
+    for sigma in (-0.3, -0.8):
+        try:
+            mu = np.linalg.eigvals(np.linalg.solve(f0 + sigma * f1, f1))
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"flip search at q = {q!r}: the step at gamma = {sigma} "
+                                  "has alpha = -1 exactly (singular shifted flip pencil)") from exc
+        if np.abs(mu).max() < 1e4:
+            break
     roots = sigma - 1.0 / mu[mu != 0]
     real = roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * np.abs(roots)]
     real = real[(real > GAMMA_XTOL) & (real < 1.0 - GAMMA_XTOL)]
     return float(real.min()) if real.size else None
+
+
+def _powers_contract(s: np.ndarray) -> bool:
+    """Whether some ||S^m||_F, m = 2, 4, ..., 2^POWER_SQUARINGS, is at most
+    POWER_NORM_STABLE: a sufficient test that every eigenvalue of S lies
+    inside the unit circle, since rho(S)^m = rho(S^m) <= ||S^m||_F (Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., Thm. 5.6.9 and Cor. 5.6.14).
+
+    False decides nothing: the squarings stop once a norm exceeds
+    POWER_NORM_GIVE_UP (or is NaN) or after POWER_SQUARINGS of them.
+    """
+    for _ in range(POWER_SQUARINGS):
+        s = s @ s
+        norm = np.linalg.norm(s)
+        if not POWER_NORM_STABLE < norm <= POWER_NORM_GIVE_UP:
+            return norm <= POWER_NORM_STABLE
+    return False
 
 
 def _brent(f, xa: float, xb: float, xtol: float) -> float:
@@ -538,7 +585,13 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     axpy L0 + gamma L1, one (n+1)-square solve and the eigenvalues of the
     2n-square map (``state_space_spectrum`` of L), where a fresh
     linearization costs a kernel evaluation, both Jacobians and a 2n-column
-    solve.
+    solve.  A grid point whose map S has ||S^m||_F <= POWER_NORM_STABLE for
+    some m = 2, 4, ..., 2^POWER_SQUARINGS (``_powers_contract``, at most
+    POWER_SQUARINGS 2n-square products) is stable and costs no eigenvalues:
+    the grid's sign reads are the same, and Brent's values, the flip test
+    and the kind still come from the spectra, so gamma_c is the same bit
+    for bit.  On the 24 recorded random_exp n=32 cells a search takes 8.9
+    spectra on average, against 24.7 with one at every grid point.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
@@ -550,8 +603,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
         at = replace(base, gamma=gamma)
         if net.is_normal:
             return max_growth_rate_modal(net, at)
-        l0, l1 = pencil
-        return _state_space_report(state_space_spectrum(l0 + gamma * l1), at)
+        return _state_space_report(state_space_spectrum(pencil[0] + gamma * pencil[1]), at)
 
     @cache
     def excess(gamma: float) -> float:
@@ -559,6 +611,12 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
         if math.isnan(value):  # would read as stable: excess(lo) > 0 is false
             raise ArithmeticError(f"critical search: max|alpha| is NaN at gamma = {gamma!r}")
         return value
+
+    @cache
+    def unstable(gamma: float) -> bool:
+        """excess(gamma) > 0, without the spectrum where powers of S contract."""
+        return ((net.is_normal or not _powers_contract(_state_map(pencil[0] + gamma * pencil[1])))
+                and excess(gamma) > 0.0)
 
     gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
@@ -568,12 +626,12 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     grid = np.concatenate([halvings] + [np.linspace(start, end, SEARCH_POINTS + 1)[1:]
                                         for start, end in zip([0.0] + ends, ends)]).tolist()
     for lo, hi in zip(grid[:-1], grid[1:]):
-        if excess(lo) > 0.0:
+        if unstable(lo):
             continue
         if hi == gamma_flip and abs(excess(hi)) <= CROSSING_TOL:
             gamma_c = gamma_flip
             break
-        if excess(hi) > 0.0:
+        if unstable(hi):
             gamma_c = _brent(excess, lo, hi, GAMMA_XTOL)
             break
     else:

@@ -337,8 +337,25 @@ class TestCommands:
                 err = capsys.readouterr().err
                 assert err.startswith("configuration error: ")
                 assert f"integer expected for {key}, got {value!r}" in err
-        assert main(["--out", str(tmp_path), "sweep", "--axis", "foo"]) == 1
-        assert "configuration error: unknown sweep axis 'foo'" in capsys.readouterr().err
+        # with no sweep value the axis is still checked
+        for values in ("0.1", ""):
+            assert main(["--set", f"sweep.values={values}", "--out", str(tmp_path),
+                         "sweep", "--axis", "foo"]) == 1
+            assert "configuration error: unknown sweep axis 'foo'" in capsys.readouterr().err
+
+    def test_set_before_and_after_the_subcommand_both_apply(self, tmp_path):
+        # the --set lists on either side of the subcommand are kept, in
+        # command-line order: the later setting of a key wins
+        runs = {"split": ["--set", "network.n=4", "equilibrium", "--set", "params.q=0"],
+                "before": ["--set", "network.n=4", "--set", "params.q=0", "equilibrium"],
+                "later_wins": ["--set", "network.n=6", "--set", "params.q=0",
+                               "equilibrium", "--set", "network.n=4"]}
+        texts = {}
+        for name, argv in runs.items():
+            assert main(["--out", str(tmp_path / name)] + argv) == 0
+            texts[name] = _read(tmp_path / name / "equilibrium.csv")
+        assert len(_data_rows(texts["split"])) == 1 + 4
+        assert texts["split"] == texts["before"] == texts["later_wins"]
 
     def test_unknown_sweep_statistic_is_rejected_before_any_cell_runs(
             self, tmp_path, capsys, monkeypatch):

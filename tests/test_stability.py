@@ -227,24 +227,38 @@ class TestModeRoots:
     # a subnormal A1 with A0 = 0: big = -A1/2 is subnormal, and numpy's complex
     # division by it overflowed (r2 = nan)
     @example(a2=1, a1=1.1125369292536007e-308, a0=0)
+    # all three tiny: A1^2 underflowed, the discriminant read 0 and r1 was
+    # half the large root
+    @example(a2=3e-309, a1=1e-300, a0=1e-300)
     def test_vieta_identities(self, a2, a1, a0):
         r1, r2 = mode_roots(a2, a1, a0)
         assert abs(r1 * r2 - a0 / a2) < 1e-8 * max(1.0, abs(a0 / a2))
         assert abs((r1 + r2) + a1 / a2) < 1e-8 * max(1.0, abs(a1 / a2))
 
     def test_subnormal_big_gives_a_finite_quotient(self):
-        # big = -5e-309 is subnormal; A0 / big is -1e-15, not -inf+nanj
+        # big = -5e-309 is subnormal; A0 / big is 0, not nan+nanj
+        r1, r2 = mode_roots(1.0, 1e-308, 0.0)
+        assert np.isfinite(r1) and abs(r1) <= 1e-308
+        assert r2 == 0.0
+
+    def test_tiny_coefficients_keep_the_discriminant(self):
+        # 4 A2 A0 = 2e-324 and A1^2 = 1e-616 underflowed unscaled, and the
+        # roots read as the real -5e-308 and -1e-15; they are the complex pair
+        # +-i sqrt(A0 / A2), up to a real part of 5e-308 (the scaled 4 A2 A0
+        # is still subnormal, hence the 1% on each root)
         r1, r2 = mode_roots(0.1, 1e-308, 5e-324)
-        assert np.isfinite(r1) and np.isfinite(r2)
-        assert r2 == pytest.approx(5e-324 / -5e-309, rel=1e-2)
+        for root in (r1, r2):
+            assert abs(root.imag) == pytest.approx(math.sqrt(5e-324 / 0.1), rel=1e-2, abs=0.0)
+            assert abs(root.real) <= 1e-307
+        assert abs(r1 * r2) == pytest.approx(5e-324 / 0.1, rel=1e-14, abs=0.0)
 
     def test_subnormal_a2_gives_a_finite_quotient(self):
         # A2 = 3e-309 is subnormal: big / A2 was -inf+nanj in both cases.
-        # Checked is the quotient; big = -5e-301 is itself off here, since
-        # A1^2 underflows and the discriminant reads 0
+        # The large root is -A1/A2 + A0/A1 (to rounding), the discriminant
+        # no longer lost to an underflowing A1^2
         r1, _ = mode_roots(3e-309, 1e-300, 1e-300)
         assert np.isfinite(r1) and r1.imag == 0.0
-        assert r1.real == pytest.approx(-5e-301 / 3e-309, rel=1e-15)
+        assert r1.real == pytest.approx(-1e-300 / 3e-309 + 1.0, rel=1e-14, abs=0.0)
         r1, _ = mode_roots(3e-309, 1.0, 0.5)  # big = -1: the quotient overflows
         assert r1.real == -np.inf and r1.imag == 0.0
 
@@ -533,6 +547,50 @@ class TestCriticalSearch:
             assert _same_crossing(point, (cell["gamma_c"], cell["kind"])), cell
             assert 0 < len(calls) <= 50, cell
 
+    def test_certified_grid_points_leave_the_search_unchanged(self, monkeypatch):
+        # on the recorded cells the power-norm test spares the spectra of most
+        # grid points below the crossing, and the search returns the point it
+        # returns with every grid point's spectrum computed, bit for bit
+        with open(PHASE_ORACLE) as fh:
+            cells = json.load(fh)["cells"]
+        calls = []
+
+        def counted(step):
+            calls.append(step)
+            return state_space_spectrum(step)
+
+        monkeypatch.setattr(stability, "state_space_spectrum", counted)
+        searches = []
+        for cell in cells:
+            conf = load_config(None, ["network.kind=random_exp", "network.n=32",
+                                      f"network.seed={cell['network_seed']}"])
+            searches.append((build_network(conf), conf.params, cell["q"]))
+        points = [critical_gamma(*search) for search in searches]
+        assert len(calls) <= 12 * len(cells)
+        monkeypatch.setattr(stability, "_powers_contract", lambda s: False)
+        calls.clear()
+        assert [critical_gamma(*search) for search in searches] == points
+        assert len(calls) > 20 * len(cells)
+
+    def test_certified_grid_points_are_stable(self):
+        # about 600 random_exp points: wherever a power of S contracts, every
+        # eigenvalue lies within 0.5^(1/256) of the origin, as the bound says
+        rng = np.random.default_rng(24)
+        certified = []
+        for n in (4, 8, 16, 32):
+            for _ in range(30):
+                net = build_random_exponential_network(n, int(rng.integers(100)))
+                a, b, q = rng.uniform(0.3, 1.0), rng.uniform(0.5, 0.99), rng.uniform(-1.0, 1.0)
+                params = ModelParams(a=a, b=b, q=q, gamma=0.5)
+                l0, l1 = _gamma_pencil(net, params, solve_equilibrium(net, params))
+                for gamma in rng.uniform(0.0, 0.5, 5):
+                    step = l0 + gamma * l1
+                    if stability._powers_contract(_state_map(step)):
+                        certified.append(np.max(np.abs(state_space_spectrum(step))))
+        bound = stability.POWER_NORM_STABLE ** (0.5 ** stability.POWER_SQUARINGS)
+        assert 300 < len(certified) < 600
+        assert max(certified) <= bound < 1.0
+
     @pytest.mark.parametrize("net", [build_plain_network(6),
                                      build_random_exponential_network(12, 3)])
     def test_pencil_is_affine_in_gamma(self, net):
@@ -622,10 +680,12 @@ class TestCriticalSearch:
         # the shift-invert against the QZ it replaced, at the default a and
         # b, at a = 1 (F0 singular), near constant returns, and at a = 0.6,
         # b = 0.5, where the plain network's uniform mode flips at gamma = -1
-        # (a shift there would meet a singular step)
+        # (a shift there would meet a singular step); at a = 23/29 and 0.7931,
+        # b = 0.5, it flips at or next to the first shift -0.3, and the
+        # second shift finds the flip
         net = build_network(load_config(None, [f"network.kind={kind}", f"network.n={n}"]))
         for a, b in ((PARAMS.a, PARAMS.b), (1.0, PARAMS.b), (PARAMS.a, 0.999), (1.0, 0.999),
-                     (0.6, 0.5)):
+                     (0.6, 0.5), (23 / 29, 0.5), (0.7931, 0.5)):
             for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 params = replace(PARAMS, a=a, b=b, q=q, q0=None)
                 equilibrium = solve_equilibrium(net, params)
