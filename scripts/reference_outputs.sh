@@ -44,7 +44,8 @@ run phase_diagram --set network.kind=random_exp --set network.n=8 \
 # the phase_rexp32 benchmark workload's configuration (perfbench/run.py)
 run phase_diagram_rexp32 --set network.kind=random_exp --set network.n=32 \
     --set phase.q_grid=-1,-0.5,0 phase-diagram
-# a normal network: the modal critical line, gamma_c = 1/9, 0.2 and 1/9.5
+# a normal network, on the state-space path as every network: gamma_c = 1/9,
+# 0.2 and 1/9.5
 run phase_diagram_plain --set network.n=8 --set phase.q_grid=-1,0,0.5 phase-diagram
 run sweep --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
     --set sweep.values=0.08,0.14 --set run.replicas=2 sweep --axis gamma

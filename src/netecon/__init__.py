@@ -4,8 +4,8 @@ Firms wired by a row-stochastic input-output matrix produce with Cobb-Douglas
 technology, forecast prices by extrapolating recent trends, and adjust
 production only part-way toward the optimum each period.  The package solves
 the static equilibrium, simulates the full nonlinear dynamics under market
-clearing, analyzes linear stability (per-mode quadratics and state-space
-spectra, critical lines in the (q, gamma) plane), provides the reduced
+clearing, analyzes linear stability (the spectrum of the linearized step,
+critical lines in the (q, gamma) plane), provides the reduced
 reference models, and ships analytics plus a CLI for reproducible experiments.
 """
 
@@ -42,11 +42,7 @@ from .stability import (
     build_linearized,
     critical_gamma,
     linear_state_map,
-    max_growth_rate_modal,
-    mode_quadratic,
-    mode_roots,
     trace_critical_line,
-    uniform_mode_multiplier,
 )
 
 __version__ = "0.1.0"

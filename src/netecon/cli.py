@@ -71,7 +71,7 @@ def cmd_stability(conf: cfg.ExperimentConfig) -> list[str]:
     path = _out_path(conf, "stability.csv")
     report_to_csv(report, path, config_hash=cfg.config_hash(conf))
     verdict = "stable" if report.stable else "unstable"
-    print(f"{verdict} max_alpha={report.max_alpha:.10g} method={report.method}")
+    print(f"{verdict} max_alpha={report.max_alpha:.10g} method=state_space")
     return [path]
 
 

@@ -92,8 +92,8 @@ def solve_equilibrium(net: IONetwork, params: ModelParams) -> EquilibriumState:
     Baseline productivities are one (a monetary unit).  The nominal scale
     is a pure gauge, fixed at 1'V = n (so the plain-matrix V is identically
     one).  Raises for b >= 1 (the production optimum only exists under
-    decreasing returns) and for an equilibrium that fails its own residual
-    bound.
+    decreasing returns), for a wage h that is not positive (a = 0) and for
+    an equilibrium that fails its own residual bound.
     """
     if params.b >= 1.0:
         raise ValueError("equilibrium solve requires b < 1")
@@ -109,6 +109,8 @@ def solve_equilibrium(net: IONetwork, params: ModelParams) -> EquilibriumState:
         raise ArithmeticError("equilibrium nominal outputs are not all positive")
 
     h = a * b * beta0 * V.sum()
+    if not h > 0.0:  # a = 0: no wage, and no log of it
+        raise ArithmeticError(f"equilibrium wage h = {h} is not positive")
     rhs = (1.0 - b) * np.log(V) - b * np.log(beta0) + a * b * np.log(h)
     try:
         log_p = np.linalg.solve(np.eye(n) - c * net.w, rhs)
@@ -120,7 +122,7 @@ def solve_equilibrium(net: IONetwork, params: ModelParams) -> EquilibriumState:
     eq = EquilibriumState(p_eq=p, x_eq=x, h_eq=float(h), V_eq=V, S_eq=V / V.sum())
 
     res = equilibrium_residual(eq, net, params)
-    if res > 1e-10:
+    if not res <= 1e-10:
         raise ArithmeticError(f"equilibrium residual {res:.3e} exceeds 1e-10")
     return eq
 

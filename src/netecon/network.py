@@ -1,4 +1,4 @@
-"""Stochastic input-output networks: constructors, validation, spectral helpers.
+"""Stochastic input-output networks: constructors and validation.
 
 The wiring of the firm economy is a row-stochastic matrix ``w`` where
 ``w[i, j]`` is the share of good ``j`` among the intermediate inputs used by
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,15 +23,13 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
-#: max-norm of the commutator W W' - W' W below which ``w`` counts as normal
-NORMAL_TOL = 1e-10
 #: row sums that deviate more than this on file load trigger a renormalization warning
 LOAD_RENORM_TOL = 1e-9
 
 
 @dataclass(eq=False)
 class IONetwork:
-    """A validated row-stochastic input-output matrix with cached spectral data.
+    """A validated row-stochastic input-output matrix.
 
     Attributes:
         n: number of firms (sectors).
@@ -56,23 +53,6 @@ class IONetwork:
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("rows of the input-output matrix must sum to one")
         self.w = w
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, right eigenvectors) of ``w``, computed on first access."""
-        return np.linalg.eig(self.w)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``w``."""
-        return self.eigensystem[0]
-
-    @cached_property
-    def is_normal(self) -> bool:
-        """Whether ``w`` commutes with its transpose (max-norm of the commutator
-        below ``NORMAL_TOL``), computed on first access."""
-        commutator = self.w @ self.w.T - self.w.T @ self.w
-        return bool(np.max(np.abs(commutator)) < NORMAL_TOL)
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Linear stability of the equilibrium: modal quadratics, state-space maps,
+"""Linear stability of the equilibrium: the state-space map, its spectrum,
 critical lines.
 
 The state-space map is the derivative of ``Simulator.step`` at the
@@ -16,14 +16,11 @@ the overall price level free; the solver's gauge residual
 sum(log p) - target is one of the rows of R, so the map inherits the gauge:
 it sends the uniform lagged-price direction to zero when q0 = q.
 
-For a normal input-output matrix the linearized dynamics diagonalizes in the
-eigenbasis of W and each non-uniform eigenvalue s contributes a second-order
-difference equation A2 xi_{t+1} + A1 xi_t + A0 xi_{t-1} = 0; the uniform mode
-is first order and always stable.  ``mode_quadratic`` (the coefficients) and
-``mode_roots`` (the roots) state that quadratic once, vectorized over s.
-``analyze_stability`` picks the modal or the state-space path for one
-gamma; ``critical_gamma`` takes the same paths, the state-space one through
-the gamma pencil below.
+Every network takes this one path: ``analyze_stability`` reads the spectrum
+of the map at one gamma and ``critical_gamma`` along the gamma pencil below,
+and the verdict is the spectral radius against one.  On a normal W that
+spectrum is the one of the paper's per-mode quadratics, against which the
+tests check it.
 
 Critical lines.  The equilibrium does not depend on gamma, and at it
 x_next = x_sold = x*, so gamma enters the kernel's derivatives only through
@@ -79,17 +76,12 @@ __all__ = [
     "critical_gamma",
     "critical_line_to_csv",
     "linear_state_map",
-    "max_growth_rate_modal",
-    "mode_quadratic",
-    "mode_roots",
     "report_to_csv",
     "state_space_spectrum",
     "trace_critical_line",
-    "uniform_mode_multiplier",
 ]
 
 REAL_ROOT_IMAG_TOL = 1e-6
-UNIT_EIG_TOL = 1e-9
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 # critical_gamma: uniform grid points per search interval, halvings below the
 # first of them (down to 1/1024 of the interval, the 1e-3 floor of an
@@ -99,8 +91,8 @@ SEARCH_POINTS = 32
 SEARCH_HALVINGS = 5
 GAMMA_XTOL = 1e-13
 CROSSING_TOL = 1e-10
-# critical_gamma on a non-normal network: a grid point is stable, and its
-# spectrum is not computed, once a power S^m, m = 2, 4, ..., 2^POWER_SQUARINGS,
+# critical_gamma: a grid point is stable, and its spectrum is not computed,
+# once a power S^m, m = 2, 4, ..., 2^POWER_SQUARINGS,
 # has ||S^m||_F <= POWER_NORM_STABLE (then rho(S) <= 0.5^(1/256) < 0.9973);
 # a norm above POWER_NORM_GIVE_UP ends the squarings.  Measured on the 24
 # cells of perfbench/phase_oracle.json: 6, 7, 8, 9 and 10 squarings leave
@@ -198,193 +190,41 @@ def state_space_spectrum(system: LinearizedSystem | np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(_state_map(step[:, :len(step)]))
 
 
-# ---------------------------------------------------------------------------
-# modal analysis for normal networks
-# ---------------------------------------------------------------------------
-
-def uniform_mode_multiplier(params: ModelParams) -> float:
-    """Multiplier of the uniform quantity mode, (1-g)/(1-g+zeta(1-b+ab)).
-
-    Always in [0, 1): the aggregate mode of the economy (equivalently a
-    single-firm economy) is linearly stable, becoming marginal only as
-    gamma -> 0; 0 at a = 1, its limit as zeta grows.  Undefined at b = 1.
-    """
-    a, b, gamma = params.a, params.b, params.gamma
-    if b >= 1.0:
-        raise ValueError("uniform multiplier undefined for b = 1")
-    if a >= 1.0:
-        return 0.0
-    zeta = gamma / ((1.0 - a) * (1.0 - b))
-    return (1.0 - gamma) / (1.0 - gamma + zeta * (1.0 - b + a * b))
-
-
 def _modulus(z) -> np.ndarray:
     """|z| elementwise by hypot, bit for bit Python's ``abs(complex)``
     (numpy's vectorized complex ``abs`` differs in the last bit)."""
     return np.hypot(z.real, z.imag)
 
 
-def mode_quadratic(s, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients (A2, A1, A0) of the quadratic of each non-uniform mode s.
-
-    With c = b(1-a) and zhat = gamma / ((1-b)(1 - b(1-a)^2 |s|^2)):
-
-        A2 = 1 - gamma + zhat (1 - b - c sbar (1+q) + c^2 |s|^2)
-        A1 = -[1 - gamma + zhat (c s - q c sbar - b (1+q))]
-        A0 = -q b zhat
-
-    ``s`` is an array of eigenvalues of W with |s| <= 1 + 1e-12; the
-    derivation formally extends to |s| = 1 (identity or permutation
-    networks), which reports count as special.
-    """
-    if params.b >= 1.0:
-        raise ValueError("mode quadratic requires b < 1")
-    s = np.asarray(s, dtype=complex)
-    mod = _modulus(s)
-    if (mod > 1.0 + 1e-12).any():
-        raise ValueError("mode quadratic requires |s| <= 1")
-    a, b, q, gamma = params.a, params.b, params.q, params.gamma
-    c = params.c
-    mod2 = mod ** 2
-    zhat = gamma / ((1.0 - b) * (1.0 - b * (1.0 - a) ** 2 * mod2))
-    sbar = np.conj(s)
-    a2 = 1.0 - gamma + zhat * (1.0 - b - c * sbar * (1.0 + q) + c**2 * mod2)
-    a1 = -(1.0 - gamma + zhat * (c * s - q * c * sbar - b * (1.0 + q)))
-    a0 = (-q * b * zhat).astype(complex)  # keeps A0 = -0 at q = 0, the sign a zero root shows
-    return a2, a1, a0
-
-
-def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
-    """Roots (r1, r2) of the quadratics A2 a^2 + A1 a + A0, cancellation-free.
-
-    r1 = big / A2 and r2 = A0 / big, where big is the larger-magnitude branch
-    of -A1 +/- sqrt(A1^2 - 4 A2 A0) over two.  A2 = 0 degenerates to a linear
-    equation: r1 is its single root and r2 the infinity marker.
-    """
-    # one power of two per quadratic takes its largest coefficient into
-    # [1, 2), so A1^2 - 4 A2 A0 does not underflow where all three are tiny;
-    # ldexp scales the real and imaginary parts exactly, signed zeros kept,
-    # so the roots keep their bits wherever no coefficient is subnormal
-    coeffs = np.array(np.broadcast_arrays(a2, a1, a0), dtype=complex)
-    _, exp = np.frexp(_modulus(coeffs).max(axis=0))
-    coeffs.real, coeffs.imag = np.ldexp(coeffs.real, 1 - exp), np.ldexp(coeffs.imag, 1 - exp)
-    a2, a1, a0 = coeffs
-    linear = a2 == 0
-    if (linear & (a1 == 0)).any():
-        raise ValueError("degenerate quadratic with A2 = A1 = 0")
-    disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
-    plus, minus = -a1 + disc, -a1 - disc
-    big = np.where(_modulus(plus) >= _modulus(minus), plus, minus) / 2.0
-    tiny = np.finfo(float).tiny
-    # numpy's complex division scales by 1 / divisor, which overflows for a
-    # subnormal divisor (A2 or big): there both terms are scaled by 2^54
-    # first, exactly
-    with np.errstate(all="ignore"):  # np.where drops the branches that divide by zero
-        r1 = np.where(linear, -a0 / a1, np.where(big == 0, 0j, np.where(
-            _modulus(a2) < tiny, (big * 2.0**54) / (a2 * 2.0**54), big / a2)))
-        r2 = np.where(linear, np.inf, np.where(big == 0, 0j, np.where(
-            _modulus(big) < tiny, (a0 * 2.0**54) / (big * 2.0**54), a0 / big)))
-    return r1, r2
-
-
 @dataclass(eq=False)
 class StabilityReport:
-    """Per-mode roots, maximal growth rate and the stability verdict.
+    """The eigenvalues ``alphas`` of the state-space map, their moduli
+    ``max_mod``, the spectral radius ``max_alpha`` and the verdict."""
 
-    Row k holds an eigenvalue ``s[k]`` of W (NaN on the state-space path),
-    its roots ``alphas[k]`` (NaN in the second column where a row has one
-    root) and ``max_mod[k]``, the larger root modulus.  On the modal path the
-    uniform mode comes first, with its multiplier as the one root.
-    """
-
-    s: np.ndarray
     alphas: np.ndarray
     max_mod: np.ndarray
-    max_growth: float
-    uniform_multiplier: float
+    max_alpha: float
     stable: bool
-    method: str
-    special_unit_modes: int = 0
-
-    @property
-    def max_alpha(self) -> float:
-        """Largest root modulus, the uniform mode included."""
-        return max(self.max_growth, self.uniform_multiplier)
 
     @property
     def leading_root(self) -> complex:
-        """The finite root of largest modulus; ties go to the earlier row, then
-        to r1 over r2."""
-        flat = self.alphas.ravel()
-        finite = np.flatnonzero(np.isfinite(flat))
-        return complex(flat[finite[np.argmax(_modulus(flat[finite]))]])
-
-
-def _uniform_mode_index(net: IONetwork) -> tuple[np.ndarray, int]:
-    """Eigenvalues of W and the index of the uniform (Perron) mode."""
-    vals, vecs = net.eigensystem
-    near_one = np.where(np.abs(vals - 1.0) < UNIT_EIG_TOL)[0]
-    if len(near_one) == 0:
-        raise ArithmeticError("row-stochastic matrix has no eigenvalue one")
-    ones = np.ones(net.n) / math.sqrt(net.n)
-    overlap = np.abs(ones @ vecs[:, near_one])
-    return vals, int(near_one[np.argmax(overlap)])
-
-
-def max_growth_rate_modal(net: IONetwork, params: ModelParams) -> StabilityReport:
-    """Stability of a normal network via the per-mode quadratics.
-
-    Rejects non-normal networks (use the state-space path).  Eigenvalues on
-    the unit circle other than the uniform one (identity or permutation
-    networks) are evaluated through the quadratic and counted as special.
-    """
-    if not net.is_normal:
-        raise ValueError("modal analysis requires a normal network")
-    vals, uniform_idx = _uniform_mode_index(net)
-    multiplier = uniform_mode_multiplier(params)
-    s_modes = np.delete(np.asarray(vals, dtype=complex), uniform_idx)
-    r1, r2 = mode_roots(*mode_quadratic(s_modes, params))
-    mods = np.maximum(_modulus(r1), _modulus(r2))
-    max_growth = float(mods.max()) if mods.size else 0.0
-    return StabilityReport(
-        s=np.concatenate([[complex(vals[uniform_idx])], s_modes]),
-        alphas=np.vstack([[multiplier, np.nan], np.column_stack([r1, r2])]),
-        max_mod=np.concatenate([[multiplier], mods]),
-        max_growth=max_growth,
-        uniform_multiplier=multiplier,
-        stable=bool(max_growth < 1.0 and multiplier < 1.0),
-        method="mode_quadratic",
-        special_unit_modes=int((_modulus(s_modes) >= 1.0 - 1e-12).sum()),
-    )
+        """The finite eigenvalue of largest modulus; ties go to the earlier one."""
+        finite = np.flatnonzero(np.isfinite(self.alphas))
+        return complex(self.alphas[finite[np.argmax(self.max_mod[finite])]])
 
 
 def analyze_stability(net: IONetwork, params: ModelParams,
                       equilibrium: EquilibriumState | None = None) -> StabilityReport:
-    """Modal quadratics for normal networks, the state-space spectrum otherwise.
-
-    ``critical_gamma`` makes the same choice for its whole search, reading
-    the state-space spectra off the gamma pencil.  ``equilibrium`` (solved
-    when None) is used by the state-space path only.
-    """
-    if net.is_normal:
-        return max_growth_rate_modal(net, params)
-    return _state_space_report(state_space_spectrum(build_linearized(net, params, equilibrium)),
-                               params)
+    """The state-space spectrum at the equilibrium (solved when None)."""
+    return _state_space_report(state_space_spectrum(build_linearized(net, params, equilibrium)))
 
 
-def _state_space_report(vals: np.ndarray, params: ModelParams) -> StabilityReport:
-    """The state-space path's report on the eigenvalues ``vals`` of the map."""
+def _state_space_report(vals: np.ndarray) -> StabilityReport:
+    """The report on the eigenvalues ``vals`` of the map."""
     max_mod = _modulus(vals)
-    max_growth = float(max_mod.max()) if max_mod.size else 0.0
-    return StabilityReport(
-        s=np.full(len(vals), np.nan + 0j),
-        alphas=np.column_stack([vals, np.full(len(vals), np.nan)]).astype(complex),
-        max_mod=max_mod,
-        max_growth=max_growth,
-        uniform_multiplier=uniform_mode_multiplier(params),
-        stable=bool(max_growth < 1.0),
-        method="state_space",
-    )
+    max_alpha = float(max_mod.max())
+    return StabilityReport(alphas=vals.astype(complex), max_mod=max_mod, max_alpha=max_alpha,
+                           stable=max_alpha < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +420,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     is NaN.
 
     The two kernel evaluations of the gamma pencil, made once per q, serve
-    the flip.  On a normal network each gamma costs the modal quadratics.
-    On any other, the pencil also serves every spectrum: a gamma costs one
+    the flip and every spectrum: a gamma costs one
     axpy L0 + gamma L1, one (n+1)-square solve and the eigenvalues of the
     2n-square map (``state_space_spectrum`` of L), where a fresh
     linearization costs a kernel evaluation, both Jacobians and a 2n-column
@@ -596,14 +435,11 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
     equilibrium = solve_equilibrium(net, base)
-    # the pencil serves the flip, and on non-normal networks every spectrum
+    # the pencil serves the flip and every spectrum
     pencil = _gamma_pencil(net, base, equilibrium)
 
     def report(gamma: float) -> StabilityReport:
-        at = replace(base, gamma=gamma)
-        if net.is_normal:
-            return max_growth_rate_modal(net, at)
-        return _state_space_report(state_space_spectrum(pencil[0] + gamma * pencil[1]), at)
+        return _state_space_report(state_space_spectrum(pencil[0] + gamma * pencil[1]))
 
     @cache
     def excess(gamma: float) -> float:
@@ -615,8 +451,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     @cache
     def unstable(gamma: float) -> bool:
         """excess(gamma) > 0, without the spectrum where powers of S contract."""
-        return ((net.is_normal or not _powers_contract(_state_map(pencil[0] + gamma * pencil[1])))
-                and excess(gamma) > 0.0)
+        return not _powers_contract(_state_map(pencil[0] + gamma * pencil[1])) and excess(gamma) > 0.0
 
     gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
@@ -683,13 +518,14 @@ def trace_critical_line(
 # ---------------------------------------------------------------------------
 
 def report_to_csv(report: StabilityReport, path, config_hash: str = "") -> None:
+    """One row per eigenvalue; the columns of an eigenvalue s of W and of a
+    second root per row are kept, each written as the complex NaN nan + 0j."""
     verdict = "stable" if report.stable else "unstable"
-    r1, r2 = report.alphas.T
-    rows = zip(report.s.real, report.s.imag, r1.real, r1.imag, r2.real, r2.imag,
-               report.max_mod)
+    nan, zero = np.full(len(report.alphas), np.nan), np.zeros(len(report.alphas))
+    rows = zip(nan, zero, report.alphas.real, report.alphas.imag, nan, zero, report.max_mod)
     write_csv(path, ["s_re", "s_im", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
                      "max_mod"], rows, config_hash,
-              [f"verdict={verdict} max_alpha={report.max_alpha:.12g} method={report.method}"])
+              [f"verdict={verdict} max_alpha={report.max_alpha:.12g} method=state_space"])
 
 
 def critical_line_to_csv(line: CriticalLine, path, config_hash: str = "") -> None:

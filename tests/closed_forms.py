@@ -4,9 +4,9 @@ The gamma_c of the flip crossing at real s, its constant-returns (b -> 1)
 limit and the Hopf crossing angle at q = -1 are the paper's formulas; the
 Lyapunov prediction of stable-phase volatility and the adiabatic response
 are solved directly from the linearized map and the benchmark recursion.
-Tests check the numerics of the package (``critical_gamma``, ``mode_roots``,
-``Simulator``, ``influence_vector_lp``) against them; nothing in the package
-uses them.
+Tests check the numerics of the package (``critical_gamma``, ``Simulator``,
+``influence_vector_lp``) and the modal oracle's ``mode_roots`` against them;
+nothing in the package uses them.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pytest
 
 import netecon as ne
 from conftest import make_symmetric_stochastic
+from modal_oracle import max_growth_rate_modal
 from netecon.analytics import avg_abs_correlation, volatility
 from netecon.cli import main as cli_main
 from netecon.simulator import Ensemble, NoiseProcess, Simulator, _clearing_parts
@@ -86,8 +87,8 @@ def test_criterion_2_critical_values_and_simulated_knee():
     params = ne.ModelParams(a=A, b=B, q=-1.0, gamma=0.15)
     cp0 = ne.critical_gamma(net, params, q=0.0)
     cp1 = ne.critical_gamma(net, params, q=-1.0)
-    ok_modal = (abs(cp0.gamma_c - 0.2) < 1e-6 and cp0.kind == "real_minus_one"
-                and abs(cp1.gamma_c - 1.0 / 9.0) < 1e-6 and cp1.kind == "complex_pair")
+    ok_closed_forms = (abs(cp0.gamma_c - 0.2) < 1e-6 and cp0.kind == "real_minus_one"
+                       and abs(cp1.gamma_c - 1.0 / 9.0) < 1e-6 and cp1.kind == "complex_pair")
 
     # simulated knee: sigma-proportionality breaks down at the threshold
     gammas, sigmas = (0.105, 0.115, 0.125), (1e-3, 1e-4)
@@ -102,7 +103,7 @@ def test_criterion_2_critical_values_and_simulated_knee():
               f"gamma_c(-1)={cp1.gamma_c:.7f} [{cp1.kind}], "
               f"knee ratios {{0.105: {ratios[0.105]:.1f}, 0.115: {ratios[0.115]:.2f}, "
               f"0.125: {ratios[0.125]:.2f}}} -> knee in [0.105, 0.125]")
-    _report("2 [critical values]", ok_modal and knee_inside, detail)
+    _report("2 [critical values]", ok_closed_forms and knee_inside, detail)
 
 
 def test_criterion_3_modal_state_space_equivalence():
@@ -110,7 +111,7 @@ def test_criterion_3_modal_state_space_equivalence():
     params = ne.ModelParams(a=A, b=B, q=-0.4, gamma=0.12)
     for seed in range(20):
         net = make_symmetric_stochastic(16, seed)
-        report = ne.max_growth_rate_modal(net, params)
+        report = max_growth_rate_modal(net, params)
         modal = max(report.max_growth, report.uniform_multiplier)
         vals = ne.stability.state_space_spectrum(ne.build_linearized(net, params))
         worst = max(worst, abs(modal - float(np.max(np.abs(vals)))))

@@ -117,7 +117,8 @@ run.steps = 100
 
 
 # (--set overrides, command, overrides the flags in the command stand for):
-# every subcommand, both stability paths and all four reduced models
+# every subcommand, stability on a normal and a non-normal network and all
+# four reduced models
 STAMP_CASES = {
     "equilibrium": (["network.n=4"], ["equilibrium"], []),
     "simulate": (["network.n=4", "run.steps=30", "run.burn_in=5"],
@@ -202,6 +203,19 @@ class TestCommands:
         assert main(args) == 0
         assert "state_space" in capsys.readouterr().out
         assert "method=state_space" in _read(tmp_path / "stability.csv")
+
+    @pytest.mark.parametrize("kind", ["plain", "random_exp"])
+    def test_stability_rows_keep_the_per_mode_columns(self, tmp_path, kind):
+        # one row per eigenvalue of the map, with s and the second root
+        # written as the complex NaN, nan + 0j
+        assert main(["--set", f"network.kind={kind}", "--set", "network.n=6",
+                     "--out", str(tmp_path), "stability"]) == 0
+        header, *rows = _data_rows(_read(tmp_path / "stability.csv"))
+        assert header == "s_re,s_im,alpha1_re,alpha1_im,alpha2_re,alpha2_im,max_mod"
+        assert len(rows) == 12
+        for row in rows:
+            cells = row.split(",")
+            assert cells[:2] == cells[4:6] == ["nan", "0"]
 
     def test_phase_diagram_plain_reference_points(self, tmp_path):
         args = ["--set", "network.n=6", "--set", "phase.q_grid=-1,0",
@@ -409,6 +423,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "configuration error" not in err
 
+    @pytest.mark.parametrize("command", ["equilibrium", "stability"])
+    def test_no_equilibrium_at_a_zero(self, tmp_path, capsys, command):
+        # a = 0: labor earns nothing, the wage h is 0 and has no log; a
+        # numerical failure, with no row written
+        assert main(["--set", "network.n=4", "--set", "params.a=0",
+                     "--out", str(tmp_path), command]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "wage" in err
+        assert not list(tmp_path.iterdir())
+
     def test_phase_diagram_at_a_one(self, tmp_path):
         # a = 1 makes the gamma = 0 step singular; the cell has no crossing
         assert main(["--set", "network.kind=random_exp", "--set", "network.n=6",
@@ -418,15 +442,13 @@ class TestCommands:
         rows = _data_rows(_read(tmp_path / "phase_diagram.csv"))
         assert rows[1:] == ["-1,nan,none,nan,0"]
 
-    @pytest.mark.parametrize("kind, method", [("plain", "mode_quadratic"),
-                                              ("random_exp", "state_space")])
-    def test_stability_at_a_one(self, tmp_path, capsys, kind, method):
-        # a = 1 drops the network (c = 0): both paths report one economy, and
-        # the modal path's uniform multiplier is its limit 0
+    @pytest.mark.parametrize("kind", ["plain", "random_exp"])
+    def test_stability_at_a_one(self, tmp_path, capsys, kind):
+        # a = 1 drops the network (c = 0): both networks report one economy
         base = ["--set", f"network.kind={kind}", "--set", "network.n=8",
                 "--set", "params.a=1", "--out", str(tmp_path)]
         assert main(base + ["stability"]) == 0
-        assert f"max_alpha=1.161895004 method={method}" in capsys.readouterr().out
+        assert "max_alpha=1.161895004 method=state_space" in capsys.readouterr().out
         assert main(base + ["--set", "phase.q_grid=-1", "phase-diagram"]) == 0
         assert _data_rows(_read(tmp_path / "phase_diagram.csv"))[1].startswith("-1,0.111111111")
 
@@ -463,8 +485,8 @@ class TestCommands:
         from netecon import stability
 
         report = stability._state_space_report
-        monkeypatch.setattr(stability, "_state_space_report", lambda vals, params: replace(
-            report(vals, params), max_growth=float("nan")))
+        monkeypatch.setattr(stability, "_state_space_report", lambda vals: replace(
+            report(vals), max_alpha=float("nan")))
         args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
                 "--set", "phase.q_grid=-1", "--out", str(tmp_path), "phase-diagram"]
         assert main(args) == 2
@@ -507,8 +529,8 @@ small = ["--set", "network.n=8", "--set", "run.steps=300", "--set", "run.burn_in
 run(*small, "simulate")
 run(*small, "--set", "sweep.values=0.08,0.14", "sweep")
 seen["small"] = scipy_loaded()
-# before the chord solve, which loads scipy.linalg: the search on the state-space
-# path (random_exp) and on the modal one (plain)
+# before the chord solve, which loads scipy.linalg: the search on a non-normal
+# network (random_exp) and on a normal one (plain)
 run("--set", "network.kind=random_exp", "--set", "network.n=8", "--set", "phase.q_grid=-1,0",
     "phase-diagram")
 run("--set", "network.n=8", "--set", "phase.q_grid=-1,0,0.5", "phase-diagram")

@@ -127,7 +127,7 @@ class TestSigmaSlowFast:
         # spectral radius of c W stays below one for every row-stochastic W
         for seed in range(5):
             net = build_random_exponential_network(20, seed)
-            assert np.max(np.abs(net.eigenvalues)) * C < 1.0
+            assert np.max(np.abs(np.linalg.eigvals(net.w))) * C < 1.0
 
 
 class TestTransversality:

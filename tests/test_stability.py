@@ -11,12 +11,12 @@ from block_system import block_state_map
 from closed_forms import critical_gamma_b1_approx, critical_gamma_closed_form, hopf_angle
 from conftest import make_circulant, make_symmetric_stochastic
 from flip_oracle import qz_flip_gamma
+from modal_oracle import max_growth_rate_modal, mode_quadratic, mode_roots, uniform_mode_multiplier
 from netecon import stability
 from netecon.config import build_network, load_config
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.stability import (
-    StabilityReport,
     _brent,
     _flip_gamma,
     _gamma_pencil,
@@ -26,12 +26,8 @@ from netecon.stability import (
     build_linearized,
     critical_gamma,
     linear_state_map,
-    max_growth_rate_modal,
-    mode_quadratic,
-    mode_roots,
     state_space_spectrum,
     trace_critical_line,
-    uniform_mode_multiplier,
 )
 from scan_oracle import scan_critical_gamma
 
@@ -282,7 +278,7 @@ class TestModalVsStateSpace:
         # circulants are normal with genuinely complex eigenvalues; this pins
         # the complex-s form of the quadratic coefficients
         net = make_circulant(9, seed)
-        assert np.max(np.abs(net.eigenvalues.imag)) > 1e-3
+        assert np.max(np.abs(np.linalg.eigvals(net.w).imag)) > 1e-3
         for q in (-1.0, -0.4, 0.3):
             params = ModelParams(a=0.5, b=0.9, q=q, gamma=0.14)
             report = max_growth_rate_modal(net, params)
@@ -303,13 +299,12 @@ class TestModalVsStateSpace:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_circulant_leading_root_is_the_spectral_radius(self, seed):
-        # the report's leading root has the modulus of the largest state-space
-        # eigenvalue, on both sides of the critical line
+        # the modal report's leading root has the modulus of the largest
+        # state-space eigenvalue, on both sides of the critical line
         net = make_circulant(9, seed)
         for q, gamma in ((-1.0, 0.08), (-1.0, 0.14), (-0.4, 0.14), (0.3, 0.3)):
             params = ModelParams(a=0.5, b=0.9, q=q, gamma=gamma)
-            report = analyze_stability(net, params)
-            assert report.method == "mode_quadratic"
+            report = max_growth_rate_modal(net, params)
             vals = state_space_spectrum(build_linearized(net, params))
             assert abs(abs(report.leading_root) - np.max(np.abs(vals))) < 1e-10
             assert abs(report.leading_root) == pytest.approx(report.max_alpha, abs=1e-15)
@@ -371,32 +366,35 @@ class TestCriticalGamma:
 
     @pytest.mark.parametrize("q", [-1.0, -0.5, 0.0, 0.5])
     def test_a_one_network_drops_out(self, q):
-        # a = 1: c = 0, so the modal path on a plain network and the pencil
-        # search on a non-normal one find the same crossing
+        # a = 1: c = 0, so a plain network and a non-normal one find the same
+        # crossing
         params = replace(PARAMS, a=1.0)
-        modal = critical_gamma(build_plain_network(8), params, q)
+        plain = critical_gamma(build_plain_network(8), params, q)
         state_space = critical_gamma(build_random_exponential_network(8, 1), params, q)
-        assert state_space.kind == modal.kind
-        assert state_space.gamma_c == pytest.approx(modal.gamma_c, abs=1e-12)
+        assert state_space.kind == plain.kind
+        assert state_space.gamma_c == pytest.approx(plain.gamma_c, abs=1e-12)
 
-    @pytest.mark.parametrize("net, name", [
-        (build_plain_network(6), "max_growth_rate_modal"),
-        (build_random_exponential_network(8, 1), "_state_space_report"),
-    ], ids=["modal", "state_space"])
-    def test_nan_at_a_grid_point_raises(self, monkeypatch, net, name):
+    @pytest.mark.parametrize("net", [build_plain_network(6),
+                                     build_random_exponential_network(8, 1)],
+                             ids=["modal", "state_space"])
+    def test_nan_at_a_grid_point_raises(self, monkeypatch, net):
         # a NaN max|alpha| below the crossing is a numerical failure, not a
-        # stable grid point
-        original, seen = getattr(stability, name), []
+        # stable grid point.  With every grid point's spectrum computed the
+        # reports follow the grid, which starts at 1/32 halved five times
+        # (neither network flips below 1 at q = -1); the third names its gamma
+        original, seen = stability._state_space_report, []
+        monkeypatch.setattr(stability, "_powers_contract", lambda s: False)
 
-        def nan_at_the_third_gamma(*args):
-            report = original(*args)
-            seen.append(args[-1].gamma)
-            return replace(report, max_growth=math.nan) if len(seen) == 3 else report
+        def nan_at_the_third_gamma(vals):
+            seen.append(vals)
+            report = original(vals)
+            return replace(report, max_alpha=math.nan) if len(seen) == 3 else report
 
-        monkeypatch.setattr(stability, name, nan_at_the_third_gamma)
+        monkeypatch.setattr(stability, "_state_space_report", nan_at_the_third_gamma)
         with pytest.raises(ArithmeticError, match="NaN") as info:
             critical_gamma(net, PARAMS, -1.0)
-        assert len(seen) == 3 and f"gamma = {seen[2]!r}" in str(info.value)
+        third = 0.5 ** (stability.SEARCH_HALVINGS - 2) / stability.SEARCH_POINTS
+        assert len(seen) == 3 and f"gamma = {third!r}" in str(info.value)
 
     def test_non_normal_state_space_path(self):
         net = build_random_exponential_network(10, 4)
@@ -767,36 +765,66 @@ class TestTransversalityConsistency:
 
 
 class TestAnalyzeDispatch:
-    def test_normal_uses_modal(self):
-        report = analyze_stability(build_plain_network(5), PARAMS)
-        assert report.method == "mode_quadratic"
+    """One path for every network: the spectrum of the state-space map."""
+
+    def test_normal_uses_state_space(self):
+        net = build_plain_network(5)
+        report = analyze_stability(net, PARAMS)
+        np.testing.assert_array_equal(report.alphas,
+                                      state_space_spectrum(build_linearized(net, PARAMS)))
 
     def test_non_normal_uses_state_space(self):
-        report = analyze_stability(build_random_exponential_network(5, 1), PARAMS)
-        assert report.method == "state_space"
+        net = build_random_exponential_network(5, 1)
+        report = analyze_stability(net, PARAMS)
+        np.testing.assert_array_equal(report.alphas,
+                                      state_space_spectrum(build_linearized(net, PARAMS)))
 
     def test_leading_root_tie_breaking(self):
-        # uniform row first, then rows in order, r1 before r2; strict maximum
-        # over finite roots only
-        alphas = np.array([[0.5, np.nan], [0.5j, 0.2], [np.inf, -0.5], [0.4, 0.5]])
-        report = StabilityReport(s=np.zeros(4), alphas=alphas, max_mod=np.zeros(4),
-                                 max_growth=0.5, uniform_multiplier=0.5, stable=True,
-                                 method="mode_quadratic")
-        assert report.leading_root == 0.5
-        report.alphas = np.array([[0.1, np.nan], [0.3, 0.3j], [0.2j, -0.3]])
-        assert report.leading_root == 0.3
-        report.alphas = np.array([[0.1, np.nan], [0.3j, -0.3j]])
-        assert report.leading_root == 0.3j
+        # the earlier of equal moduli; strict maximum over finite roots only
+        def report(alphas):
+            return stability._state_space_report(np.array(alphas, dtype=complex))
+
+        assert report([0.5, 0.5j, 0.2, np.inf, -0.5, 0.4]).leading_root == 0.5
+        assert report([0.1, 0.3, 0.3j, 0.2j, -0.3]).leading_root == 0.3
+        assert report([0.1, np.nan, 0.3j, -0.3j]).leading_root == 0.3j
 
     def test_state_space_report_rows(self):
         net = build_random_exponential_network(5, 1)
         report = analyze_stability(net, PARAMS)
         vals = state_space_spectrum(build_linearized(net, PARAMS))
-        assert report.alphas.shape == (len(vals), 2)
-        assert np.array_equal(report.alphas[:, 0], vals)
-        assert np.all(np.isnan(report.s)) and np.all(np.isnan(report.alphas[:, 1]))
-        assert report.max_alpha == report.max_growth == np.max(report.max_mod)
+        assert report.alphas.shape == (len(vals),) == (2 * net.n,)
+        assert np.array_equal(report.alphas, vals)
+        assert report.max_alpha == np.max(report.max_mod)
         assert report.leading_root == vals[np.argmax(np.abs(vals))]
+
+    @pytest.mark.parametrize("net", [
+        IONetwork(4, np.eye(4)),
+        IONetwork(4, np.roll(np.eye(4), 1, axis=1)),
+        IONetwork(5, np.eye(5)[[2, 0, 1, 4, 3]]),
+    ], ids=["identity", "4-cycle", "3-cycle-and-swap"])
+    def test_unit_modulus_networks_match_the_modal_oracle(self, net):
+        # identity and permutation networks, |s| = 1 for every eigenvalue of
+        # W: the modal path counted them as special; the spectral radius is
+        # the modal max|alpha|
+        for q, gamma in ((-1.0, 0.08), (-1.0, 0.15), (0.0, 0.3), (0.5, 0.6)):
+            params = replace(PARAMS, q=q, q0=None, gamma=gamma)
+            modal = max_growth_rate_modal(net, params)
+            assert modal.special_unit_modes == net.n - 1
+            assert analyze_stability(net, params).max_alpha == pytest.approx(
+                modal.max_alpha, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("net", [
+        build_plain_network(8), IONetwork(4, np.eye(4)),
+        IONetwork(4, np.roll(np.eye(4), 1, axis=1)), make_circulant(9, 1),
+    ], ids=["plain", "identity", "4-cycle", "circulant"])
+    def test_spectrum_contains_the_uniform_multiplier(self, net):
+        # on a normal network the uniform quantity mode is an eigenvalue of
+        # the map, so the spectral radius needs no separate uniform term
+        for a, q, gamma in ((0.5, -1.0, 0.1), (0.3, 0.0, 0.4), (0.8, 0.5, 0.02)):
+            params = replace(PARAMS, a=a, q=q, q0=None, gamma=gamma)
+            multiplier = uniform_mode_multiplier(params)
+            vals = analyze_stability(net, params).alphas
+            assert np.min(np.abs(vals - multiplier)) <= 1e-12 * multiplier
 
     def test_verdicts_around_threshold(self):
         net = build_plain_network(8)
