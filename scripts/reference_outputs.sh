@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the fifteen reference CLI commands, each into its own subdirectory of DIR,
+# Run the sixteen reference CLI commands, each into its own subdirectory of DIR,
 # and print the sha256 of every file they write (and of the stability
 # verdicts printed on stdout).  No command writes the linear map, so its S
 # and B (``stability.linear_state_map``) are written too, as the raw float64
@@ -49,6 +49,10 @@ run phase_diagram_rexp32 --set network.kind=random_exp --set network.n=32 \
 run phase_diagram_plain --set network.n=8 --set phase.q_grid=-1,0,0.5 phase-diagram
 run sweep --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
     --set sweep.values=0.08,0.14 --set run.replicas=2 sweep --axis gamma
+# an ensemble (one member per gamma) that clears with chord steps
+run sweep_chord --set network.kind=random_exp --set network.n=96 --set network.seed=1 \
+    --set params.sigma=1e-3 --set run.steps=150 --set run.burn_in=40 \
+    --set sweep.values=0.1,0.2 sweep --axis gamma
 run sweep_sigma --set network.n=8 --set run.steps=300 --set run.burn_in=100 \
     --set sweep.axis=sigma --set sweep.values=1e-4,1e-3 --set run.replicas=2 sweep
 run sweep_n --set network.n=8 --set run.steps=300 --set run.burn_in=100 \

@@ -10,10 +10,10 @@ production, slow adjustment by gamma, Lagrange multipliers, nominal spending
 and the clearing residuals) are stated once, in ``_clearing_parts``, which
 the Newton solve evaluates at every trial point; their exact derivatives are
 stated once, in ``_clearing_jacobian`` (in the clearing unknowns) and
-``_clearing_known_jacobian`` (in the knowns), from the same parts; the linear
-stability analysis differentiates ``Simulator.step`` through them, the
-partials in the knowns written straight into the blocks of its one step
-matrix (``stability._step_matrix``).
+``_clearing_known_jacobian`` (in the knowns, in their dense form), from the
+same parts; the linear stability analysis differentiates ``Simulator.step``
+through them, the partials in the knowns written into the blocks of its one
+step matrix (``stability._step_matrix``).
 ``Simulator.step`` builds the cleared state from that kernel's parts at the
 solution, household wealth included, non-positive or not (``simulate`` ends
 a run there); the factor demands ``ell`` and ``psi`` are derived from the
@@ -33,8 +33,9 @@ iteration and from step to step, and takes chord steps with it, each one
 O(n^2) back-substitution and one residual evaluation; the Jacobian is
 rebuilt and refactored only when a chord step does not cut the residual by
 ``CHORD_CONTRACTION`` (``_solve_clearing``).  Below it the solve, and every
-bit of its output, is the exact damped Newton iteration.  A member's
-factorization sits in its own slot of its engine's workspace, so it does
+bit of its output, is the exact damped Newton iteration.  Either way the
+Jacobians of one iteration are assembled in one batched call; a member's
+factorization sits in its own LU slot of its engine's workspace, so it does
 not depend on the other members, and ``simulate`` starts every run without
 one, so a run's bits depend only on its inputs.  Above the constant a
 trajectory differs from the exact iteration's at rounding level: every
@@ -274,12 +275,14 @@ def _jacobian_workspace(n: int, members: int = 1) -> tuple[np.ndarray, np.ndarra
 
 class _Workspace:
     """What an engine's clearing solves reuse, per member slot: the
-    ``_jacobian_workspace`` buffers and the held LU factorization (chord
-    steps: module docstring; None when none), factored in place in the
-    member's Jacobian slot, so holding one allocates nothing."""
+    ``_jacobian_workspace`` buffers, an (n+1)^2 LU slot and the held LU
+    factorization (chord steps: module docstring; None when none), factored
+    in place in the member's LU slot, so holding one allocates nothing and
+    a batched Jacobian assembly does not overwrite it."""
 
     def __init__(self, n: int, members: int = 1):
         self.jacobian = _jacobian_workspace(n, members)
+        self.lu = np.empty((members, n + 1, n + 1))
         self.factors: list[tuple[np.ndarray, np.ndarray] | None] = [None] * members
 
     def discard(self) -> None:
@@ -337,10 +340,10 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict, residual_jac: np
 
     Writes the (n+1) x 3n Jacobian of ``_residual_vector`` in y at fixed u
     into ``residual_jac`` and the n x (4n+1) Jacobian of log x_next in (u, y)
-    into ``x_next_jac``: zero-initialised arrays, or views of one, such as
-    the blocks of the stability module's step matrix.  Entries that are
-    zero at every point are not written: the gauge row, which does not
-    depend on y, and the off-diagonals of the diagonal blocks.  ``parts``
+    into ``x_next_jac``: arrays, or views of one, such as the blocks of the
+    stability module's step matrix.  Every entry is written.  Each block is
+    formed dense (``np.eye``, ``np.diag``) and the blocks are joined with
+    ``np.hstack``, so the call allocates a few n x 4n arrays.  ``parts``
     are those ``_clearing_parts`` returned at u; the formulas are in its
     docstring.
     """
@@ -349,42 +352,23 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict, residual_jac: np
     spend, v = parts["spend"], parts["v_nominal"]
     g = ctx.gamma * parts["xstar"] / parts["x_next"]
     k = (g - 1.0 + b) / b
-    diag = np.arange(n)
-    # I - A is lag_off off the diagonal and lag_diag on it.  Every block is
-    # written with the floating-point operations of its dense form: a
-    # diagonal block D gives W' D = W' * d[None, :] (one nonzero per sum)
-    # with column sums d, so the arrays are those of the dense assembly.
-    lag_off, lag_diag = q0 / n, q0 / n - q
-    d_p = x_next_jac[:, :n]
-    np.subtract(b * (0.0 - lag_off), c * w, out=d_p)
-    d_p[diag, diag] = b * (1.0 - lag_diag) - c * w[diag, diag]
-    d_p /= 1.0 - b
-    d_p *= g[:, None]
-    x_next_jac[:, n] = g * (-a * b / (1.0 - b))
-    x_next_jac[diag, n + 1 + diag] = 1.0 - g
-    d_lag = x_next_jac[:, 2 * n + 1:3 * n + 1]
-    d_lag[:] = (g * (b * lag_off / (1.0 - b)))[:, None]
-    d_lag[diag, diag] = g * (b * lag_diag / (1.0 - b))
-    x_next_jac[diag, 3 * n + 1 + diag] = g * (1.0 / (1.0 - b))
-
-    # d spend / dy = [diag(s_sold), diag(alpha) (I - A), diag(s_z)]
-    alpha = spend * (1.0 + k * (b / (1.0 - b)))
-    s_sold, s_z = spend * (1.0 - k), spend * k / (1.0 - b)
-    d_spend_lag = np.empty((n, n))
-    d_spend_lag[:] = (alpha * lag_off)[:, None]
-    d_spend_lag[diag, diag] = alpha * lag_diag
-    col = np.concatenate([s_sold, d_spend_lag.sum(axis=0), s_z])
-    goods, w_t, rows = residual_jac[:-2], w[:, :-1].T, diag[:-1]
-    np.multiply(w_t, s_sold, out=goods[:, :n])
-    np.matmul(w_t, d_spend_lag, out=goods[:, n:2 * n])
-    np.multiply(w_t, s_z, out=goods[:, 2 * n:])
-    goods -= col / n
-    goods *= -c
-    # + diag(v) - v / n on the log x_sold block, the diagonal in one rounding
-    on_diag = goods[rows, rows] + (v - v / n)[:-1]
-    goods[:, :n] -= v / n
-    goods[rows, rows] = on_diag
-    residual_jac[-2] = -a * b * col
+    eye = np.eye(n)
+    lag = q0 / n - q * eye  # I - A
+    d_xstar = np.hstack([
+        b * (eye - lag) - c * w, np.full((n, 1), -a * b), np.zeros((n, n)), b * lag, eye,
+    ]) / (1.0 - b)
+    np.multiply(g[:, None], d_xstar, out=x_next_jac)
+    x_next_jac[:, n + 1:2 * n + 1] += np.diag(1.0 - g)
+    d_spend = np.hstack([
+        np.diag(spend * (1.0 - k)),
+        (spend * (1.0 + k * (b / (1.0 - b))))[:, None] * lag,
+        np.diag(spend * k / (1.0 - b)),
+    ])
+    goods = -c * (w.T @ d_spend - d_spend.mean(axis=0))
+    goods[:, :n] += np.diag(v) - v / n
+    residual_jac[:-2] = goods[:-1]
+    residual_jac[-2] = -a * b * d_spend.sum(axis=0)
+    residual_jac[-1] = 0.0
 
 
 def clearing_residual(log_p: np.ndarray, h: float, ctx: ClearingContext) -> np.ndarray:
@@ -456,6 +440,15 @@ def _solve_clearing(
     rounding floor of its rows at the starting point (``_tolerances``).  A
     failed member's factorization is discarded.
 
+    The members that take a Newton step get their Jacobians from one
+    batched ``_clearing_jacobian`` call, with one non-finite check.  Only
+    the linear solve differs: below ``CHORD_MIN_N`` one stacked solve;
+    from it on, each member's Jacobian is copied into its LU slot
+    (``work.lu``), factored there in place and held.  A chord trial and a
+    line-search trial are evaluated and taken by one helper: a chord step is
+    kept at a residual at most ``CHORD_CONTRACTION`` times the member's, a
+    damped step at one below it.
+
     Returns (u, the ``_SOLUTION_PARTS`` at u, iterations, max residuals,
     damping halvings, Jacobian factorizations, ClearingError by failed
     member); every solved member without a failure clears to its tolerance.
@@ -482,22 +475,28 @@ def _solve_clearing(
             work.factors[slots[r]] = None
         going[:] = [r for r in going if r not in failures]
 
-    def take(won: list[int], everyone: int, trial, trial_res, trial_err, trial_errs,
-             trial_parts) -> None:
-        # the members ``won`` move to their rows of the trial.  When they are
-        # all ``everyone`` members with a step in it, every other row of the
-        # trial is its member's own point (a zero step), so the trial arrays
-        # are taken as they are; otherwise the winners' rows are copied
+    def move(trial: np.ndarray, searchers: list[int], everyone: int, accepts) -> list[int]:
+        # evaluate the trial; the members of ``searchers`` whose trial error
+        # ``accepts(new, old)`` move to their rows of it, and are returned.
+        # When they are all ``everyone`` members with a step in the trial,
+        # every other row of it is its member's own point (a zero step), so
+        # the trial arrays are taken as they are; otherwise the winners' rows
+        # are copied
         nonlocal u, res, err, errs, parts
+        trial_res, trial_parts = _residual_at(ctx, trial)
+        trial_err = _max_error(trial_res)
+        trial_errs = trial_err.tolist()
+        won = [r for r in searchers if accepts(trial_errs[r], errs[r])]
         if len(won) == everyone:
             u, res, err, errs = trial, trial_res, trial_err, trial_errs
             parts = {key: trial_parts[key] for key in _SOLUTION_PARTS}
-            return
-        u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
-        for key in _SOLUTION_PARTS:
-            parts[key][won] = trial_parts[key][won]
-        for r in won:
-            errs[r] = trial_errs[r]
+        elif won:
+            u[won], res[won], err[won] = trial[won], trial_res[won], trial_err[won]
+            for key in _SOLUTION_PARTS:
+                parts[key][won] = trial_parts[key][won]
+            for r in won:
+                errs[r] = trial_errs[r]
+        return won
 
     # an accepted step lowers a finite error, so only the start can be non-finite
     fail([r for r in going if not errs[r] < np.inf],
@@ -521,48 +520,41 @@ def _solve_clearing(
             for r in held:
                 lu, piv = work.factors[slots[r]]
                 trial[r] += dgetrs(lu, piv, -res[r], trans=1)[0]
-            trial_res, trial_parts = _residual_at(ctx, trial)
-            trial_err = _max_error(trial_res)
-            trial_errs = trial_err.tolist()
-            won = [r for r in held if trial_errs[r] <= CHORD_CONTRACTION * errs[r]]
-            take(won, len(held), trial, trial_res, trial_err, trial_errs, trial_parts)
+            won = move(trial, held, len(held),
+                       lambda new, old: new <= CHORD_CONTRACTION * old)
             rows = [r for r in rows if r not in won]
             if not rows:
                 continue
         every = len(rows) == count
         for r in rows:
             factored[r] += 1
+        jac = _clearing_jacobian(
+            ctx if every else ctx.members(rows), u if every else u[rows],
+            parts if every else {key: value[rows] for key, value in parts.items()},
+            work.jacobian)
+        # one pass with no temporary: a sum is finite when every entry is
+        # (a sum of finite entries that overflows costs only the exact check)
+        if not np.isfinite(jac.sum()):
+            finite = np.isfinite(jac).all(axis=(-2, -1))
+            fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
+                 "non-finite clearing Jacobian", iteration)
+            jac[~finite] = np.eye(jac.shape[-1])
+        rhs = -(res if every else res[rows])
         if chord:
-            # one member at a time, each in its own Jacobian slot, which its
-            # factorization then overwrites
-            step = np.zeros((len(rows), u.shape[1]))
+            # each member factors in its own LU slot and holds the factors
+            step = np.zeros_like(rhs)
             for j, r in enumerate(rows):
-                one, slot = slice(r, r + 1), slots[r]
-                jac = _clearing_jacobian(
-                    ctx.members(one), u[one], {key: value[one] for key, value in parts.items()},
-                    tuple(buf[slot:slot + 1] for buf in work.jacobian))[0]
-                if not np.isfinite(jac.sum()):
-                    fail([r], "non-finite clearing Jacobian", iteration)
+                if r in failures:
                     continue
-                lu, piv, info = dgetrf(jac.T, overwrite_a=1)
+                slot = work.lu[slots[r]]
+                slot[...] = jac[j]
+                lu, piv, info = dgetrf(slot.T, overwrite_a=1)
                 if info > 0:
                     fail([r], "singular clearing Jacobian", iteration)
                     continue
-                work.factors[slot] = lu, piv
-                step[j] = dgetrs(lu, piv, -res[r], trans=1)[0]
+                work.factors[slots[r]] = lu, piv
+                step[j] = dgetrs(lu, piv, rhs[j], trans=1)[0]
         else:
-            jac = _clearing_jacobian(
-                ctx if every else ctx.members(rows), u if every else u[rows],
-                parts if every else {key: value[rows] for key, value in parts.items()},
-                work.jacobian)
-            # one pass with no temporary: a sum is finite when every entry is
-            # (a sum of finite entries that overflows costs only the exact check)
-            if not np.isfinite(jac.sum()):
-                finite = np.isfinite(jac).all(axis=(-2, -1))
-                fail([r for r, ok in zip(rows, finite.tolist()) if not ok],
-                     "non-finite clearing Jacobian", iteration)
-                jac[~finite] = np.eye(jac.shape[-1])
-            rhs = -(res if every else res[rows])
             try:
                 step = np.linalg.solve(jac, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -587,20 +579,16 @@ def _solve_clearing(
             # the members out of the search stay where they are
             delta = np.zeros_like(u)
             delta[rows] = step
+        # everyone is counted once: after a partial acceptance the later
+        # trials also move the members that accepted, so none is taken whole
         scale, everyone = 1.0, len(search)
         for _ in range(NEWTON_MAX_HALVINGS):
-            trial = u + scale * delta
-            trial_res, trial_parts = _residual_at(ctx, trial)
-            trial_err = _max_error(trial_res)
-            trial_errs = trial_err.tolist()
-            won = [r for r in search if trial_errs[r] < errs[r]]
-            if won:
-                # (a member that failed in this iteration may take a point
-                # it does not use)
-                take(won, everyone, trial, trial_res, trial_err, trial_errs, trial_parts)
-                search = [r for r in search if r not in won]
-                if not search:
-                    break
+            # (a member that failed in this iteration may take a point it
+            # does not use)
+            won = move(u + scale * delta, search, everyone, lambda new, old: new < old)
+            search = [r for r in search if r not in won]
+            if not search:
+                break
             for r in search:
                 halvings[r] += 1
             scale *= 0.5

@@ -1,11 +1,12 @@
 """Frozen reference: the dense assembly of the clearing partials in the knowns.
 
-A copy of ``netecon.simulator._clearing_known_jacobian`` as it stood before
-its diagonal blocks were written in place: every block of log x* and of
-d spend / dy is a dense n x n array (``np.diag``, ``np.eye``, ``np.zeros``)
-and the blocks are joined with ``np.hstack``.  Tests require the package's
-assembly to write the same arrays bit for bit; nothing in the package uses
-this copy.
+A frozen copy of the dense form of ``netecon.simulator._clearing_known_jacobian``:
+every block of log x* and of d spend / dy is a dense n x n array
+(``np.diag``, ``np.eye``, ``np.zeros``) and the blocks are joined with
+``np.hstack``.  The package writes the same formulas into the views it is
+given (the blocks of the step matrix); tests require it to write these
+arrays bit for bit, so a change to the package's form is caught here.
+Nothing in the package uses this copy.
 """
 
 from __future__ import annotations

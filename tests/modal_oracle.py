@@ -81,6 +81,14 @@ def mode_quadratic(s, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a2, a1, a0
 
 
+def _ldexp(z, exp) -> np.ndarray:
+    """z 2^exp, exact: the real and imaginary parts are scaled apart, signed
+    zeros kept."""
+    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(exp)), dtype=complex)
+    out.real, out.imag = np.ldexp(z.real, exp), np.ldexp(z.imag, exp)
+    return out
+
+
 def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
     """Roots (r1, r2) of the quadratics A2 a^2 + A1 a + A0, cancellation-free.
 
@@ -94,15 +102,24 @@ def mode_roots(a2, a1, a0) -> tuple[np.ndarray, np.ndarray]:
     # so the roots keep their bits wherever no coefficient is subnormal
     coeffs = np.array(np.broadcast_arrays(a2, a1, a0), dtype=complex)
     _, exp = np.frexp(_modulus(coeffs).max(axis=0))
-    coeffs.real, coeffs.imag = np.ldexp(coeffs.real, 1 - exp), np.ldexp(coeffs.imag, 1 - exp)
-    a2, a1, a0 = coeffs
+    a2, a1, a0 = _ldexp(coeffs, 1 - exp)
     linear = a2 == 0
     if (linear & (a1 == 0)).any():
         raise ValueError("degenerate quadratic with A2 = A1 = 0")
     disc = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+    tiny = np.finfo(float).tiny
+    # a nonzero A1 below sqrt(tiny) still underflows A1^2: there A1 is taken
+    # into [1, 2) by its own power of two 2^m, and the discriminant is
+    # sqrt((2^m A1)^2 - 2^2m 4 A2 A0) / 2^m.  Where 2^2m 4 A2 A0 overflows,
+    # A1^2 is below its rounding and the plain form stands
+    _, exp = np.frexp(_modulus(a1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1_m = _ldexp(a1, 1 - exp)
+        shifted = _ldexp(np.sqrt(a1_m * a1_m - _ldexp(4.0 * a2 * a0, 2 - 2 * exp)), exp - 1)
+    small = (a1 != 0) & (_modulus(a1) < np.sqrt(tiny)) & np.isfinite(shifted)
+    disc = np.where(small, shifted, disc)
     plus, minus = -a1 + disc, -a1 - disc
     big = np.where(_modulus(plus) >= _modulus(minus), plus, minus) / 2.0
-    tiny = np.finfo(float).tiny
     # numpy's complex division scales by 1 / divisor, which overflows for a
     # subnormal divisor (A2 or big): there both terms are scaled by 2^54
     # first, exactly

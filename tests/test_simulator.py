@@ -824,19 +824,21 @@ class TestEnsemble:
         for outcome, p, noise in zip(got, params, noises):
             _same_run(outcome, _solo(net, p, noise, steps=200))
 
+    @pytest.mark.parametrize("n", [6, CHORD_MIN_N])
     @pytest.mark.parametrize("broken, message", [(0.0, "singular clearing Jacobian"),
                                                  (np.nan, "non-finite clearing Jacobian")])
-    def test_a_solver_failure_stays_with_its_member(self, monkeypatch, broken, message):
+    def test_a_solver_failure_stays_with_its_member(self, monkeypatch, broken, message, n):
         # every Jacobian of the gamma = 0.2 member is made singular or
         # non-finite: that member fails the step, warm and flat start alike,
-        # and the others clear as they do alone
+        # and the others clear as they do alone, on the exact path and on the
+        # chord path
         import netecon.simulator as simulator
 
-        net = build_random_exponential_network(6, 3)
+        net = build_random_exponential_network(n, 3)
         gammas = (0.1, 0.2, 0.3)
         sims = [Simulator(net, ModelParams(a=0.5, b=0.9, q=-1.0, gamma=g)) for g in gammas]
         states = [sim.equilibrium_state() for sim in sims]
-        shocks = 1e-3 * np.random.default_rng(1).standard_normal((3, 6))
+        shocks = 1e-3 * np.random.default_rng(1).standard_normal((3, n))
         alone = [sim.step(state, shock) for sim, state, shock in zip(sims, states, shocks)]
         original = simulator._clearing_jacobian
 

@@ -232,10 +232,19 @@ class TestModeRoots:
         assert abs((r1 + r2) + a1 / a2) < 1e-8 * max(1.0, abs(a1 / a2))
 
     def test_subnormal_big_gives_a_finite_quotient(self):
-        # big = -5e-309 is subnormal; A0 / big is 0, not nan+nanj
-        r1, r2 = mode_roots(1.0, 1e-308, 0.0)
-        assert np.isfinite(r1) and abs(r1) <= 1e-308
-        assert r2 == 0.0
+        # big = -A1 (-1e-308, and the subnormal -1e-309); A0 / big is 0, not
+        # nan+nanj
+        for a1 in (1e-308, 1e-309):
+            r1, r2 = mode_roots(1.0, a1, 0.0)
+            assert np.isfinite(r1) and abs(r1) <= a1
+            assert r2 == 0.0
+
+    def test_subnormal_a1_keeps_the_discriminant(self):
+        # A1 = tiny / 2 with A0 = 0: A1^2 underflowed, the discriminant read 0
+        # and r1 was -A1 / 2; the roots are -A1 and 0
+        r1, r2 = mode_roots(1.0, 1.1125369292536007e-308, 0.0)
+        assert r1.real == pytest.approx(-1.1125369292536007e-308, rel=1e-15, abs=0.0)
+        assert r1.imag == 0.0 and r2 == 0.0
 
     def test_tiny_coefficients_keep_the_discriminant(self):
         # 4 A2 A0 = 2e-324 and A1^2 = 1e-616 underflowed unscaled, and the
