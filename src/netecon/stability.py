@@ -32,18 +32,21 @@ X_u du + X_y y = alpha xi_t and du_p = alpha pi_{t-1}; L0 and L1 come from
 two kernel evaluations per q.  A root reaches alpha = -1 (a flip) exactly at
 the real generalized eigenvalues of (L0 + E, -L1), one shift-invert per q
 (``_flip_gamma``: a solve and a standard eigenproblem, in numpy).
-A Neimark-Sacker crossing (a complex pair at an unknown angle) has no such
-linear equation, so ``critical_gamma`` brackets the first upward sign
+A Neimark-Sacker crossing (a complex pair at an unknown angle) is not
+linear in gamma, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
-(plus five halvings toward 0) and refines it by Brent's method (``_brent``,
-a port of scipy's ``brentq``); with none below the flip, the flip itself
-is gamma_c.  Each grid point is first tested for contraction by powers of
-its map (``_powers_contract``); only the undecided ones, Brent's iterates
-and the kind's probe cost a spectrum.  A random_exp n=32 cell takes 5-10
-state-space spectra where an exhaustive 1e-3 scan took about 1,020, each
-read off the pencil: the kernel is evaluated twice per q, and a gamma
-costs one axpy L0 + gamma L1, one (n+1)-square solve for the 2n state
-columns and the eigenvalues of the 2n-square map.
+(plus five halvings toward 0) and solves for the crossing (gamma, theta)
+by Newton's method on the pencil bordered to a minimally augmented system
+(``_crossing_newton``), with Brent's method (``_brent``, a port of
+scipy's ``brentq``) as the fallback; with none below the flip, the flip
+itself is gamma_c.  Each grid point is first tested for contraction by
+powers of its map (``_powers_contract``); only the undecided ones, the
+check below Newton's gamma_c and the kind's probe cost a spectrum.  A
+random_exp n=32 cell takes 4-6 state-space spectra where an exhaustive
+1e-3 scan took about 1,020, each read off the pencil: the kernel is
+evaluated twice per q, and a gamma costs one axpy L0 + gamma L1, one
+(n+1)-square solve for the 2n state columns and the eigenvalues of the
+2n-square map.
 """
 
 from __future__ import annotations
@@ -102,6 +105,15 @@ CROSSING_TOL = 1e-10
 POWER_SQUARINGS = 8
 POWER_NORM_STABLE = 0.5
 POWER_NORM_GIVE_UP = 1e3
+# critical_gamma: Newton's method on the bordered pencil (``_crossing_newton``)
+# has converged once a step moves gamma by at most NEWTON_GAMMA_TOL max(1, gamma),
+# and fails after NEWTON_ITERATIONS steps; its gamma is accepted where the
+# spectrum at gamma - NEWTON_CHECK is stable, and restarted from there at
+# most NEWTON_RESTARTS times
+NEWTON_ITERATIONS = 10
+NEWTON_GAMMA_TOL = 1e-14
+NEWTON_CHECK = 1e-10
+NEWTON_RESTARTS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +415,75 @@ def _brent(f, xa: float, xb: float, xtol: float) -> float:
     raise ArithmeticError(f"root finder: no convergence in 100 iterations (last x {xcur!r})")
 
 
+def _crossing_newton(pencil: tuple[np.ndarray, np.ndarray], gamma: float,
+                     alpha: complex) -> float | None:
+    """The gamma at which the root alpha of the step at ``gamma`` meets the
+    unit circle, by Newton's method on the bordered pencil; None where
+    Newton fails.
+
+    Folding pi_{t-1} = du_p / alpha into the du_p columns, as
+    ``_flip_gamma`` folds it at alpha = -1, leaves the (2n+1)-square
+    M(gamma, alpha) = A0 + gamma A1 + (P0 + gamma P1) / alpha - alpha E_xi
+    on (du, xi_t), singular exactly where alpha is an eigenvalue.  Bordered
+    by b = c, its null vector at the start (one inverse-iteration solve),
+    the system [[M, b], [c^H, 0]] [v; g] = [0; 1] defines g(gamma, theta),
+    zero where alpha = e^{i theta} is an eigenvalue at gamma: the minimally
+    augmented system of a Neimark-Sacker point (Govaerts, *Numerical Methods
+    for Bifurcations of Dynamical Equilibria*, SIAM 2000; Kuznetsov & Meijer,
+    *Numerical Bifurcation Analysis of Maps*, CUP 2019).  Newton's method
+    runs on its two real equations in (gamma, theta), from theta = arg
+    alpha, with g_x = -w^H M_x v, w from the adjoint system
+    [[M, b], [c^H, 0]]^H [w; h] = [0; 1].  It fails where a solve is
+    singular, a step is not finite, or gamma still moves by more than
+    NEWTON_GAMMA_TOL max(1, gamma) after NEWTON_ITERATIONS steps.
+    """
+    l0, l1 = pencil
+    n = (len(l0) - 1) // 3
+    m = 2 * n + 1
+    xi = np.arange(n + 1, m)
+    border = np.zeros((m + 1, m + 1), complex)
+    unit = np.append(np.zeros(m), 1.0)
+
+    def fold(gamma: float, alpha: complex) -> np.ndarray:
+        """Write M(gamma, alpha) into the bordered system; return P0 + gamma P1."""
+        mat = border[:m, :m]
+        np.multiply(l1[:m, :m], gamma, out=mat)
+        mat += l0[:m, :m]
+        p = l0[:m, m:] + gamma * l1[:m, m:]
+        mat[:, :n] += p / alpha
+        mat[xi, xi] -= alpha
+        return p
+
+    try:
+        fold(gamma, alpha)
+        null = np.linalg.solve(border[:m, :m], np.random.default_rng(0).standard_normal(m))
+        border[:m, m] = null / np.linalg.norm(null)
+        border[m, :m] = border[:m, m].conj()
+        theta = math.atan2(alpha.imag, alpha.real)
+        for _ in range(NEWTON_ITERATIONS):
+            alpha = complex(math.cos(theta), math.sin(theta))
+            p = fold(gamma, alpha)
+            direct = np.linalg.solve(border, unit)
+            # the adjoint system: unit is real, so w = conj of the transposed solve
+            v, g, w = direct[:m], direct[m], np.linalg.solve(border.T, unit)[:m].conj()
+            # M_gamma = A1 + P1 / alpha and M_theta = -i (P / alpha + alpha E_xi)
+            m_gamma_v = l1[:m, :m] @ v + l1[:m, m:] @ v[:n] / alpha
+            m_theta_v = p @ v[:n] / alpha
+            m_theta_v[xi] += alpha * v[xi]
+            g_gamma, g_theta = -np.vdot(w, m_gamma_v), 1j * np.vdot(w, m_theta_v)
+            step = np.linalg.solve([[g_gamma.real, g_theta.real], [g_gamma.imag, g_theta.imag]],
+                                   [-g.real, -g.imag])
+            if not np.isfinite(step).all():
+                return None
+            gamma += float(step[0])
+            theta += float(step[1])
+            if abs(step[0]) <= NEWTON_GAMMA_TOL * max(1.0, gamma):
+                return gamma
+    except np.linalg.LinAlgError:
+        return None
+    return None
+
+
 def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoint | None:
     """Smallest gamma in (0, 1] where the leading root leaves the unit circle.
 
@@ -411,13 +492,20 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     lazily in ascending order on a grid over (0, gamma_flip] (over (0, 1]
     when there is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal
     steps per interval, below the first of them SEARCH_HALVINGS halvings.
-    The first sign change from <= 0 to > 0 is refined by Brent's method
-    (``_brent``) to GAMMA_XTOL, except that a change ending at gamma_flip where
-    |max|alpha| - 1| <= CROSSING_TOL returns gamma_flip itself.  The kind is
-    read off the leading root at gamma_c + 1e-8.  Returns None when no
-    upward crossing is found: stable throughout, or unstable from the first
-    grid point on.  Raises ArithmeticError, naming gamma, where max|alpha|
-    is NaN.
+    A change ending at gamma_flip where |max|alpha| - 1| <= CROSSING_TOL
+    returns gamma_flip itself.  Any other first sign change from <= 0 to
+    > 0, over [lo, hi], is solved for by Newton's method on the bordered
+    pencil (``_crossing_newton``), started from the leading root at hi.
+    Its gamma is accepted when it converges inside (lo, hi] and the
+    spectrum at gamma - NEWTON_CHECK is stable.  Where that spectrum is
+    unstable, a later root has been found: Newton restarts from the
+    leading root there, with that point as the new top, at most
+    NEWTON_RESTARTS times.  Where Newton fails otherwise, or the restarts
+    run out, Brent's method (``_brent``) refines [lo, top] to GAMMA_XTOL.
+    The kind is read off the leading root at gamma_c + 1e-8.  Returns None
+    when no upward crossing is found: stable throughout, or unstable from
+    the first grid point on.  Raises ArithmeticError, naming gamma, where
+    max|alpha| is NaN.
 
     The two kernel evaluations of the gamma pencil, made once per q, serve
     the flip and every spectrum: a gamma costs one
@@ -427,10 +515,14 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     solve.  A grid point whose map S has ||S^m||_F <= POWER_NORM_STABLE for
     some m = 2, 4, ..., 2^POWER_SQUARINGS (``_powers_contract``, at most
     POWER_SQUARINGS 2n-square products) is stable and costs no eigenvalues:
-    the grid's sign reads are the same, and Brent's values, the flip test
-    and the kind still come from the spectra, so gamma_c is the same bit
-    for bit.  On the 24 recorded random_exp n=32 cells a search takes 8.9
-    spectra on average, against 24.7 with one at every grid point.
+    the grid's sign reads are the same, and hi's leading root, Newton's
+    check, the flip test and the kind still come from the spectra, so
+    gamma_c is the same bit for bit.  Newton costs no spectrum: an
+    iteration is two complex (2n+2)-square solves, the bordered system and
+    its adjoint, and a cell takes three to five.  On the 24 recorded
+    random_exp n=32 cells a search takes 4.6 spectra on average (8.9 with
+    Brent's refinement, 21.3 with a spectrum at every grid point), and
+    gamma_c is within 2.7e-15 of Brent's.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
@@ -438,10 +530,10 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     # the pencil serves the flip and every spectrum
     pencil = _gamma_pencil(net, base, equilibrium)
 
+    @cache
     def report(gamma: float) -> StabilityReport:
         return _state_space_report(state_space_spectrum(pencil[0] + gamma * pencil[1]))
 
-    @cache
     def excess(gamma: float) -> float:
         value = report(gamma).max_alpha - 1.0
         if math.isnan(value):  # would read as stable: excess(lo) > 0 is false
@@ -452,6 +544,19 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     def unstable(gamma: float) -> bool:
         """excess(gamma) > 0, without the spectrum where powers of S contract."""
         return not _powers_contract(_state_map(pencil[0] + gamma * pencil[1])) and excess(gamma) > 0.0
+
+    def crossing(lo: float, top: float) -> float:
+        """The crossing in (lo, top], lo stable and top not: by Newton from
+        top's leading root, restarted below a point whose spectrum shows an
+        earlier crossing, else by Brent's method."""
+        for _ in range(NEWTON_RESTARTS + 1):
+            gamma = _crossing_newton(pencil, top, report(top).leading_root)
+            if gamma is None or not lo < gamma <= top:
+                break
+            if report(gamma - NEWTON_CHECK).stable:
+                return gamma
+            top = gamma - NEWTON_CHECK
+        return _brent(excess, lo, top, GAMMA_XTOL)
 
     gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
@@ -467,7 +572,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
             gamma_c = gamma_flip
             break
         if unstable(hi):
-            gamma_c = _brent(excess, lo, hi, GAMMA_XTOL)
+            gamma_c = crossing(lo, hi)
             break
     else:
         return None

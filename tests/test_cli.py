@@ -466,11 +466,12 @@ class TestCommands:
         assert re.search(r"step \d+", err)
 
     def test_root_finder_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a NaN in the critical search's Brent refinement is a numerical
-        # failure, exit 2, like a clearing breakdown
+        # a NaN in the critical search's Brent refinement (taken once Newton
+        # declines) is a numerical failure, exit 2, like a clearing breakdown
         from netecon import stability
 
         brent = stability._brent
+        monkeypatch.setattr(stability, "_crossing_newton", lambda *args: None)
         monkeypatch.setattr(stability, "_brent",
                             lambda f, lo, hi, xtol: brent(lambda x: float("nan"), lo, hi, xtol))
         args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
@@ -544,8 +545,8 @@ print(json.dumps(seen))
 
 def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
     # importing the package loads numpy only; a small simulate or sweep and
-    # the critical search (its flip a numpy shift-invert, its Brent
-    # refinement the package's own) load no scipy; LAPACK comes with the
+    # the critical search (its flip a numpy shift-invert, its Newton solve
+    # numpy, its Brent fallback the package's own) load no scipy; LAPACK comes with the
     # first chord solve (n >= CHORD_MIN_N), and scipy.signal and
     # scipy.optimize with none of them
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")

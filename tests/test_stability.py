@@ -35,6 +35,35 @@ PARAMS = ModelParams(a=0.5, b=0.9, q=-1.0, gamma=0.15)
 PHASE_ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "phase_oracle.json"
 
 
+def _decline_newton(monkeypatch):
+    """Make the critical search refine every crossing by Brent's method, its fallback."""
+    monkeypatch.setattr(stability, "_crossing_newton", lambda *args: None)
+
+
+def _counting_brent(monkeypatch) -> list:
+    """Record the arguments of every call of the critical search's Brent fallback."""
+    brent, calls = stability._brent, []
+
+    def counted(*args):
+        calls.append(args)
+        return brent(*args)
+
+    monkeypatch.setattr(stability, "_brent", counted)
+    return calls
+
+
+def _oracle_searches() -> list:
+    """(recorded cell, critical_gamma arguments) of the 24 random_exp n=32 oracle cells."""
+    with open(PHASE_ORACLE) as fh:
+        cells = json.load(fh)["cells"]
+    searches = []
+    for cell in cells:
+        conf = load_config(None, ["network.kind=random_exp", "network.n=32",
+                                  f"network.seed={cell['network_seed']}"])
+        searches.append((cell, (build_network(conf), conf.params, cell["q"])))
+    return searches
+
+
 def _max_root_modulus(s, params):
     r1, r2 = mode_roots(*mode_quadratic(s, params))
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
@@ -460,8 +489,9 @@ class TestBrent:
 
     @pytest.mark.parametrize("q", [-1.0, -0.5])
     def test_critical_search_refines_as_brentq(self, monkeypatch, q):
-        # a recorded random_exp n = 32 cell whose crossing Brent refines: the
-        # search's own excess, bracket and tolerance give brentq's iterates
+        # a recorded random_exp n = 32 cell whose crossing Brent refines once
+        # Newton declines: the search's own excess, bracket and tolerance give
+        # brentq's iterates
         from scipy.optimize import brentq
 
         with open(PHASE_ORACLE) as fh:
@@ -474,6 +504,7 @@ class TestBrent:
             return _brent(*calls[-1])
 
         monkeypatch.setattr(stability, "_brent", spy)
+        _decline_newton(monkeypatch)
         conf = load_config(None, ["network.kind=random_exp", "network.n=32", "network.seed=0"])
         point = critical_gamma(build_network(conf), conf.params, q)
         assert _same_crossing(point, (cell["gamma_c"], cell["kind"]))
@@ -536,9 +567,8 @@ class TestCriticalSearch:
     def test_recorded_phase_oracle_cells(self, monkeypatch):
         # the random_exp n=32 cells recorded from the exhaustive scan, with at
         # most 50 state-space spectra per cell
-        with open(PHASE_ORACLE) as fh:
-            cells = json.load(fh)["cells"]
-        assert len(cells) == 24
+        searches = _oracle_searches()
+        assert len(searches) == 24
         calls = []
 
         def counted(lin):
@@ -546,20 +576,19 @@ class TestCriticalSearch:
             return state_space_spectrum(lin)
 
         monkeypatch.setattr(stability, "state_space_spectrum", counted)
-        for cell in cells:
-            conf = load_config(None, ["network.kind=random_exp", "network.n=32",
-                                      f"network.seed={cell['network_seed']}"])
+        for cell, search in searches:
             calls.clear()
-            point = critical_gamma(build_network(conf), conf.params, cell["q"])
+            point = critical_gamma(*search)
             assert _same_crossing(point, (cell["gamma_c"], cell["kind"])), cell
             assert 0 < len(calls) <= 50, cell
 
     def test_certified_grid_points_leave_the_search_unchanged(self, monkeypatch):
         # on the recorded cells the power-norm test spares the spectra of most
-        # grid points below the crossing, and the search returns the point it
-        # returns with every grid point's spectrum computed, bit for bit
-        with open(PHASE_ORACLE) as fh:
-            cells = json.load(fh)["cells"]
+        # grid points below the crossing (110 spectra on the 24 cells: the
+        # undecided grid points, Newton's check below gamma_c and the kind's
+        # probe), and the search returns the point it returns with every grid
+        # point's spectrum computed, bit for bit
+        searches = [search for _, search in _oracle_searches()]
         calls = []
 
         def counted(step):
@@ -567,17 +596,80 @@ class TestCriticalSearch:
             return state_space_spectrum(step)
 
         monkeypatch.setattr(stability, "state_space_spectrum", counted)
-        searches = []
-        for cell in cells:
-            conf = load_config(None, ["network.kind=random_exp", "network.n=32",
-                                      f"network.seed={cell['network_seed']}"])
-            searches.append((build_network(conf), conf.params, cell["q"]))
         points = [critical_gamma(*search) for search in searches]
-        assert len(calls) <= 12 * len(cells)
+        assert len(calls) <= 110
         monkeypatch.setattr(stability, "_powers_contract", lambda s: False)
         calls.clear()
         assert [critical_gamma(*search) for search in searches] == points
-        assert len(calls) > 20 * len(cells)
+        assert len(calls) > 20 * len(searches)
+
+    def test_newton_is_brents_crossing_on_the_oracle_cells(self, monkeypatch):
+        # Newton on the bordered pencil is accepted on every recorded cell
+        # whose crossing is not the flip, so Brent is never called, and it
+        # lands within 1e-12 of Brent's refinement with the same kind
+        searches = [search for _, search in _oracle_searches()]
+        fallbacks = _counting_brent(monkeypatch)
+        points = [critical_gamma(*search) for search in searches]
+        assert fallbacks == []
+        _decline_newton(monkeypatch)
+        for point, search in zip(points, searches):
+            reference = critical_gamma(*search)
+            assert _same_crossing(point, (reference.gamma_c, reference.kind), tol=1e-12)
+        # the two flip cells (seeds 0 and 1 at q = 0) take neither
+        assert len(fallbacks) == 22
+
+    @pytest.mark.parametrize("name,b,q", SCAN_CELLS)
+    def test_newton_is_brents_crossing_on_the_scan_cells(self, monkeypatch, name, b, q):
+        net, params = SCAN_NETWORKS[name](), replace(PARAMS, b=b)
+        point = critical_gamma(net, params, q)
+        _decline_newton(monkeypatch)
+        reference = critical_gamma(net, params, q)
+        assert _same_crossing(point, reference and (reference.gamma_c, reference.kind), tol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["nan", "singular"])
+    def test_newton_failure_falls_back_to_brent(self, monkeypatch, failure):
+        # a NaN or a singular bordered system inside Newton hands the bracket
+        # to Brent's method: the search returns Brent's crossing, neither NaN
+        # nor an exception
+        net = build_random_exponential_network(10, 4)
+        solve = np.linalg.solve
+
+        def failing(a, b):
+            if np.iscomplexobj(a) and a.shape[-1] == 2 * net.n + 2:  # bordered
+                if failure == "singular":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(a, b) * math.nan
+            return solve(a, b)
+
+        fallbacks = _counting_brent(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        point = critical_gamma(net, PARAMS, -1.0)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert len(fallbacks) == 1 and math.isfinite(point.gamma_c)
+        _decline_newton(monkeypatch)
+        assert critical_gamma(net, PARAMS, -1.0) == point
+
+    def test_newton_restarts_below_a_later_crossing(self, monkeypatch):
+        # started on the unstable pair of least modulus at the bracket's top,
+        # Newton finds that pair's later crossing; the spectrum just below it
+        # is unstable, so Newton restarts there from the leading root and ends
+        # at the unforced search's crossing, with no Brent fallback
+        net = build_random_exponential_network(10, 4)
+        point = critical_gamma(net, PARAMS, -1.0)
+        newton, starts = stability._crossing_newton, []
+
+        def from_a_later_pair(pencil, gamma, alpha):
+            if not starts:
+                vals = state_space_spectrum(pencil[0] + gamma * pencil[1])
+                alpha = complex(min(vals[np.abs(vals) > 1.0], key=abs))
+            starts.append(gamma)
+            return newton(pencil, gamma, alpha)
+
+        monkeypatch.setattr(stability, "_crossing_newton", from_a_later_pair)
+        fallbacks = _counting_brent(monkeypatch)
+        forced = critical_gamma(net, PARAMS, -1.0)
+        assert fallbacks == [] and len(starts) >= 2 and starts[1] < starts[0]
+        assert _same_crossing(forced, (point.gamma_c, point.kind), tol=1e-12)
 
     def test_certified_grid_points_are_stable(self):
         # about 600 random_exp points: wherever a power of S contracts, every
