@@ -37,11 +37,11 @@ linear in gamma, so ``critical_gamma`` brackets the first upward sign
 change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
 (plus five halvings toward 0) and solves for the crossing (gamma, theta)
 by Newton's method on the pencil bordered to a minimally augmented system
-(``_crossing_newton``), with Brent's method (``_brent``, a port of
-scipy's ``brentq``) as the fallback; with none below the flip, the flip
-itself is gamma_c.  Each grid point is first tested for contraction by
-powers of its map (``_powers_contract``); only the undecided ones, the
-check below Newton's gamma_c and the kind's probe cost a spectrum.  A
+(``_crossing_newton``), with bisection of the bracket (``_bisect``) as
+the fallback; with none below the flip, the flip itself is gamma_c.  Each
+grid point is first tested for contraction by powers of its map
+(``_powers_contract``); only the undecided ones, the check below Newton's
+gamma_c and the kind's probe cost a spectrum.  A
 random_exp n=32 cell takes 4-6 state-space spectra where an exhaustive
 1e-3 scan took about 1,020, each read off the pencil: the kernel is
 evaluated twice per q, and a gamma costs one axpy L0 + gamma L1, one
@@ -88,8 +88,9 @@ REAL_ROOT_IMAG_TOL = 1e-6
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 # critical_gamma: uniform grid points per search interval, halvings below the
 # first of them (down to 1/1024 of the interval, the 1e-3 floor of an
-# exhaustive scan of (0, 1]), Brent's bracket width, and the bound on
-# |max|alpha| - 1| that identifies a root at -1 as the crossing
+# exhaustive scan of (0, 1]), the bracket width of the fallback bisection,
+# and the bound on |max|alpha| - 1| that identifies a root at -1 as the
+# crossing
 SEARCH_POINTS = 32
 SEARCH_HALVINGS = 5
 GAMMA_XTOL = 1e-13
@@ -360,59 +361,15 @@ def _powers_contract(s: np.ndarray) -> bool:
     return False
 
 
-def _brent(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in the bracket [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    Step for step, and in the same floating-point operations, the algorithm
-    of scipy's ``brentq`` with its default rtol = 4 eps and maxiter = 100,
-    so the iterates are the same floats.  Raises ValueError when f(xa) and
-    f(xb) have the same sign, ArithmeticError when f returns NaN or the
-    bracket has not shrunk to xtol + rtol |x| after 100 iterations.
-    """
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ArithmeticError(f"root finder: f({x!r}) is NaN")
-        return fx
-
-    rtol = 4.0 * np.finfo(float).eps
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("root finder: f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # den = 0 (fblk = fpre): brentq's quotient is inf or NaN, and either bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            spre, scur = (scur, stry) if good else (sbis, sbis)
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise ArithmeticError(f"root finder: no convergence in 100 iterations (last x {xcur!r})")
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """The upper end of the bracket [lo, hi], f(lo) <= 0 < f(hi), halved on
+    the sign of f at its midpoint until it is at most xtol wide; f is never
+    evaluated at the ends.  xtol must exceed the float spacing at hi, as
+    GAMMA_XTOL does on (0, 1]."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) > 0.0 else (mid, hi)
+    return hi
 
 
 def _crossing_newton(pencil: tuple[np.ndarray, np.ndarray], gamma: float,
@@ -501,7 +458,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     unstable, a later root has been found: Newton restarts from the
     leading root there, with that point as the new top, at most
     NEWTON_RESTARTS times.  Where Newton fails otherwise, or the restarts
-    run out, Brent's method (``_brent``) refines [lo, top] to GAMMA_XTOL.
+    run out, bisection (``_bisect``) halves [lo, top] to GAMMA_XTOL.
     The kind is read off the leading root at gamma_c + 1e-8.  Returns None
     when no upward crossing is found: stable throughout, or unstable from
     the first grid point on.  Raises ArithmeticError, naming gamma, where
@@ -520,9 +477,9 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     gamma_c is the same bit for bit.  Newton costs no spectrum: an
     iteration is two complex (2n+2)-square solves, the bordered system and
     its adjoint, and a cell takes three to five.  On the 24 recorded
-    random_exp n=32 cells a search takes 4.6 spectra on average (8.9 with
-    Brent's refinement, 21.3 with a spectrum at every grid point), and
-    gamma_c is within 2.7e-15 of Brent's.
+    random_exp n=32 cells a search takes 4.6 spectra on average (38.7 with
+    Newton declined and the bracket bisected, 21.3 with a spectrum at every
+    grid point), and gamma_c is within 6.1e-14 of the bisected one.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
@@ -548,7 +505,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     def crossing(lo: float, top: float) -> float:
         """The crossing in (lo, top], lo stable and top not: by Newton from
         top's leading root, restarted below a point whose spectrum shows an
-        earlier crossing, else by Brent's method."""
+        earlier crossing, else by bisection."""
         for _ in range(NEWTON_RESTARTS + 1):
             gamma = _crossing_newton(pencil, top, report(top).leading_root)
             if gamma is None or not lo < gamma <= top:
@@ -556,7 +513,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
             if report(gamma - NEWTON_CHECK).stable:
                 return gamma
             top = gamma - NEWTON_CHECK
-        return _brent(excess, lo, top, GAMMA_XTOL)
+        return _bisect(excess, lo, top, GAMMA_XTOL)
 
     gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]

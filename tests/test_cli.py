@@ -466,18 +466,28 @@ class TestCommands:
         assert re.search(r"step \d+", err)
 
     def test_root_finder_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        # a NaN in the critical search's Brent refinement (taken once Newton
-        # declines) is a numerical failure, exit 2, like a clearing breakdown
+        # a NaN max|alpha| at the first midpoint of the critical search's
+        # bisection (taken once Newton declines) is a numerical failure,
+        # exit 2, like a clearing breakdown, naming that gamma
+        from dataclasses import replace
+
         from netecon import stability
 
-        brent = stability._brent
+        bisect, report, midpoints = stability._bisect, stability._state_space_report, []
+
+        def bisecting(f, lo, hi, xtol):
+            midpoints.append(0.5 * (lo + hi))
+            return bisect(f, lo, hi, xtol)
+
         monkeypatch.setattr(stability, "_crossing_newton", lambda *args: None)
-        monkeypatch.setattr(stability, "_brent",
-                            lambda f, lo, hi, xtol: brent(lambda x: float("nan"), lo, hi, xtol))
+        monkeypatch.setattr(stability, "_bisect", bisecting)
+        monkeypatch.setattr(stability, "_state_space_report", lambda vals: replace(
+            report(vals), max_alpha=float("nan")) if midpoints else report(vals))
         args = ["--set", "network.kind=random_exp", "--set", "network.n=8",
                 "--set", "phase.q_grid=-1", "--out", str(tmp_path), "phase-diagram"]
         assert main(args) == 2
-        assert "numerical failure: root finder" in capsys.readouterr().err
+        assert (f"numerical failure: critical search: max|alpha| is NaN at gamma = "
+                f"{midpoints[0]!r}") in capsys.readouterr().err
 
     def test_nan_in_the_critical_search_exit_code(self, tmp_path, capsys, monkeypatch):
         # a NaN max|alpha| at a grid point of the search exits 2, naming gamma
@@ -546,7 +556,7 @@ print(json.dumps(seen))
 def test_scipy_modules_load_with_the_commands_that_use_them(tmp_path):
     # importing the package loads numpy only; a small simulate or sweep and
     # the critical search (its flip a numpy shift-invert, its Newton solve
-    # numpy, its Brent fallback the package's own) load no scipy; LAPACK comes with the
+    # numpy, its bisection fallback the package's own) load no scipy; LAPACK comes with the
     # first chord solve (n >= CHORD_MIN_N), and scipy.signal and
     # scipy.optimize with none of them
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")

@@ -17,7 +17,7 @@ from netecon.config import build_network, load_config
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import IONetwork, build_plain_network, build_random_exponential_network
 from netecon.stability import (
-    _brent,
+    _bisect,
     _flip_gamma,
     _gamma_pencil,
     _state_map,
@@ -36,19 +36,19 @@ PHASE_ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "phase_oracle
 
 
 def _decline_newton(monkeypatch):
-    """Make the critical search refine every crossing by Brent's method, its fallback."""
+    """Make the critical search refine every crossing by bisection, its fallback."""
     monkeypatch.setattr(stability, "_crossing_newton", lambda *args: None)
 
 
-def _counting_brent(monkeypatch) -> list:
-    """Record the arguments of every call of the critical search's Brent fallback."""
-    brent, calls = stability._brent, []
+def _counting_fallback(monkeypatch) -> list:
+    """Record the arguments of every call of the critical search's bisection fallback."""
+    bisect, calls = stability._bisect, []
 
     def counted(*args):
         calls.append(args)
-        return brent(*args)
+        return bisect(*args)
 
-    monkeypatch.setattr(stability, "_brent", counted)
+    monkeypatch.setattr(stability, "_bisect", counted)
     return calls
 
 
@@ -450,84 +450,63 @@ def _recording(f):
     return g
 
 
-class TestBrent:
-    """The critical search's root finder against scipy's brentq, which it ports."""
+class TestBisect:
+    """The critical search's fallback refinement of a bracket."""
 
-    FUNCTIONS = [
-        lambda x: (x - 0.3) * (x + 1.2) * (x - 2.5) * (x * x + 1.0),
-        lambda x: math.cos(x) - x,
-        lambda x: math.tanh(3.0 * (x - 0.4)),
-        lambda x: math.atan(50.0 * (x - 0.123)),
+    @pytest.mark.parametrize("x0,xtol", [(0.3, 1e-13), (0.123456789, 1e-13), (0.7, 1e-6)])
+    def test_step_function(self, x0, xtol):
+        # the jump at x0: the result is on the positive side, within xtol of
+        # it, and f is read only at midpoints, never at the bracket's ends
+        f = _recording(lambda x: 1.0 if x > x0 else -1.0)
+        r = _bisect(f, 0.0, 1.0, xtol)
+        assert f(r) > 0 and 0 < r - x0 <= xtol
+        points = f.points[:-1]
+        assert points and 0.0 not in points and 1.0 not in points
+        lo, hi = 0.0, 1.0
+        for x in points:
+            assert x == 0.5 * (lo + hi)
+            lo, hi = (lo, x) if x > x0 else (x, hi)
+
+    # f(lo) <= 0 < f(hi) with one simple root in the bracket, and that root
+    ROOTS = [
+        (lambda x: (0.3 - x) * (x + 1.2) * (x - 2.5) * (x * x + 1.0), 0.0, 1.0, 0.3),
+        (lambda x: x - math.cos(x), 0.0, 1.0, 0.7390851332151607),
+        (lambda x: math.tanh(3.0 * (x - 0.4)), -1.0, 2.0, 0.4),
+        (lambda x: math.atan(50.0 * (x - 0.123)), 0.0, 3.0, 0.123),
     ]
 
-    def test_iterates_are_brentqs(self):
-        # the same evaluation points, hence roots and counts, on seeded
-        # brackets in either order, at the search's xtol and two coarser ones
-        from scipy.optimize import brentq
+    @pytest.mark.parametrize("case", range(len(ROOTS)))
+    def test_continuous_root(self, case):
+        # the result is on the positive side and at most xtol above the root,
+        # after ceil(log2(width / xtol)) evaluations, at the search's xtol and
+        # a coarser one
+        f, lo, hi, root = self.ROOTS[case]
+        for xtol in (1e-13, 1e-8):
+            g = _recording(f)
+            r = _bisect(g, lo, hi, xtol)
+            assert f(r) > 0 and -1e-15 <= r - root <= xtol + 1e-15
+            assert len(g.points) == math.ceil(math.log2((hi - lo) / xtol))
 
-        rng = np.random.default_rng(20)
-        compared = 0
-        for f in self.FUNCTIONS:
-            for _ in range(40):
-                lo, hi = rng.uniform(-3.0, 3.0, 2).tolist()
-                if not f(lo) * f(hi) < 0:
-                    continue
-                for xtol in (1e-13, 2e-12, 1e-8):
-                    want, got = _recording(f), _recording(f)
-                    assert _brent(got, lo, hi, xtol) == brentq(want, lo, hi, xtol=xtol)
-                    assert got.points == want.points
-                    compared += 1
-        assert compared > 200
-
-    @pytest.mark.parametrize("lo,hi", [(0.5, 2.0), (-1.0, 0.5)])
-    def test_root_at_an_endpoint(self, lo, hi):
-        from scipy.optimize import brentq
-
-        want, got = _recording(lambda x: x - 0.5), _recording(lambda x: x - 0.5)
-        assert _brent(got, lo, hi, 1e-13) == brentq(want, lo, hi, xtol=1e-13) == 0.5
-        assert got.points == want.points == [lo, hi]
+    def test_a_bracket_within_xtol_is_returned_unevaluated(self):
+        f = _recording(lambda x: x - 0.5)
+        assert _bisect(f, 0.5, 0.5 + 1e-14, 1e-13) == 0.5 + 1e-14
+        assert f.points == []
 
     @pytest.mark.parametrize("q", [-1.0, -0.5])
-    def test_critical_search_refines_as_brentq(self, monkeypatch, q):
-        # a recorded random_exp n = 32 cell whose crossing Brent refines once
-        # Newton declines: the search's own excess, bracket and tolerance give
-        # brentq's iterates
-        from scipy.optimize import brentq
-
+    def test_critical_search_ends_at_the_unstable_side(self, monkeypatch, q):
+        # a recorded random_exp n = 32 cell refined by bisection once Newton
+        # declines: its gamma_c is unstable and gamma_c - GAMMA_XTOL is not
         with open(PHASE_ORACLE) as fh:
             cell = next(c for c in json.load(fh)["cells"]
                         if c["network_seed"] == 0 and c["q"] == q)
-        calls = []
-
-        def spy(f, lo, hi, xtol):
-            calls.append((_recording(f), lo, hi, xtol))
-            return _brent(*calls[-1])
-
-        monkeypatch.setattr(stability, "_brent", spy)
+        calls = _counting_fallback(monkeypatch)
         _decline_newton(monkeypatch)
         conf = load_config(None, ["network.kind=random_exp", "network.n=32", "network.seed=0"])
         point = critical_gamma(build_network(conf), conf.params, q)
         assert _same_crossing(point, (cell["gamma_c"], cell["kind"]))
-        [(excess, lo, hi, xtol)] = calls
-        searched = list(excess.points)
-        want = _recording(excess)
-        assert brentq(want, lo, hi, xtol=xtol) == point.gamma_c
-        assert want.points == searched
-
-    def test_same_signs_raise_value_error(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
-
-    def test_nan_raises_arithmetic_error(self):
-        # finite at the ends, NaN at the first secant point 0.5
-        with pytest.raises(ArithmeticError, match="NaN"):
-            _brent(lambda x: x - 0.5 if abs(x - 0.5) > 0.25 else math.nan, 0.0, 1.0, 1e-13)
-
-    def test_no_convergence_raises_arithmetic_error(self):
-        # a sign step at 0: bisection toward 0, where the bracket must shrink
-        # to xtol = 1e-300, takes far more than 100 iterations
-        with pytest.raises(ArithmeticError, match="100 iterations"):
-            _brent(lambda x: 1.0 if x > 0 else -1.0, -1.0, 3.0, 1e-300)
+        [(excess, _, _, _)] = calls
+        assert excess(point.gamma_c) > 0.0
+        assert excess(point.gamma_c - stability.GAMMA_XTOL) <= 0.0
 
 
 def _same_crossing(point, reference, tol=1e-9):
@@ -603,12 +582,12 @@ class TestCriticalSearch:
         assert [critical_gamma(*search) for search in searches] == points
         assert len(calls) > 20 * len(searches)
 
-    def test_newton_is_brents_crossing_on_the_oracle_cells(self, monkeypatch):
+    def test_newton_is_the_bisected_crossing_on_the_oracle_cells(self, monkeypatch):
         # Newton on the bordered pencil is accepted on every recorded cell
-        # whose crossing is not the flip, so Brent is never called, and it
-        # lands within 1e-12 of Brent's refinement with the same kind
+        # whose crossing is not the flip, so the fallback is never called, and
+        # it lands within 1e-12 of the bisected crossing with the same kind
         searches = [search for _, search in _oracle_searches()]
-        fallbacks = _counting_brent(monkeypatch)
+        fallbacks = _counting_fallback(monkeypatch)
         points = [critical_gamma(*search) for search in searches]
         assert fallbacks == []
         _decline_newton(monkeypatch)
@@ -619,17 +598,22 @@ class TestCriticalSearch:
         assert len(fallbacks) == 22
 
     @pytest.mark.parametrize("name,b,q", SCAN_CELLS)
-    def test_newton_is_brents_crossing_on_the_scan_cells(self, monkeypatch, name, b, q):
+    def test_newton_is_the_bisected_crossing_on_the_scan_cells(self, monkeypatch, name, b, q):
+        # as on the oracle cells, Newton is accepted wherever it is started,
+        # so the fallback is never called, and it lands within 1e-12 of the
+        # bisected crossing with the same kind
         net, params = SCAN_NETWORKS[name](), replace(PARAMS, b=b)
+        fallbacks = _counting_fallback(monkeypatch)
         point = critical_gamma(net, params, q)
+        assert fallbacks == []
         _decline_newton(monkeypatch)
         reference = critical_gamma(net, params, q)
         assert _same_crossing(point, reference and (reference.gamma_c, reference.kind), tol=1e-12)
 
     @pytest.mark.parametrize("failure", ["nan", "singular"])
-    def test_newton_failure_falls_back_to_brent(self, monkeypatch, failure):
+    def test_newton_failure_falls_back_to_bisection(self, monkeypatch, failure):
         # a NaN or a singular bordered system inside Newton hands the bracket
-        # to Brent's method: the search returns Brent's crossing, neither NaN
+        # to bisection: the search returns the bisected crossing, neither NaN
         # nor an exception
         net = build_random_exponential_network(10, 4)
         solve = np.linalg.solve
@@ -641,7 +625,7 @@ class TestCriticalSearch:
                 return solve(a, b) * math.nan
             return solve(a, b)
 
-        fallbacks = _counting_brent(monkeypatch)
+        fallbacks = _counting_fallback(monkeypatch)
         monkeypatch.setattr(np.linalg, "solve", failing)
         point = critical_gamma(net, PARAMS, -1.0)
         monkeypatch.setattr(np.linalg, "solve", solve)
@@ -653,7 +637,7 @@ class TestCriticalSearch:
         # started on the unstable pair of least modulus at the bracket's top,
         # Newton finds that pair's later crossing; the spectrum just below it
         # is unstable, so Newton restarts there from the leading root and ends
-        # at the unforced search's crossing, with no Brent fallback
+        # at the unforced search's crossing, with no bisection fallback
         net = build_random_exponential_network(10, 4)
         point = critical_gamma(net, PARAMS, -1.0)
         newton, starts = stability._crossing_newton, []
@@ -666,7 +650,7 @@ class TestCriticalSearch:
             return newton(pencil, gamma, alpha)
 
         monkeypatch.setattr(stability, "_crossing_newton", from_a_later_pair)
-        fallbacks = _counting_brent(monkeypatch)
+        fallbacks = _counting_fallback(monkeypatch)
         forced = critical_gamma(net, PARAMS, -1.0)
         assert fallbacks == [] and len(starts) >= 2 and starts[1] < starts[0]
         assert _same_crossing(forced, (point.gamma_c, point.kind), tol=1e-12)
