@@ -40,13 +40,13 @@ by Newton's method on the pencil bordered to a minimally augmented system
 (``_crossing_newton``), with bisection of the bracket (``_bisect``) as
 the fallback; with none below the flip, the flip itself is gamma_c.  Each
 grid point is first tested for contraction by powers of its map
-(``_powers_contract``); only the undecided ones, the check below Newton's
-gamma_c and the kind's probe cost a spectrum.  A
-random_exp n=32 cell takes 4-6 state-space spectra where an exhaustive
-1e-3 scan took about 1,020, each read off the pencil: the kernel is
-evaluated twice per q, and a gamma costs one axpy L0 + gamma L1, one
-(n+1)-square solve for the 2n state columns and the eigenvalues of the
-2n-square map.
+(``_powers_contract``); only the undecided ones and the kind's probe,
+which also confirms Newton's gamma_c, cost a spectrum, each read off the
+map that was formed for it.  A random_exp n=32 cell takes 2 state-space
+spectra where an exhaustive 1e-3 scan took about 1,020, each read off the
+pencil: the kernel is evaluated twice per q, and a gamma costs one axpy
+L0 + gamma L1, one (n+1)-square solve for the 2n state columns and the
+eigenvalues of the 2n-square map.
 """
 
 from __future__ import annotations
@@ -97,20 +97,26 @@ GAMMA_XTOL = 1e-13
 CROSSING_TOL = 1e-10
 # critical_gamma: a grid point is stable, and its spectrum is not computed,
 # once a power S^m, m = 2, 4, ..., 2^POWER_SQUARINGS,
-# has ||S^m||_F <= POWER_NORM_STABLE (then rho(S) <= 0.5^(1/256) < 0.9973);
+# has ||S^m||_F <= POWER_NORM_STABLE (then rho(S) <= 0.5^(1/4096) < 0.99983);
 # a norm above POWER_NORM_GIVE_UP ends the squarings.  Measured on the 24
-# cells of perfbench/phase_oracle.json: 6, 7, 8, 9 and 10 squarings leave
-# 10.9, 9.9, 8.9, 7.9 and 7.6 spectra per cell (8 keeps the bound 0.0027
-# clear of 1), a threshold of 0.25 or 0.9 leaves 8.9 or 8.25, and a give-up
-# at 1e2 or 1e6 moves no count
-POWER_SQUARINGS = 8
+# cells of perfbench/phase_oracle.json with Newton's check below gamma_c
+# taken at every crossing: 6, 7, 8, 9 and 10 squarings leave 10.9, 9.9, 8.9,
+# 7.9 and 7.6 spectra per cell, a threshold of 0.25 or 0.9 leaves 8.9 or
+# 8.25, and a give-up at 1e2 or 1e6 moves no count.  With that check read
+# off the kind's probe: 8, 9, 10, 11 and 12 squarings leave 3.67, 2.67,
+# 2.33, 2.0 and 2.0 spectra per cell there, and 4.20, 3.23, 2.69, 2.28 and
+# 2.07 on 136 cells (those 24; plain n = 8, 32, 64, random_exp seed 1
+# n = 8-128 and random_exp seeds 2-9 n = 32, each at q = -1, -0.75, -0.5,
+# -0.25, 0, 0.3 and 0.6).  12 keeps the bound 1.7e-4 clear of 1
+POWER_SQUARINGS = 12
 POWER_NORM_STABLE = 0.5
 POWER_NORM_GIVE_UP = 1e3
 # critical_gamma: Newton's method on the bordered pencil (``_crossing_newton``)
 # has converged once a step moves gamma by at most NEWTON_GAMMA_TOL max(1, gamma),
 # and fails after NEWTON_ITERATIONS steps; its gamma is accepted where the
-# spectrum at gamma - NEWTON_CHECK is stable, and restarted from there at
-# most NEWTON_RESTARTS times
+# kind's probe above it has only Newton's root and its conjugate outside the
+# unit circle, else where the spectrum at gamma - NEWTON_CHECK is stable, and
+# restarted from there at most NEWTON_RESTARTS times
 NEWTON_ITERATIONS = 10
 NEWTON_GAMMA_TOL = 1e-14
 NEWTON_CHECK = 1e-10
@@ -191,14 +197,22 @@ def linear_state_map(
     return full[:, :2 * net.n], full[:, 2 * net.n:]
 
 
+class _StateMap(np.ndarray):
+    """A state-space map S already formed, as the view ``s.view(_StateMap)``,
+    whose eigenvalues ``state_space_spectrum`` reads as they are."""
+
+
 def state_space_spectrum(system: LinearizedSystem | np.ndarray) -> np.ndarray:
     """Eigenvalues of the state-space map; the gauge is part of the map, so
     no eigenvalue is dropped.
 
-    ``system`` is a linearization or a step matrix: ``_step_matrix``'s
+    ``system`` is a linearization, a step matrix (``_step_matrix``'s
     [L | Z], or a square L such as a point L0 + gamma L1 of the gamma
-    pencil.  S is read off the square part L, with no z column solved for.
+    pencil) or a map S marked as ``_StateMap``.  From a step matrix S is
+    read off the square part L, with no z column solved for.
     """
+    if isinstance(system, _StateMap):
+        return np.linalg.eigvals(system)
     step = _step_matrix(system) if isinstance(system, LinearizedSystem) else system
     return np.linalg.eigvals(_state_map(step[:, :len(step)]))
 
@@ -373,10 +387,10 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
 
 
 def _crossing_newton(pencil: tuple[np.ndarray, np.ndarray], gamma: float,
-                     alpha: complex) -> float | None:
-    """The gamma at which the root alpha of the step at ``gamma`` meets the
-    unit circle, by Newton's method on the bordered pencil; None where
-    Newton fails.
+                     alpha: complex) -> tuple[float, complex] | None:
+    """(gamma, e^{i theta}) at which the root alpha of the step at ``gamma``
+    meets the unit circle, by Newton's method on the bordered pencil; None
+    where Newton fails.
 
     Folding pi_{t-1} = du_p / alpha into the du_p columns, as
     ``_flip_gamma`` folds it at alpha = -1, leaves the (2n+1)-square
@@ -435,10 +449,23 @@ def _crossing_newton(pencil: tuple[np.ndarray, np.ndarray], gamma: float,
             gamma += float(step[0])
             theta += float(step[1])
             if abs(step[0]) <= NEWTON_GAMMA_TOL * max(1.0, gamma):
-                return gamma
+                return gamma, complex(math.cos(theta), math.sin(theta))
     except np.linalg.LinAlgError:
         return None
     return None
+
+
+def _only_pair_outside(probe: StabilityReport, alpha: complex) -> bool:
+    """Whether the roots outside the unit circle in ``probe`` are exactly the
+    ones nearest alpha and its conjugate (one root where those coincide).
+
+    At the probe just above Newton's crossing, alpha's root has moved off
+    the unit circle by little; any other root outside, or alpha's root back
+    inside, sends the search to the check below the crossing.
+    """
+    outside = set(np.flatnonzero(probe.max_mod > 1.0).tolist())
+    nearest = {int(np.argmin(np.abs(probe.alphas - root))) for root in (alpha, alpha.conjugate())}
+    return outside == nearest
 
 
 def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoint | None:
@@ -454,12 +481,15 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     > 0, over [lo, hi], is solved for by Newton's method on the bordered
     pencil (``_crossing_newton``), started from the leading root at hi.
     Its gamma is accepted when it converges inside (lo, hi] and the
-    spectrum at gamma - NEWTON_CHECK is stable.  Where that spectrum is
-    unstable, a later root has been found: Newton restarts from the
-    leading root there, with that point as the new top, at most
-    NEWTON_RESTARTS times.  Where Newton fails otherwise, or the restarts
-    run out, bisection (``_bisect``) halves [lo, top] to GAMMA_XTOL.
-    The kind is read off the leading root at gamma_c + 1e-8.  Returns None
+    spectrum at gamma + 1e-8, the kind's probe, has exactly Newton's root
+    and its conjugate outside the unit circle (``_only_pair_outside``).
+    Otherwise it is accepted where the spectrum at gamma - NEWTON_CHECK is
+    stable; where that is unstable, a later root has been found: Newton
+    restarts from the leading root there, with that point as the new top,
+    at most NEWTON_RESTARTS times.  Where Newton fails otherwise, or the
+    restarts run out, bisection (``_bisect``) halves [lo, top] to
+    GAMMA_XTOL.  The kind is read off the leading root at
+    min(gamma_c + 1e-8, 1).  Returns None
     when no upward crossing is found: stable throughout, or unstable from
     the first grid point on.  Raises ArithmeticError, naming gamma, where
     max|alpha| is NaN.
@@ -471,15 +501,18 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     linearization costs a kernel evaluation, both Jacobians and a 2n-column
     solve.  A grid point whose map S has ||S^m||_F <= POWER_NORM_STABLE for
     some m = 2, 4, ..., 2^POWER_SQUARINGS (``_powers_contract``, at most
-    POWER_SQUARINGS 2n-square products) is stable and costs no eigenvalues:
-    the grid's sign reads are the same, and hi's leading root, Newton's
-    check, the flip test and the kind still come from the spectra, so
-    gamma_c is the same bit for bit.  Newton costs no spectrum: an
-    iteration is two complex (2n+2)-square solves, the bordered system and
-    its adjoint, and a cell takes three to five.  On the 24 recorded
-    random_exp n=32 cells a search takes 4.6 spectra on average (38.7 with
-    Newton declined and the bracket bisected, 21.3 with a spectrum at every
-    grid point), and gamma_c is within 6.1e-14 of the bisected one.
+    POWER_SQUARINGS 2n-square products) is stable and costs no eigenvalues;
+    an undecided one takes its spectrum from that S.  The grid's sign reads
+    are the same, and hi's leading root, Newton's check, the flip test and
+    the kind still come from the spectra, so gamma_c is the same bit for
+    bit.  Newton costs no spectrum: an iteration is two complex
+    (2n+2)-square solves, the bordered system and its adjoint, and a cell
+    takes three to five.  On the 24 recorded random_exp n=32 cells a
+    search takes 2 spectra, hi's or the flip's and the probe's (37 with
+    Newton declined and the bracket bisected, 20.3 with a spectrum at every
+    grid point), and gamma_c is within 6.1e-14 of the bisected one.  Where
+    the probe shows other roots outside, as on the plain network's repeated
+    modes at q < 0, the check below gamma_c costs one spectrum more.
     """
     base = replace(params, q=q, q0=None if params.q0 == params.q else params.q0)
     # gamma leaves the static equilibrium unchanged: solve it once per q
@@ -487,12 +520,19 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     # the pencil serves the flip and every spectrum
     pencil = _gamma_pencil(net, base, equilibrium)
 
-    @cache
-    def report(gamma: float) -> StabilityReport:
-        return _state_space_report(state_space_spectrum(pencil[0] + gamma * pencil[1]))
+    reports = {}
 
-    def excess(gamma: float) -> float:
-        value = report(gamma).max_alpha - 1.0
+    def report(gamma: float, s: np.ndarray | None = None) -> StabilityReport:
+        """The spectrum at gamma, read off its map S (formed here unless
+        given); the reports are kept, the maps are not."""
+        if gamma not in reports:
+            if s is None:
+                s = _state_map(pencil[0] + gamma * pencil[1])
+            reports[gamma] = _state_space_report(state_space_spectrum(s.view(_StateMap)))
+        return reports[gamma]
+
+    def excess(gamma: float, s: np.ndarray | None = None) -> float:
+        value = report(gamma, s).max_alpha - 1.0
         if math.isnan(value):  # would read as stable: excess(lo) > 0 is false
             raise ArithmeticError(f"critical search: max|alpha| is NaN at gamma = {gamma!r}")
         return value
@@ -500,17 +540,25 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     @cache
     def unstable(gamma: float) -> bool:
         """excess(gamma) > 0, without the spectrum where powers of S contract."""
-        return not _powers_contract(_state_map(pencil[0] + gamma * pencil[1])) and excess(gamma) > 0.0
+        if gamma in reports:  # gamma_flip, whose spectrum the flip test took
+            return excess(gamma) > 0.0
+        s = _state_map(pencil[0] + gamma * pencil[1])
+        return not _powers_contract(s) and excess(gamma, s) > 0.0
+
+    def probe(gamma: float) -> StabilityReport:
+        """The spectrum just above gamma, where the kind is read."""
+        return report(min(gamma + 1e-8, 1.0))
 
     def crossing(lo: float, top: float) -> float:
         """The crossing in (lo, top], lo stable and top not: by Newton from
         top's leading root, restarted below a point whose spectrum shows an
         earlier crossing, else by bisection."""
         for _ in range(NEWTON_RESTARTS + 1):
-            gamma = _crossing_newton(pencil, top, report(top).leading_root)
-            if gamma is None or not lo < gamma <= top:
+            solved = _crossing_newton(pencil, top, report(top).leading_root)
+            if solved is None or not lo < solved[0] <= top:
                 break
-            if report(gamma - NEWTON_CHECK).stable:
+            gamma, alpha = solved
+            if _only_pair_outside(probe(gamma), alpha) or report(gamma - NEWTON_CHECK).stable:
                 return gamma
             top = gamma - NEWTON_CHECK
         return _bisect(excess, lo, top, GAMMA_XTOL)
@@ -534,7 +582,7 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     else:
         return None
 
-    root = report(min(gamma_c + 1e-8, 1.0)).leading_root
+    root = probe(gamma_c).leading_root
     if abs(root.imag) < REAL_ROOT_IMAG_TOL and root.real < 0:
         kind = "real_minus_one"
     else:

@@ -545,7 +545,8 @@ class TestCriticalSearch:
 
     def test_recorded_phase_oracle_cells(self, monkeypatch):
         # the random_exp n=32 cells recorded from the exhaustive scan, with at
-        # most 50 state-space spectra per cell
+        # most 2 state-space spectra per cell: the bracket's top and the
+        # kind's probe, or the flip and the probe
         searches = _oracle_searches()
         assert len(searches) == 24
         calls = []
@@ -559,14 +560,14 @@ class TestCriticalSearch:
             calls.clear()
             point = critical_gamma(*search)
             assert _same_crossing(point, (cell["gamma_c"], cell["kind"])), cell
-            assert 0 < len(calls) <= 50, cell
+            assert 0 < len(calls) <= 2, cell
 
     def test_certified_grid_points_leave_the_search_unchanged(self, monkeypatch):
-        # on the recorded cells the power-norm test spares the spectra of most
-        # grid points below the crossing (110 spectra on the 24 cells: the
-        # undecided grid points, Newton's check below gamma_c and the kind's
-        # probe), and the search returns the point it returns with every grid
-        # point's spectrum computed, bit for bit
+        # on the recorded cells the power-norm test spares the spectra of
+        # every grid point below the crossing (48 spectra on the 24 cells:
+        # the bracket's top, or the flip, and the kind's probe, which also
+        # confirms Newton's gamma_c), and the search returns the point it
+        # returns with every grid point's spectrum computed, bit for bit
         searches = [search for _, search in _oracle_searches()]
         calls = []
 
@@ -576,11 +577,28 @@ class TestCriticalSearch:
 
         monkeypatch.setattr(stability, "state_space_spectrum", counted)
         points = [critical_gamma(*search) for search in searches]
-        assert len(calls) <= 110
+        assert len(calls) <= 2 * len(searches)
         monkeypatch.setattr(stability, "_powers_contract", lambda s: False)
         calls.clear()
         assert [critical_gamma(*search) for search in searches] == points
         assert len(calls) > 20 * len(searches)
+
+    def test_each_state_map_is_formed_once(self, monkeypatch):
+        # on the recorded cells no point L0 + gamma L1 is solved for its map
+        # S twice: an undecided grid point takes its spectrum from the S its
+        # power test formed, and gamma_flip's power test reads the spectrum
+        # the flip test took (seeds 2-7 at q = 0 cross just below the flip)
+        state_map, formed = stability._state_map, []
+
+        def recorded(step):
+            formed.append(step.tobytes())
+            return state_map(step)
+
+        monkeypatch.setattr(stability, "_state_map", recorded)
+        for cell, search in _oracle_searches():
+            formed.clear()
+            critical_gamma(*search)
+            assert len(set(formed)) == len(formed), cell
 
     def test_newton_is_the_bisected_crossing_on_the_oracle_cells(self, monkeypatch):
         # Newton on the bordered pencil is accepted on every recorded cell
@@ -655,9 +673,78 @@ class TestCriticalSearch:
         assert fallbacks == [] and len(starts) >= 2 and starts[1] < starts[0]
         assert _same_crossing(forced, (point.gamma_c, point.kind), tol=1e-12)
 
+    def test_newton_on_a_later_close_crossing_is_checked_below(self, monkeypatch):
+        # random_exp n = 32, seed 1, q = -1: started on the leading root's
+        # nearest unstable neighbour at the bracket's top, Newton lands on
+        # that pair's crossing 1.8e-5 above gamma_c.  The kind's probe above
+        # it shows other roots outside, so the spectrum NEWTON_CHECK below it
+        # is taken, is unstable, and the restart from its leading root ends at
+        # the recorded gamma_c, with no bisection fallback
+        cell, search = next((cell, search) for cell, search in _oracle_searches()
+                            if cell["network_seed"] == 1 and cell["q"] == -1.0)
+        point = critical_gamma(*search)
+        newton, only_pair_outside = stability._crossing_newton, stability._only_pair_outside
+        solved, probes, maps = [], [], []
+
+        def from_a_neighbour(pencil, gamma, alpha):
+            if not solved:
+                vals = state_space_spectrum(pencil[0] + gamma * pencil[1])
+                unstable = vals[(np.abs(vals) > 1.0) & (np.abs(vals - alpha) > 0.0)
+                                & (np.abs(vals - np.conj(alpha)) > 0.0)]
+                alpha = complex(unstable[np.argmin(np.abs(unstable - alpha))])
+            solved.append((pencil, newton(pencil, gamma, alpha)))
+            return solved[-1][1]
+
+        def recorded_probe(probe, alpha):
+            probes.append((probe, only_pair_outside(probe, alpha)))
+            return probes[-1][1]
+
+        def recorded_spectrum(system):
+            maps.append(system)
+            return state_space_spectrum(system)
+
+        monkeypatch.setattr(stability, "_crossing_newton", from_a_neighbour)
+        monkeypatch.setattr(stability, "_only_pair_outside", recorded_probe)
+        monkeypatch.setattr(stability, "state_space_spectrum", recorded_spectrum)
+        fallbacks = _counting_fallback(monkeypatch)
+        forced = critical_gamma(*search)
+        (pencil, (later, _)), (_, (restarted, _)) = solved
+        assert 1e-5 < later - point.gamma_c < 1e-4 and restarted < later
+        # the probe shows more roots outside than Newton's pair
+        assert not probes[0][1] and np.count_nonzero(probes[0][0].max_mod > 1.0) > 2
+        # the spectrum below Newton's gamma is taken
+        below = _state_map(pencil[0] + (later - stability.NEWTON_CHECK) * pencil[1])
+        assert any(np.array_equal(s, below) for s in maps)
+        assert fallbacks == [] and probes[-1][1]
+        assert _same_crossing(forced, (cell["gamma_c"], cell["kind"]))
+        assert _same_crossing(forced, (point.gamma_c, point.kind), tol=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0])
+    def test_an_unstable_map_is_never_certified(self, monkeypatch, scale):
+        # S = Q T Q^T, T upper triangular with a complex pair at modulus
+        # 1 + 1e-6 under a non-normal transient (max ||S^m||_F about 3, 39 and
+        # 9e3 at the three scales; the last passes POWER_NORM_GIVE_UP): every
+        # ||S^m||_F >= rho(S)^m > 1, so no depth certifies it.  With the pair
+        # at modulus 0.999 the first two are certified, in all 12 squarings,
+        # which 8 could not do (0.999^256 = 0.77)
+        def conjugated(radius):
+            rng = np.random.default_rng(30)
+            t = np.triu(rng.standard_normal((32, 32)), 1) * scale
+            t[np.diag_indices(32)] = rng.uniform(-0.5, 0.5, 32)
+            t[:2, :2] = radius * np.array([[math.cos(1.1), -math.sin(1.1)],
+                                           [math.sin(1.1), math.cos(1.1)]])
+            q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+            return q @ t @ q.T
+
+        assert stability.POWER_SQUARINGS == 12
+        assert not stability._powers_contract(conjugated(1.0 + 1e-6))
+        assert stability._powers_contract(conjugated(0.999)) == (scale < 1.0)
+        monkeypatch.setattr(stability, "POWER_SQUARINGS", 8)
+        assert not stability._powers_contract(conjugated(0.999))
+
     def test_certified_grid_points_are_stable(self):
         # about 600 random_exp points: wherever a power of S contracts, every
-        # eigenvalue lies within 0.5^(1/256) of the origin, as the bound says
+        # eigenvalue lies within 0.5^(1/4096) of the origin, as the bound says
         rng = np.random.default_rng(24)
         certified = []
         for n in (4, 8, 16, 32):
@@ -707,7 +794,8 @@ class TestCriticalSearch:
 
     def test_kernel_evaluated_twice_per_q(self, monkeypatch):
         # a non-normal cell linearizes at gamma = 1/2 and 1 for the pencil and
-        # nowhere else, however many spectra its search takes
+        # nowhere else, however many spectra its search takes: 2 where Newton
+        # is accepted, dozens where it is declined and the bracket bisected
         linearized, spectra = [], []
 
         def counted_linearization(*args):
@@ -722,13 +810,16 @@ class TestCriticalSearch:
         monkeypatch.setattr(stability, "state_space_spectrum", counted_spectrum)
         net = build_random_exponential_network(10, 4)
         searched = []
-        for q in (-1.0, -0.5, 0.0):
-            linearized.clear()
-            spectra.clear()
-            assert critical_gamma(net, PARAMS, q) is not None
-            assert [args[1].gamma for args in linearized] == [0.5, 1.0]
-            searched.append(len(spectra))
-        assert min(searched) > 2 and len(set(searched)) > 1
+        for decline in (False, True):
+            if decline:
+                _decline_newton(monkeypatch)
+            for q in (-1.0, -0.5, 0.0):
+                linearized.clear()
+                spectra.clear()
+                assert critical_gamma(net, PARAMS, q) is not None
+                assert [args[1].gamma for args in linearized] == [0.5, 1.0]
+                searched.append(len(spectra))
+        assert min(searched) >= 2 and max(searched) > 2 and len(set(searched)) > 1
 
     def test_flip_below_the_scan_floor(self):
         # b -> 1, q = 1: the flip at gamma ~ 6.7e-4 lies below the exhaustive
