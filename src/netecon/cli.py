@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -164,6 +165,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, sets: str = "set") -> Non
                         help="include per-sector columns in trajectory output")
 
 
+# built once per process: in-process callers (the benchmark, the tests) run
+# main many times, and parse_args keeps no state in the parser (the --set
+# lists start from SUPPRESS, so each call appends to a list of its own)
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netecon",
@@ -196,8 +201,7 @@ _COMMANDS = {"equilibrium": cmd_equilibrium, "simulate": cmd_simulate,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         flags = [f"{key}={getattr(args, attr)}" for attr, key in _FLAG_KEYS.items()
                  if hasattr(args, attr)]

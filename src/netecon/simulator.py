@@ -341,11 +341,11 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict, residual_jac: np
     Writes the (n+1) x 3n Jacobian of ``_residual_vector`` in y at fixed u
     into ``residual_jac`` and the n x (4n+1) Jacobian of log x_next in (u, y)
     into ``x_next_jac``: arrays, or views of one, such as the blocks of the
-    stability module's step matrix.  Every entry is written.  Each block is
-    formed dense (``np.eye``, ``np.diag``) and the blocks are joined with
-    ``np.hstack``, so the call allocates a few n x 4n arrays.  ``parts``
-    are those ``_clearing_parts`` returned at u; the formulas are in its
-    docstring.
+    stability module's step matrix.  Every entry is written.  The blocks of
+    log x* are formed dense (``np.eye``) and joined with ``np.hstack``, so the
+    call allocates a few n x 4n arrays; the two diagonal blocks of d spend / dy
+    are held as vectors.  ``parts`` are those ``_clearing_parts`` returned at
+    u; the formulas are in its docstring.
     """
     pr, w, n = ctx.params, ctx.net.w, ctx.net.n
     a, b, c, q, q0 = pr.a, pr.b, pr.c, pr.q, pr.q0
@@ -359,15 +359,15 @@ def _clearing_known_jacobian(ctx: ClearingContext, parts: dict, residual_jac: np
     ]) / (1.0 - b)
     np.multiply(g[:, None], d_xstar, out=x_next_jac)
     x_next_jac[:, n + 1:2 * n + 1] += np.diag(1.0 - g)
-    d_spend = np.hstack([
-        np.diag(spend * (1.0 - k)),
-        (spend * (1.0 + k * (b / (1.0 - b))))[:, None] * lag,
-        np.diag(spend * k / (1.0 - b)),
-    ])
-    goods = -c * (w.T @ d_spend - d_spend.mean(axis=0))
+    # d spend / dy = [diag(sold), lag_spend, diag(shock)]: the diagonal blocks
+    # are held as vectors, so w.T diag(d) is w.T * d and a column mean is d / n
+    sold, shock = spend * (1.0 - k), spend * k / (1.0 - b)
+    lag_spend = (spend * (1.0 + k * (b / (1.0 - b))))[:, None] * lag
+    goods = -c * np.hstack([w.T * sold - sold / n, w.T @ lag_spend - lag_spend.mean(axis=0),
+                            w.T * shock - shock / n])
     goods[:, :n] += np.diag(v) - v / n
     residual_jac[:-2] = goods[:-1]
-    residual_jac[-2] = -a * b * d_spend.sum(axis=0)
+    residual_jac[-2] = -a * b * np.concatenate([sold, lag_spend.sum(axis=0), shock])
     residual_jac[-1] = 0.0
 
 

@@ -34,19 +34,19 @@ the real generalized eigenvalues of (L0 + E, -L1), one shift-invert per q
 (``_flip_gamma``: a solve and a standard eigenproblem, in numpy).
 A Neimark-Sacker crossing (a complex pair at an unknown angle) is not
 linear in gamma, so ``critical_gamma`` brackets the first upward sign
-change of max|alpha| - 1 on a grid of 32 equal steps below the first flip
-(plus five halvings toward 0) and solves for the crossing (gamma, theta)
-by Newton's method on the pencil bordered to a minimally augmented system
-(``_crossing_newton``), with bisection of the bracket (``_bisect``) as
-the fallback; with none below the flip, the flip itself is gamma_c.  Each
-grid point is first tested for contraction by powers of its map
-(``_powers_contract``); only the undecided ones and the kind's probe,
-which also confirms Newton's gamma_c, cost a spectrum, each read off the
-map that was formed for it.  A random_exp n=32 cell takes 2 state-space
-spectra where an exhaustive 1e-3 scan took about 1,020, each read off the
-pencil: the kernel is evaluated twice per q, and a gamma costs one axpy
-L0 + gamma L1, one (n+1)-square solve for the 2n state columns and the
-eigenvalues of the 2n-square map.
+change of max|alpha| - 1 on one grid, 32 equal steps over (0, 1] with the
+first flip as a point of its own (plus five halvings toward 0), and solves
+for the crossing (gamma, theta) by Newton's method on the pencil bordered
+to a minimally augmented system (``_crossing_newton``), with bisection of
+the bracket (``_bisect``) as the fallback; with none below the flip, the
+flip itself is gamma_c.  Each grid point is first tested for contraction by
+powers of its map (``_powers_contract``); only the undecided ones and the
+kind's probe, which also confirms Newton's gamma_c, cost a spectrum, each
+read off the map that was formed for it.  A random_exp n=32 cell takes 2
+state-space spectra where an exhaustive 1e-3 scan took about 1,020, each
+read off the pencil: the kernel is evaluated twice per q, and a gamma costs
+one axpy L0 + gamma L1, one (n+1)-square solve for the 2n state columns and
+the eigenvalues of the 2n-square map.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ __all__ = [
 
 REAL_ROOT_IMAG_TOL = 1e-6
 EQUILIBRIUM_RESIDUAL_TOL = 1e-10
-# critical_gamma: uniform grid points per search interval, halvings below the
-# first of them (down to 1/1024 of the interval, the 1e-3 floor of an
-# exhaustive scan of (0, 1]), the bracket width of the fallback bisection,
-# and the bound on |max|alpha| - 1| that identifies a root at -1 as the
-# crossing
+# critical_gamma: uniform grid points on (0, 1], halvings below the first of
+# them (below gamma_flip / SEARCH_POINTS where there is a flip: down to
+# 1/1024 of 1 or of gamma_flip, the 1e-3 floor of an exhaustive scan of
+# (0, 1]), the bracket width of the fallback bisection, and the bound on
+# |max|alpha| - 1| that identifies a root at -1 as the crossing
 SEARCH_POINTS = 32
 SEARCH_HALVINGS = 5
 GAMMA_XTOL = 1e-13
@@ -473,13 +473,14 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
 
     The first gamma_flip at which a root reaches -1 is exact, from one
     generalized eigenproblem (``_flip_gamma``).  max|alpha| - 1 is evaluated
-    lazily in ascending order on a grid over (0, gamma_flip] (over (0, 1]
-    when there is no flip), then over (gamma_flip, 1]: SEARCH_POINTS equal
-    steps per interval, below the first of them SEARCH_HALVINGS halvings.
-    A change ending at gamma_flip where |max|alpha| - 1| <= CROSSING_TOL
-    returns gamma_flip itself.  Any other first sign change from <= 0 to
-    > 0, over [lo, hi], is solved for by Newton's method on the bordered
-    pencil (``_crossing_newton``), started from the leading root at hi.
+    lazily in ascending order on one grid: SEARCH_POINTS equal steps over
+    (0, 1], gamma_flip where there is one, and SEARCH_HALVINGS halvings
+    below the first step (below gamma_flip / SEARCH_POINTS where there is a
+    flip).  A change ending at gamma_flip where |max|alpha| - 1| <=
+    CROSSING_TOL returns gamma_flip itself.  Any other first sign change
+    from <= 0 to > 0, over [lo, hi], is solved for by Newton's method on
+    the bordered pencil (``_crossing_newton``), started from the leading
+    root at hi.
     Its gamma is accepted when it converges inside (lo, hi] and the
     spectrum at gamma + 1e-8, the kind's probe, has exactly Newton's root
     and its conjugate outside the unit circle (``_only_pair_outside``).
@@ -508,9 +509,9 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
     bit.  Newton costs no spectrum: an iteration is two complex
     (2n+2)-square solves, the bordered system and its adjoint, and a cell
     takes three to five.  On the 24 recorded random_exp n=32 cells a
-    search takes 2 spectra, hi's or the flip's and the probe's (37 with
-    Newton declined and the bracket bisected, 20.3 with a spectrum at every
-    grid point), and gamma_c is within 6.1e-14 of the bisected one.  Where
+    search takes 2 spectra, hi's or the flip's and the probe's (37.25 with
+    Newton declined and the bracket bisected, 12 with a spectrum at every
+    grid point), and gamma_c is within 8.4e-14 of the bisected one.  Where
     the probe shows other roots outside, as on the plain network's repeated
     modes at q < 0, the check below gamma_c costs one spectrum more.
     """
@@ -565,11 +566,12 @@ def critical_gamma(net: IONetwork, params: ModelParams, q: float) -> CriticalPoi
 
     gamma_flip = _flip_gamma(pencil, q)
     ends = [1.0] if gamma_flip is None else [gamma_flip, 1.0]
-    # halvings below the first uniform step bracket early crossings; linspace
-    # ends each interval exactly at its upper end, gamma_flip included
+    # halvings below the first uniform step (below gamma_flip / SEARCH_POINTS
+    # where there is a flip) bracket early crossings; gamma_flip is a grid
+    # point of its own
     halvings = ends[0] / SEARCH_POINTS * 0.5 ** np.arange(SEARCH_HALVINGS, 0, -1)
-    grid = np.concatenate([halvings] + [np.linspace(start, end, SEARCH_POINTS + 1)[1:]
-                                        for start, end in zip([0.0] + ends, ends)]).tolist()
+    grid = sorted(set(np.concatenate([halvings, np.linspace(0.0, 1.0, SEARCH_POINTS + 1)[1:],
+                                      ends]).tolist()))
     for lo, hi in zip(grid[:-1], grid[1:]):
         if unstable(lo):
             continue

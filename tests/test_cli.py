@@ -295,6 +295,35 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["--out", str(tmp_path), "reduced", "nonsense"])
 
+    def test_calls_in_one_process_share_no_parsed_state(self, tmp_path, capsys):
+        # main builds its parser once per process: each call's file is stamped
+        # with its own overrides and flags alone, whatever the call before it
+        # set, or failed on
+        def run(name, *argv):
+            assert main(["--out", str(tmp_path / name), *argv]) == 0
+            (path,) = (tmp_path / name).glob("*.csv")
+            return _read(path)
+
+        def stamped(text, sets):
+            return text.splitlines()[0] == f"# config_hash={config_hash(load_config(None, sets))}"
+
+        sim = ["network.n=4", "run.steps=30", "run.burn_in=5"]
+        sim_args = [arg for item in sim for arg in ("--set", item)]
+        per_sector = run("per_sector", *sim_args, "--per-sector", "simulate")
+        plain = run("plain", *sim_args, "simulate")
+        assert _data_rows(per_sector)[0].endswith("xi_4") and stamped(
+            per_sector, sim + ["output.per_sector=True"])
+        assert not _data_rows(plain)[0].endswith("xi_4") and stamped(plain, sim)
+        split = run("split", "--set", "network.n=4", "equilibrium", "--set", "params.q=0")
+        neither = run("neither", "equilibrium")
+        assert len(_data_rows(split)) == 1 + 4 and stamped(split, ["network.n=4", "params.q=0"])
+        assert len(_data_rows(neither)) == 1 + 64 and stamped(neither, [])
+        with pytest.raises(SystemExit):
+            main(["--set", "network.n=6", "--out", str(tmp_path / "bad"), "reduced", "nonsense"])
+        assert "invalid choice" in capsys.readouterr().err
+        after = run("after", "--set", "network.n=5", "equilibrium")
+        assert len(_data_rows(after)) == 1 + 5 and stamped(after, ["network.n=5"])
+
     def test_determinism_across_commands(self, tmp_path):
         # identical config + seeds -> byte-identical files
         cfg = tmp_path / "exp.cfg"

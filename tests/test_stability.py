@@ -509,6 +509,24 @@ class TestBisect:
         assert excess(point.gamma_c - stability.GAMMA_XTOL) <= 0.0
 
 
+def _search_grid(gamma_flip):
+    """The critical search's grid, stated apart from it: SEARCH_HALVINGS
+    halvings below the first uniform step (of gamma_flip where there is a
+    flip, else of 1), the SEARCH_POINTS uniform points on (0, 1], and
+    gamma_flip."""
+    points = stability.SEARCH_POINTS
+    first = (1.0 if gamma_flip is None else gamma_flip) / points
+    grid = {first * 0.5 ** k for k in range(1, stability.SEARCH_HALVINGS + 1)}
+    grid |= {j / points for j in range(1, points + 1)}
+    return sorted(grid | ({gamma_flip} - {None}))
+
+
+def _cell_flip(net, params, q):
+    """gamma_flip of the critical search's cell at q, from the same pencil."""
+    base = replace(params, q=q, q0=None)
+    return _flip_gamma(_gamma_pencil(net, base, solve_equilibrium(net, base)), q)
+
+
 def _same_crossing(point, reference, tol=1e-9):
     if reference is None:
         return point is None
@@ -567,7 +585,9 @@ class TestCriticalSearch:
         # every grid point below the crossing (48 spectra on the 24 cells:
         # the bracket's top, or the flip, and the kind's probe, which also
         # confirms Newton's gamma_c), and the search returns the point it
-        # returns with every grid point's spectrum computed, bit for bit
+        # returns with every grid point's spectrum computed, bit for bit: one
+        # per grid point up to the bracket's top (gamma_flip on a flip cell)
+        # and the probe
         searches = [search for _, search in _oracle_searches()]
         calls = []
 
@@ -581,7 +601,39 @@ class TestCriticalSearch:
         monkeypatch.setattr(stability, "_powers_contract", lambda s: False)
         calls.clear()
         assert [critical_gamma(*search) for search in searches] == points
-        assert len(calls) > 20 * len(searches)
+        walked = [sum(gamma < point.gamma_c for gamma in _search_grid(_cell_flip(*search))) + 1
+                  for point, search in zip(points, searches)]
+        assert len(calls) == sum(walked) + len(searches)
+
+    @pytest.mark.parametrize("sets,gamma_c", [
+        (["network.kind=random_exp", "network.n=32", "network.seed=0"], 0.2000305953767641),
+        (["network.kind=random_exp", "network.n=32", "network.seed=1"], 0.20004806221026977),
+        (["network.n=8"], 0.19999999999999923),
+    ])
+    def test_flip_cell_walks_the_one_grid(self, monkeypatch, sets, gamma_c):
+        # at q = 0 these cells cross at gamma_flip (~0.2): the search forms S
+        # at the halvings below gamma_flip / 32, the uniform points j / 32
+        # below gamma_flip and gamma_flip itself, then at the kind's probe,
+        # and nowhere else; gamma_c and the kind are those of the search with
+        # a second grid of 32 points below the flip
+        conf = load_config(None, sets)
+        net, base = build_network(conf), replace(conf.params, q=0.0, q0=None)
+        l0, l1 = _gamma_pencil(net, base, solve_equilibrium(net, base))
+        gamma_flip = _flip_gamma((l0, l1), 0.0)
+        assert gamma_flip == gamma_c
+        state_map, formed = stability._state_map, []
+
+        def recorded(step):
+            formed.append(step.tobytes())
+            return state_map(step)
+
+        monkeypatch.setattr(stability, "_state_map", recorded)
+        point = critical_gamma(net, conf.params, 0.0)
+        assert (point.gamma_c, point.kind) == (gamma_c, "real_minus_one")
+        halvings = [gamma_flip / 32 * 0.5 ** k for k in (5, 4, 3, 2, 1)]
+        walked = halvings + [j / 32 for j in range(1, 7)] + [gamma_flip]
+        assert [gamma for gamma in _search_grid(gamma_flip) if gamma <= gamma_flip] == walked
+        assert formed == [(l0 + gamma * l1).tobytes() for gamma in walked + [gamma_flip + 1e-8]]
 
     def test_each_state_map_is_formed_once(self, monkeypatch):
         # on the recorded cells no point L0 + gamma L1 is solved for its map
