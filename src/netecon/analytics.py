@@ -29,11 +29,17 @@ __all__ = [
 ]
 
 
+def _check_window(length: int, burn_in: int) -> None:
+    """Raise ValueError unless a series of ``length`` samples leaves more than
+    100 beyond ``burn_in``: the window the statistics read."""
+    if length <= burn_in + 100:
+        raise ValueError(f"series too short beyond burn-in: {length} samples, burn-in {burn_in}")
+
+
 def _stationary_window(series: np.ndarray, burn_in: int) -> np.ndarray:
     """The series after ``burn_in``, which must leave more than 100 samples."""
     series = np.asarray(series, dtype=float)
-    if len(series) <= burn_in + 100:
-        raise ValueError("series too short beyond burn-in")
+    _check_window(len(series), burn_in)
     return series[burn_in:]
 
 
@@ -174,6 +180,7 @@ def run_sweep(conf) -> SweepResult:
         raise ValueError(f"unknown sweep statistic {statistic!r} "
                          f"({', '.join(_CELL_STATISTICS)})")
     cfg._axis_key(conf, axis)  # checked before the cells: sweep.values may be empty
+    _check_window(conf.run.steps, conf.run.burn_in)
     jobs = max(conf.jobs, 1)
     values = [float(value) for value in conf.sweep_values]
     seeds = [tuple(_cell_seed(conf.run.seed + r, i) for r in range(replicas))

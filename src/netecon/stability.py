@@ -630,13 +630,11 @@ def trace_critical_line(
 # ---------------------------------------------------------------------------
 
 def report_to_csv(report: StabilityReport, path, config_hash: str = "") -> None:
-    """One row per eigenvalue; the columns of an eigenvalue s of W and of a
-    second root per row are kept, each written as the complex NaN nan + 0j."""
+    """One row per eigenvalue of the state-space map: the eigenvalue and its
+    modulus."""
     verdict = "stable" if report.stable else "unstable"
-    nan, zero = np.full(len(report.alphas), np.nan), np.zeros(len(report.alphas))
-    rows = zip(nan, zero, report.alphas.real, report.alphas.imag, nan, zero, report.max_mod)
-    write_csv(path, ["s_re", "s_im", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
-                     "max_mod"], rows, config_hash,
+    rows = zip(report.alphas.real, report.alphas.imag, report.max_mod)
+    write_csv(path, ["alpha_re", "alpha_im", "max_mod"], rows, config_hash,
               [f"verdict={verdict} max_alpha={report.max_alpha:.12g} method=state_space"])
 
 

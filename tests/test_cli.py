@@ -205,17 +205,17 @@ class TestCommands:
         assert "method=state_space" in _read(tmp_path / "stability.csv")
 
     @pytest.mark.parametrize("kind", ["plain", "random_exp"])
-    def test_stability_rows_keep_the_per_mode_columns(self, tmp_path, kind):
-        # one row per eigenvalue of the map, with s and the second root
-        # written as the complex NaN, nan + 0j
+    def test_stability_rows_hold_each_eigenvalue_and_its_modulus(self, tmp_path, kind):
+        # one row per eigenvalue of the map, written to round-trip, and its
+        # modulus as Python's abs(complex) gives it
         assert main(["--set", f"network.kind={kind}", "--set", "network.n=6",
                      "--out", str(tmp_path), "stability"]) == 0
         header, *rows = _data_rows(_read(tmp_path / "stability.csv"))
-        assert header == "s_re,s_im,alpha1_re,alpha1_im,alpha2_re,alpha2_im,max_mod"
+        assert header == "alpha_re,alpha_im,max_mod"
         assert len(rows) == 12
         for row in rows:
-            cells = row.split(",")
-            assert cells[:2] == cells[4:6] == ["nan", "0"]
+            re, im, mod = map(float, row.split(","))
+            assert mod == abs(complex(re, im))
 
     def test_phase_diagram_plain_reference_points(self, tmp_path):
         args = ["--set", "network.n=6", "--set", "phase.q_grid=-1,0",
@@ -410,6 +410,21 @@ class TestCommands:
                      "--out", str(tmp_path), "sweep"]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "'foo'" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("steps", [150, 200])
+    def test_short_run_is_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                         steps):
+        # the statistics read more than 100 steps past the burn-in
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr("netecon.analytics.Simulator", no_simulation)
+        assert main(["--set", "network.n=8", "--set", f"run.steps={steps}",
+                     "--set", "run.burn_in=100", "--set", "sweep.values=0.1,0.2",
+                     "--out", str(tmp_path), "sweep", "--axis", "gamma"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: series too short beyond burn-in")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind, values, message", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_known_jacobian import dense_known_jacobian
+from complex_step import complex_step_matrix, complex_step_parts
 from netecon.equilibrium import ModelParams, solve_equilibrium
 from netecon.network import build_plain_network, build_random_exponential_network
 from netecon.simulator import (
@@ -21,7 +21,6 @@ from netecon.simulator import (
     _clearing_known_jacobian,
     _clearing_parts,
     _jacobian_workspace,
-    _residual_vector,
     _tolerances,
     clearing_residual,
     trajectory_to_csv,
@@ -272,45 +271,6 @@ class TestClearingResidual:
         assert abs(np.log(new.h) - np.log(sim.equilibrium.h_eq)) > 1e-9
 
 
-def _central_difference_jacobian(ctx, u, h=1e-6):
-    n = ctx.net.n
-    jac = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        e = np.zeros(n + 1)
-        e[j] = h
-        up, down = u + e, u - e
-        jac[:, j] = (_residual_vector(_clearing_parts(ctx, up[:n], up[n]))
-                     - _residual_vector(_clearing_parts(ctx, down[:n], down[n]))) / (2 * h)
-    return jac
-
-
-def _central_difference_known_jacobian(ctx, u, h=1e-6):
-    """Central differences of the residual vector in k = (log x_sold, log p_lag,
-    log z), and of log x_next in (u, k)."""
-    n = ctx.net.n
-
-    def evaluate(ctx_, u_):
-        parts = _clearing_parts(ctx_, u_[:n], u_[n])
-        return _residual_vector(parts), np.log(parts["x_next"])
-
-    residual_jac = np.empty((n + 1, 3 * n))
-    x_next_jac = np.empty((n, 4 * n + 1))
-    for j in range(n + 1):
-        e = np.zeros(n + 1)
-        e[j] = h
-        x_next_jac[:, j] = (evaluate(ctx, u + e)[1] - evaluate(ctx, u - e)[1]) / (2 * h)
-    for j in range(3 * n):
-        field, i = ("x_sold", "p_lag", "z")[j // n], j % n
-        up, down = getattr(ctx, field).copy(), getattr(ctx, field).copy()
-        up[i] *= np.exp(h)
-        down[i] *= np.exp(-h)
-        (r_up, x_up), (r_down, x_down) = (evaluate(replace(ctx, **{field: vec}), u)
-                                          for vec in (up, down))
-        residual_jac[:, j] = (r_up - r_down) / (2 * h)
-        x_next_jac[:, n + 1 + j] = (x_up - x_down) / (2 * h)
-    return residual_jac, x_next_jac
-
-
 def _known_jacobian(ctx, parts):
     """(residual_jac, x_next_jac) as ``_clearing_known_jacobian`` writes them
     into zeroed arrays."""
@@ -340,22 +300,24 @@ def _kicked_point(net, params, seed, spread=0.2):
 
 
 class TestClearingJacobian:
-    """The exact Jacobian, and the partials in the knowns, agree with central
-    differences of the kernel."""
+    """The exact Jacobian, and the partials in the knowns, agree with the
+    complex-step derivatives of the kernel (``tests/complex_step.py``)."""
 
     @staticmethod
     def _check(net, params, seed):
+        # normwise per Jacobian: on entries far below a row's largest, the
+        # package and the complex step both carry that row's rounding
         ctx, u = _kicked_point(net, params, seed)
         n = net.n
         parts = _clearing_parts(ctx, u[:n], u[n])
-        exact = _clearing_jacobian(ctx, u, parts, _jacobian_workspace(n))
-        reference = _central_difference_jacobian(ctx, u)
-        assert np.all(np.isfinite(exact))
-        assert np.max(np.abs(exact - reference)) < 1e-6 * np.max(np.abs(exact))
-        for known, reference in zip(_known_jacobian(ctx, parts),
-                                    _central_difference_known_jacobian(ctx, u)):
-            assert np.all(np.isfinite(known))
-            assert np.max(np.abs(known - reference)) < 1e-6 * np.max(np.abs(known))
+        reference = complex_step_matrix(ctx, u)
+        residual_jac, x_next_jac = _known_jacobian(ctx, parts)
+        for exact, block in ((_clearing_jacobian(ctx, u, parts, _jacobian_workspace(n)),
+                              reference[:n + 1, :n + 1]),
+                             (residual_jac, reference[:n + 1, n + 1:]),
+                             (x_next_jac, reference[n + 1:])):
+            assert np.all(np.isfinite(exact))
+            assert np.max(np.abs(exact - block)) <= 1e-13 * np.max(np.abs(exact))
         return parts
 
     @settings(max_examples=40, deadline=None)
@@ -370,8 +332,7 @@ class TestClearingJacobian:
         beta0=st.sampled_from([0.8, 0.95, 1.1]),
         seed=st.integers(0, 1000),
     )
-    def test_matches_central_differences(self, n, net_seed, a, b, q, q0_shift, gamma,
-                                         beta0, seed):
+    def test_matches_complex_step(self, n, net_seed, a, b, q, q0_shift, gamma, beta0, seed):
         params = ModelParams(a=a, b=b, q=q, q0=q - q0_shift, gamma=gamma, beta0=beta0)
         self._check(build_random_exponential_network(n, net_seed), params, seed)
 
@@ -387,14 +348,19 @@ class TestClearingJacobian:
     ], ids=["plain7", "random_exp7", "random_exp64"])
     @pytest.mark.parametrize("q, q0, gamma", [(-1.0, -1.0, 0.13), (-0.5, 0.0, 0.3),
                                               (0.6, 0.2, 1.0)])
-    def test_known_jacobian_matches_dense_assembly(self, net, q, q0, gamma):
-        # the blocks written in place are the frozen dense assembly, bit for bit
-        params = ModelParams(a=0.5, b=0.9, q=q, q0=q0, gamma=gamma)
-        ctx, u = _kicked_point(net, params, seed=net.n)
-        parts = _clearing_parts(ctx, u[:net.n], u[net.n])
-        for known, dense in zip(_known_jacobian(ctx, parts),
-                                dense_known_jacobian(ctx, parts)):
-            np.testing.assert_array_equal(known, dense)
+    def test_matches_complex_step_on_fixed_networks(self, net, q, q0, gamma):
+        self._check(net, ModelParams(a=0.5, b=0.9, q=q, q0=q0, gamma=gamma), seed=net.n)
+
+    def test_every_part_carries_the_step(self):
+        # the oracle means something only while every operation in the kernel
+        # is analytic: an abs, hypot or .real there would drop the imaginary
+        # part, and with it a derivative, silently
+        net = build_random_exponential_network(6, 1)
+        ctx, u = _kicked_point(net, ModelParams(q=-0.5, q0=0.1, gamma=0.2), seed=1)
+        parts = complex_step_parts(ctx, u)
+        for name, value in parts.items():
+            assert np.iscomplexobj(value), name
+            assert np.any(value.imag != 0.0), name
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_reused_workspace_keeps_nothing_from_an_earlier_point(self, n):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from block_system import block_state_map
 from closed_forms import critical_gamma_b1_approx, critical_gamma_closed_form, hopf_angle
+from complex_step import complex_step_matrix
 from conftest import make_circulant, make_symmetric_stochastic
 from flip_oracle import qz_flip_gamma
 from modal_oracle import max_growth_rate_modal, mode_quadratic, mode_roots, uniform_mode_multiplier
@@ -108,6 +109,24 @@ class TestBuildLinearized:
         assert step.shape == (3 * net.n + 1, 4 * net.n + 1)
         np.testing.assert_array_equal(_state_map(step[:, :3 * net.n + 1]),
                                       linear_state_map(net, params)[0])
+
+    @pytest.mark.parametrize("build", [build_plain_network,
+                                       lambda n: build_random_exponential_network(n, 1)],
+                             ids=["plain", "random_exp1"])
+    def test_state_map_matches_complex_step(self, build):
+        # S and B from the package's partials are those of the complex-step
+        # step matrix, on an equilibrium grid
+        for n in (1, 2, 8, 16, 32):
+            net = build(n)
+            for q, q0 in [(q, q0) for q in (-1.0, -0.5, 0.0, 0.5, 1.0) for q0 in {q, 0.1}]:
+                eq = solve_equilibrium(net, ModelParams(q=q, q0=q0))
+                for gamma in (0.1, 0.13, 0.5, 1.0):
+                    params = ModelParams(q=q, q0=q0, gamma=gamma)
+                    lin = build_linearized(net, params, eq)
+                    step = np.vstack([complex_step_matrix(lin.context, lin.u),
+                                      np.eye(n, 4 * n + 1)])
+                    full = np.hstack(linear_state_map(net, params, eq))
+                    assert np.max(np.abs(full - _state_map(step))) <= 1e-12 * np.max(np.abs(full))
 
     def test_single_firm_degenerate(self):
         # one firm: the gauge pins its price, so the map acts on quantity alone
